@@ -30,14 +30,16 @@ func (Original) Name() string { return "ffs" }
 // block-at-a-time allocator chose is what reaches disk.
 func (Original) FlushCluster(*ffs.FileSystem, *ffs.File, int, int) {}
 
-// Realloc is the 4.4BSD realloc allocation policy.
+// Realloc is the 4.4BSD realloc allocation policy family.
 //
-// The zero value reproduces the quirk the paper documents in Section 4:
-// reallocation is not invoked until a file fills its second block, so
-// two-block files whose second block is a fragment tail keep their
-// original — often discontiguous — placement. Setting
-// ReallocSingleBlocks ablates the quirk (used by the A3 ablation
-// bench).
+// The zero value is McKusick's policy as the paper measured it,
+// including the quirk the paper documents in Section 4: reallocation is
+// not invoked until a file fills its second block, so two-block files
+// whose second block is a fragment tail keep their original — often
+// discontiguous — placement. The fields vary one decision each:
+// ReallocSingleBlocks ablates the quirk (A2), InGroupOnly the
+// cross-group search (A5), and Fit the free-run discipline of the
+// cross-group fallback ("ffs+firstfit", "ffs+bestfit").
 type Realloc struct {
 	// ReallocSingleBlocks also engages the relocation machinery for
 	// single-block runs, removing the paper's two-block-file dip.
@@ -47,6 +49,13 @@ type Realloc struct {
 	// groups — the A5 ablation, which shows the cross-group search is
 	// what sustains the policy on a nearly full disk.
 	InGroupOnly bool
+	// Fit picks the free run in the group the fallback search lands
+	// in. The zero value, ffs.ChainFit, is the mechanism's own search
+	// (which Params.FirstFitClusters can switch to first fit); any
+	// other value places the run by that discipline instead. The
+	// chained attempt in pref's group always uses the mechanism's
+	// search.
+	Fit ffs.RunFit
 }
 
 // Name implements ffs.Policy.
@@ -56,6 +65,12 @@ func (r Realloc) Name() string {
 		return "ffs+realloc(single)"
 	case r.InGroupOnly:
 		return "ffs+realloc(incg)"
+	case r.Fit == ffs.FirstFit:
+		return "ffs+firstfit"
+	case r.Fit == ffs.BestFit:
+		return "ffs+bestfit"
+	case r.Fit == ffs.LargestFit:
+		return "ffs+largestfit"
 	default:
 		return "ffs+realloc"
 	}
@@ -79,31 +94,36 @@ func (r Realloc) FlushCluster(fs *ffs.FileSystem, f *ffs.File, start, end int) {
 	fpb := fs.FragsPerBlock()
 	pref, cgIdx := fs.ReallocPref(f, start)
 	contiguous := f.RunIsContiguous(start, end, fpb)
-	placed := pref == ffs.NilDaddr || f.Blocks[start] == pref
-	if contiguous && placed {
+	if contiguous && (pref == ffs.NilDaddr || f.Blocks[start] == pref) {
 		return // nothing to gain
 	}
 	fs.Stats.ClusterAttempts++
-	if contiguous && pref != ffs.NilDaddr {
-		// The run is internally fine but does not chain to the
-		// previous cluster. Move it only if the exact chained
-		// placement is free; migrating a contiguous run to another
-		// arbitrary spot buys nothing.
-		fs.TryReallocRun(f, start, end, cgIdx, pref)
-		return
-	}
-	// The run is internally fragmented: first try the chained
-	// placement, then any free cluster — searching across cylinder
-	// groups in hashalloc order, as ffs_reallocblks does through
-	// ffs_hashalloc(ffs_clusteralloc).
+	// Chain to the previous cluster: TryReallocRun takes the exact
+	// placement at pref when it is free and otherwise searches pref's
+	// whole group, so even a run that is already contiguous moves
+	// whenever pref's group has room for it.
 	if pref != ffs.NilDaddr && fs.TryReallocRun(f, start, end, cgIdx, pref) {
 		return
 	}
-	if r.InGroupOnly {
-		fs.TryReallocRun(f, start, end, cgIdx, ffs.NilDaddr)
-		return
+	if contiguous {
+		return // pref's group is full; another spot buys nothing
 	}
-	if cg := fs.FindClusterCg(cgIdx, n); cg >= 0 {
-		fs.TryReallocRun(f, start, end, cg, ffs.NilDaddr)
+	// The run is internally fragmented: take any free cluster —
+	// searching across cylinder groups in hashalloc order, as
+	// ffs_reallocblks does through ffs_hashalloc(ffs_clusteralloc).
+	cg := cgIdx
+	if !r.InGroupOnly {
+		if cg = fs.FindClusterCg(cgIdx, n); cg < 0 {
+			return
+		}
 	}
+	at := ffs.NilDaddr
+	if r.Fit != ffs.ChainFit {
+		b := fs.Cg(cg).FindFreeRun(n, r.Fit)
+		if b < 0 {
+			return
+		}
+		at = fs.BlockAddr(cg, b)
+	}
+	fs.TryReallocRun(f, start, end, cg, at)
 }

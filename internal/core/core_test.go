@@ -93,6 +93,9 @@ func TestPolicyNames(t *testing.T) {
 	if (Realloc{ReallocSingleBlocks: true}).Name() != "ffs+realloc(single)" {
 		t.Error("single-block variant name")
 	}
+	if (Realloc{Fit: ffs.FirstFit}).Name() != "ffs+firstfit" || (Realloc{Fit: ffs.BestFit}).Name() != "ffs+bestfit" {
+		t.Error("fit variant names")
+	}
 }
 
 func TestOriginalLeavesFragmentedLayout(t *testing.T) {
@@ -239,6 +242,63 @@ func TestReallocSingleBlocksVariant(t *testing.T) {
 	fs := newFs(t, Realloc{ReallocSingleBlocks: true})
 	if _, err := fs.CreateFile(fs.Root(), "f", 30<<10, 0); err != nil {
 		t.Fatal(err)
+	}
+	if err := fs.Check(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestReallocMovesContiguousRunWithinPrefGroup pins a behaviour the
+// exhibits depend on: when a run is already contiguous but its chained
+// slot (the block after the file's previous cluster) is taken,
+// TryReallocRun does not give up — it falls back to a search of pref's
+// whole group, so the run still moves there.
+func TestReallocMovesContiguousRunWithinPrefGroup(t *testing.T) {
+	fs := newFs(t, Original{}) // no relocation while setting up
+	fpb := fs.FragsPerBlock()
+	f, err := fs.CreateFile(fs.Root(), "f", 11*int64(fs.P.BlockSize), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !f.RunIsContiguous(0, 11, fpb) {
+		t.Fatalf("setup: file not contiguous on an empty fs: %v", f.Blocks)
+	}
+	cg := fs.CgIndexOfAddr(f.Blocks[0])
+	pref := f.Blocks[6] + ffs.Daddr(fpb)
+	// Move blocks [7, 11) to a contiguous spot mid-group, then park a
+	// one-block file in the chained slot they vacated.
+	b := fs.Cg(cg).FindFreeRun(7, ffs.LargestFit)
+	away := fs.BlockAddr(cg, b+20)
+	if !fs.TryReallocRun(f, 7, 11, cg, away) || f.Blocks[7] != away {
+		t.Fatalf("setup: could not move the run to %d: %v", away, f.Blocks)
+	}
+	blocker, err := fs.CreateFile(fs.Root(), "blocker", int64(fs.P.BlockSize), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if blocker.Blocks[0] != pref && !fs.TryReallocRun(blocker, 0, 1, cg, pref) {
+		t.Fatal("setup: could not occupy the chained slot")
+	}
+	if blocker.Blocks[0] != pref {
+		t.Fatalf("setup: blocker at %d, want the chained slot %d", blocker.Blocks[0], pref)
+	}
+	if got, _ := fs.ReallocPref(f, 7); got != pref {
+		t.Fatalf("setup: ReallocPref = %d, want %d", got, pref)
+	}
+
+	moves := fs.Stats.ClusterMoves
+	Realloc{}.FlushCluster(fs, f, 7, 11)
+	if fs.Stats.ClusterMoves != moves+1 {
+		t.Fatalf("contiguous run with an occupied chained slot was not moved (moves %d → %d)", moves, fs.Stats.ClusterMoves)
+	}
+	if f.Blocks[7] == away || f.Blocks[7] == pref {
+		t.Errorf("run at %d after the move; want a new spot other than %d and the taken slot %d", f.Blocks[7], away, pref)
+	}
+	if got := fs.CgIndexOfAddr(f.Blocks[7]); got != cg {
+		t.Errorf("run moved to group %d, want pref's group %d", got, cg)
+	}
+	if !f.RunIsContiguous(7, 11, fpb) {
+		t.Errorf("moved run is not contiguous: %v", f.Blocks[7:])
 	}
 	if err := fs.Check(); err != nil {
 		t.Fatal(err)

@@ -7,7 +7,6 @@ import (
 
 	"ffsage/internal/aging"
 	"ffsage/internal/ffs"
-	"ffsage/internal/policy"
 	"ffsage/internal/trace"
 	"ffsage/internal/workload"
 )
@@ -67,17 +66,12 @@ func workloadKey(wc workload.Config, nc workload.NFSTraceConfig) string {
 	return fmt.Sprintf("%+v|%+v", wc, nc)
 }
 
-// policyKey identifies a policy in the aged-image cache key. A
-// registered policy is keyed by its registry canonical name —
-// collision-free because registration rejects duplicate and mismatched
-// Name() strings. Anything else (ablation variants, test doubles) is
-// keyed by type and flag values, not just its display name, so ad-hoc
-// variants never collide either.
-func policyKey(p ffs.Policy) string {
-	if name, ok := policy.CanonicalName(p); ok {
-		return "reg:" + name
-	}
-	return fmt.Sprintf("adhoc:%s|%T%+v", p.Name(), p, p)
+// agedKey identifies an aged image by the full value of its inputs.
+// The policy is keyed by its type and field values (policies are flat
+// structs of flags), never by its display name, so two policies share
+// an image exactly when they make the same decisions.
+func agedKey(params ffs.Params, policy ffs.Policy, wlKey string, opts aging.Options) string {
+	return fmt.Sprintf("%+v|%T%+v|%s|slow=%v", params, policy, policy, wlKey, opts.SlowScore)
 }
 
 // CachedBuild returns the (possibly shared) workload build for the
@@ -109,7 +103,7 @@ func CachedAgedImage(params ffs.Params, policy ffs.Policy, wl *trace.Workload, w
 		// Side effects must not be deduplicated away.
 		return aging.Replay(params, policy, wl, opts)
 	}
-	key := fmt.Sprintf("%+v|%s|%s|slow=%v", params, policyKey(policy), wlKey, opts.SlowScore)
+	key := agedKey(params, policy, wlKey, opts)
 	cacheMu.Lock()
 	e := agedCache[key]
 	if e == nil {

@@ -8,7 +8,6 @@ package experiments
 import (
 	"context"
 	"fmt"
-	"strings"
 
 	"ffsage/internal/aging"
 	"ffsage/internal/bench"
@@ -191,34 +190,66 @@ func NewSuite(cfg Config) (*Suite, error) {
 	if err != nil {
 		return nil, err
 	}
-	s := &Suite{Cfg: cfg, Build: b}
 	wlKey := workloadKey(cfg.WorkloadCfg, cfg.NFSCfg)
-	runs := []struct {
-		name   string
-		policy ffs.Policy
-		wl     *trace.Workload
-		key    string
-		dst    **aging.Result
-	}{
-		{"age ffs", core.Original{}, b.Reconstructed, wlKey + "|reconstructed", &s.AgedFFS},
-		{"age realloc", core.Realloc{}, b.Reconstructed, wlKey + "|reconstructed", &s.AgedRealloc},
-		{"age ground-truth", core.Original{}, b.Reference.GroundTruth, wlKey + "|ground-truth", &s.RealFFS},
+	recon := wlRef{b.Reconstructed, wlKey + "|reconstructed"}
+	truth := wlRef{b.Reference.GroundTruth, wlKey + "|ground-truth"}
+	suiteArm := func(name string, pol ffs.Policy, wl wlRef) arm {
+		return arm{label: "age " + name, slug: "age-" + name, scope: "aging.age-" + name, policy: pol, wl: wl}
 	}
+	res, err := ageArms(cfg, []arm{
+		suiteArm("ffs", core.Original{}, recon),
+		suiteArm("realloc", core.Realloc{}, recon),
+		suiteArm("ground-truth", core.Original{}, truth),
+	})
+	if err != nil {
+		return nil, err
+	}
+	return &Suite{Cfg: cfg, Build: b, AgedFFS: res[0], AgedRealloc: res[1], RealFFS: res[2]}, nil
+}
+
+// wlRef pairs a workload with its cache key.
+type wlRef struct {
+	wl  *trace.Workload
+	key string
+}
+
+// arm is one aging replay of a fan-out: a policy over a workload, plus
+// the names the run is known by.
+type arm struct {
+	label  string // runner job label and error prefix
+	slug   string // checkpoint arm slug handed to Recovery.Sink/Resume
+	scope  string // obs scope the aged result is published under
+	policy ffs.Policy
+	wl     wlRef
+	// then, when non-nil, runs on the aged image inside the same runner
+	// job (the tournament's sweep and hot-file benchmarks).
+	then func(*aging.Result) error
+}
+
+// ageArms runs the arms concurrently on the shared runner and returns
+// their aged results in arm order. Each arm ages through the
+// process-wide cache, or — when cfg.Recovery is set — through the
+// Recovery wiring: resume from a checkpoint when one is offered,
+// otherwise replay from scratch with the arm's private clone of the
+// fault plan. With cfg.Obs set, each arm's summary is published after
+// the barrier, sequentially in arm order: the metrics are pure
+// functions of each arm's (resume-safe) result, so the snapshot is
+// identical for every -j level and for resumed runs.
+func ageArms(cfg Config, arms []arm) ([]*aging.Result, error) {
+	results := make([]*aging.Result, len(arms))
 	g := runner.New(context.Background())
-	for i := range runs {
-		r := runs[i]
-		g.Go(r.name, func(context.Context) error {
-			var res *aging.Result
-			var err error
-			if cfg.Recovery != nil {
-				res, err = ageArm(cfg, strings.ReplaceAll(r.name, " ", "-"), r.policy, r.wl)
-			} else {
-				res, err = CachedAgedImage(cfg.FsParams, r.policy, r.wl, r.key, cfg.agingOpts())
-			}
+	for i, a := range arms {
+		g.Go(a.label, func(context.Context) error {
+			res, err := a.age(cfg)
 			if err != nil {
-				return fmt.Errorf("%s: %w", r.name, err)
+				return fmt.Errorf("%s: %w", a.label, err)
 			}
-			*r.dst = res
+			if a.then != nil {
+				if err := a.then(res); err != nil {
+					return err
+				}
+			}
+			results[i] = res
 			return nil
 		})
 	}
@@ -226,54 +257,43 @@ func NewSuite(cfg Config) (*Suite, error) {
 		return nil, err
 	}
 	if cfg.Obs != nil {
-		// Publish sequentially, in arm order, after the barrier: the
-		// metrics are pure functions of each arm's (resume-safe) result,
-		// so the snapshot is identical for every -j level and for
-		// resumed runs.
-		for _, p := range []struct {
-			arm string
-			res *aging.Result
-			wl  *trace.Workload
-		}{
-			{"age-ffs", s.AgedFFS, b.Reconstructed},
-			{"age-realloc", s.AgedRealloc, b.Reconstructed},
-			{"age-ground-truth", s.RealFFS, b.Reference.GroundTruth},
-		} {
-			aging.PublishResult(cfg.Obs.Scope("aging."+p.arm), p.res, p.wl)
+		for i, a := range arms {
+			aging.PublishResult(cfg.Obs.Scope(a.scope), results[i], a.wl.wl)
 		}
 	}
-	return s, nil
+	return results, nil
 }
 
-// ageArm runs one aging replay with the Recovery wiring: resume from a
-// checkpoint when one is offered, otherwise replay from scratch with
-// the arm's private clone of the fault plan.
-func ageArm(cfg Config, arm string, policy ffs.Policy, wl *trace.Workload) (*aging.Result, error) {
-	rec := cfg.Recovery
+// age runs the arm's replay (see ageArms).
+func (a arm) age(cfg Config) (*aging.Result, error) {
 	opts := cfg.agingOpts()
+	rec := cfg.Recovery
+	if rec == nil {
+		return CachedAgedImage(cfg.FsParams, a.policy, a.wl.wl, a.wl.key, opts)
+	}
 	if cfg.Obs != nil {
 		// During-replay incident stream (checkpoints, faults, crashes).
 		// Arms write to disjoint scopes, so concurrent arms never share
 		// a tracer.
-		opts.Obs = cfg.Obs.Scope("aging." + arm)
+		opts.Obs = cfg.Obs.Scope("aging." + a.slug)
 	}
 	if rec.CheckpointEvery > 0 && rec.Sink != nil {
 		opts.CheckpointEvery = rec.CheckpointEvery
-		opts.Checkpoint = rec.Sink(arm)
+		opts.Checkpoint = rec.Sink(a.slug)
 	}
 	if rec.Resume != nil {
-		cp, err := rec.Resume(arm)
+		cp, err := rec.Resume(a.slug)
 		if err != nil {
-			return nil, fmt.Errorf("resuming %s: %w", arm, err)
+			return nil, fmt.Errorf("resuming %s: %w", a.slug, err)
 		}
 		if cp != nil {
 			// A resumed run finishes the remainder; the original plan's
 			// faults already fired and are not replayed.
-			return aging.ResumeReplay(policy, wl, cp, opts)
+			return aging.ResumeReplay(a.policy, a.wl.wl, cp, opts)
 		}
 	}
 	opts.Faults = rec.Faults.Clone()
-	return aging.Replay(cfg.FsParams, policy, wl, opts)
+	return aging.Replay(cfg.FsParams, a.policy, a.wl.wl, opts)
 }
 
 // Days returns the simulated period length.

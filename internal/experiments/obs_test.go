@@ -5,7 +5,11 @@ import (
 	"strings"
 	"testing"
 
+	"ffsage/internal/aging"
+	"ffsage/internal/core"
+	"ffsage/internal/ffs"
 	"ffsage/internal/obs"
+	"ffsage/internal/policy"
 	"ffsage/internal/runner"
 )
 
@@ -111,8 +115,11 @@ func TestMetricsIdenticalAcrossWorkers(t *testing.T) {
 	}
 }
 
-// TestCacheCountsTally checks the footer counters: a cold suite build
-// misses, an identical rebuild hits.
+// TestCacheCountsTally checks the footer counters — a cold suite build
+// misses, an identical rebuild hits — and that aged-image keys identify
+// policies by value: every registered policy and every ablation
+// variant gets a key of its own, and a freshly built copy of a policy
+// maps to the same key.
 func TestCacheCountsTally(t *testing.T) {
 	ResetCaches()
 	cfg := tinyCfg(78)
@@ -135,5 +142,37 @@ func TestCacheCountsTally(t *testing.T) {
 	bh, bm, ah, am = CacheCounts()
 	if bh != 1 || bm != 1 || ah != 3 || am != 3 {
 		t.Errorf("warm rebuild counts %d/%d/%d/%d, want 1/1/3/3", bh, bm, ah, am)
+	}
+
+	params := cfg.FsParams
+	firstFit := params
+	firstFit.FirstFitClusters = true
+	type variant struct {
+		params ffs.Params
+		pol    ffs.Policy
+	}
+	variants := []variant{
+		{params, core.Realloc{ReallocSingleBlocks: true}}, // A2
+		{firstFit, core.Realloc{}},                        // A4
+		{params, core.Realloc{InGroupOnly: true}},         // A5
+	}
+	for _, name := range policy.Names() {
+		p1, err := policy.New(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		p2, _ := policy.New(name)
+		if k1, k2 := agedKey(params, p1, "wl", aging.Options{}), agedKey(params, p2, "wl", aging.Options{}); k1 != k2 {
+			t.Errorf("%s: two instances key differently: %q vs %q", name, k1, k2)
+		}
+		variants = append(variants, variant{params, p1})
+	}
+	seen := map[string]string{}
+	for _, v := range variants {
+		k := agedKey(v.params, v.pol, "wl", aging.Options{})
+		if prev, dup := seen[k]; dup {
+			t.Errorf("policies %s and %s share aged-image key %q", prev, v.pol.Name(), k)
+		}
+		seen[k] = v.pol.Name()
 	}
 }

@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"context"
 	"fmt"
 	"io"
 	"math"
@@ -12,9 +11,7 @@ import (
 	"ffsage/internal/ffs"
 	"ffsage/internal/layout"
 	"ffsage/internal/policy"
-	"ffsage/internal/runner"
 	"ffsage/internal/stats"
-	"ffsage/internal/trace"
 )
 
 // The tournament driver generalizes the paper's two-way comparison to
@@ -40,22 +37,6 @@ type TournamentEntry struct {
 	// Hot the Table 2-style hot-file benchmark.
 	Seq []bench.SeqResult
 	Hot bench.HotResult
-}
-
-// tournamentAge ages one arm, via the process-wide cache in the common
-// case or through the Recovery wiring (checkpoint sink / resume /
-// faults) when the caller configured one.
-func tournamentAge(cfg Config, arm string, pol ffs.Policy, b wlRef) (*aging.Result, error) {
-	if cfg.Recovery != nil {
-		return ageArm(cfg, arm, pol, b.wl)
-	}
-	return CachedAgedImage(cfg.FsParams, pol, b.wl, b.key, cfg.agingOpts())
-}
-
-// wlRef pairs a workload with its cache key.
-type wlRef struct {
-	wl  *trace.Workload
-	key string
 }
 
 // RegisteredPolicies instantiates the named policies from the
@@ -94,50 +75,39 @@ func Tournament(cfg Config, policies ...ffs.Policy) ([]TournamentEntry, error) {
 	if err != nil {
 		return nil, err
 	}
-	ref := wlRef{wl: b.Reconstructed, key: workloadKey(cfg.WorkloadCfg, cfg.NFSCfg) + "|reconstructed"}
+	ref := wlRef{b.Reconstructed, workloadKey(cfg.WorkloadCfg, cfg.NFSCfg) + "|reconstructed"}
 	days := cfg.WorkloadCfg.Days
 	entries := make([]TournamentEntry, len(policies))
-	results := make([]*aging.Result, len(policies))
-	g := runner.New(context.Background())
-	for i := range policies {
-		i, pol := i, policies[i]
+	arms := make([]arm, len(policies))
+	for i, pol := range policies {
 		slug := policy.Slug(pol.Name())
-		g.Go("tournament "+slug, func(context.Context) error {
-			res, err := tournamentAge(cfg, "tournament-"+slug, pol, ref)
-			if err != nil {
-				return fmt.Errorf("aging %s: %w", pol.Name(), err)
-			}
-			seq, err := bench.SequentialSweep(res.Fs, cfg.DiskParams, cfg.BenchSizes, cfg.BenchTotal, days)
-			if err != nil {
-				return fmt.Errorf("sweep on %s image: %w", pol.Name(), err)
-			}
-			hot, err := bench.HotFiles(res.Fs, cfg.DiskParams, days-cfg.HotWindow)
-			if err != nil {
-				return fmt.Errorf("hot files on %s image: %w", pol.Name(), err)
-			}
-			entries[i] = TournamentEntry{
-				Name:        pol.Name(),
-				LayoutByDay: res.LayoutByDay,
-				UtilByDay:   res.UtilByDay,
-				Seeks:       layout.IntraFileSeeks(layout.AllFiles(res.Fs), cfg.FsParams.FragsPerBlock()),
-				Stats:       res.Fs.Stats,
-				Seq:         seq,
-				Hot:         hot,
-			}
-			results[i] = res
-			return nil
-		})
-	}
-	if _, err := g.Wait(); err != nil {
-		return nil, err
-	}
-	if cfg.Obs != nil {
-		// Sequentially, in entry order, after the barrier — the same
-		// discipline as NewSuite, keeping every snapshot byte-identical
-		// across -j levels.
-		for i, pol := range policies {
-			aging.PublishResult(cfg.Obs.Scope("tournament."+policy.Slug(pol.Name())), results[i], b.Reconstructed)
+		arms[i] = arm{
+			label: "tournament " + slug, slug: "tournament-" + slug, scope: "tournament." + slug,
+			policy: pol, wl: ref,
+			then: func(res *aging.Result) error {
+				seq, err := bench.SequentialSweep(res.Fs, cfg.DiskParams, cfg.BenchSizes, cfg.BenchTotal, days)
+				if err != nil {
+					return fmt.Errorf("sweep on %s image: %w", pol.Name(), err)
+				}
+				hot, err := bench.HotFiles(res.Fs, cfg.DiskParams, days-cfg.HotWindow)
+				if err != nil {
+					return fmt.Errorf("hot files on %s image: %w", pol.Name(), err)
+				}
+				entries[i] = TournamentEntry{
+					Name:        pol.Name(),
+					LayoutByDay: res.LayoutByDay,
+					UtilByDay:   res.UtilByDay,
+					Seeks:       layout.IntraFileSeeks(layout.AllFiles(res.Fs), cfg.FsParams.FragsPerBlock()),
+					Stats:       res.Fs.Stats,
+					Seq:         seq,
+					Hot:         hot,
+				}
+				return nil
+			},
 		}
+	}
+	if _, err := ageArms(cfg, arms); err != nil {
+		return nil, err
 	}
 	return entries, nil
 }

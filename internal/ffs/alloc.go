@@ -193,10 +193,10 @@ func (fs *FileSystem) freeRange(d Daddr, nfrags int) {
 // blocks [start, end) — all full blocks — into a single free run of
 // end-start blocks in the group containing pref (or group cgIdx when
 // pref is NilDaddr). Placement exactly at pref is tried first so that
-// successive clusters chain end to end; otherwise the group's first
-// sufficient run is taken. On success the old blocks are freed, the
-// file's map is updated, and true is returned. The map is untouched on
-// failure.
+// successive clusters chain end to end; when that run is taken (or pref
+// is NilDaddr) the whole group is searched (see allocCluster). On
+// success the old blocks are freed, the file's map is updated, and true
+// is returned. The map is untouched on failure.
 //
 // The move happens before the data reaches disk (the blocks are dirty
 // in the buffer cache), so it costs no extra I/O — only the allocator

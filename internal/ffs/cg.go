@@ -481,67 +481,29 @@ func (c *CylGroup) extendFrags(fragIdx, oldN, newN int) bool {
 }
 
 // allocCluster claims a run of n fully free blocks (the
-// ffs_clusteralloc mechanism used by the realloc policy). The search
-// honours prefBlock first (exact placement, so clusters chain end to
-// end), then takes the tightest fit: the first free run whose length is
-// as close to n as available. Best-fit keeps the group's large free
-// runs intact for future clusters, which is what lets the realloc
-// system retain its allocation advantage as the disk fills; taking the
-// first sufficient run instead shreds exactly the free space the policy
-// depends on (measured in the A4 ablation bench).
+// ffs_clusteralloc mechanism used by the realloc policy family). The
+// search honours prefBlock first (exact placement, so clusters chain end
+// to end); otherwise — including when prefBlock's run is taken — it
+// searches the whole group with FindFreeRun's ChainFit, which keeps the
+// group's large free runs usable for the file's next cluster (taking
+// the first sufficient run instead shreds exactly the free space the
+// policy depends on; Params.FirstFitClusters selects that literal
+// 4.4BSD scan for the A4 ablation bench).
 func (c *CylGroup) allocCluster(prefBlock, n int) int {
-	if n <= 0 || n > c.fs.P.MaxContig {
-		//lint:ignore ffsvet/nopanic precondition panic: rejects a caller bug (API misuse), never reachable from replayed disk state
-		panic(fmt.Sprintf("ffs: allocCluster n=%d", n))
-	}
-	if !c.HasCluster(n) {
-		return -1
-	}
-	b := -1
-	switch {
-	case prefBlock >= 0 && prefBlock+n <= c.nblk && c.blkfree.TestRange(prefBlock, prefBlock+n):
-		b = prefBlock
-	case c.fs.P.FirstFitClusters:
-		b = c.blkfree.FindRun(0, c.nblk, n)
-	default:
-		b = c.findClusterBestFit(n)
-	}
-	if b < 0 {
-		throwCorrupt("allocCluster", c.Index, "HasCluster(%d) but search failed", n)
+	b := prefBlock
+	if b < 0 || b+n > c.nblk || !c.blkfree.TestRange(b, b+n) {
+		fit := ChainFit
+		if c.fs.P.FirstFitClusters {
+			fit = FirstFit
+		}
+		if b = c.FindFreeRun(n, fit); b < 0 {
+			return -1
+		}
 	}
 	fpb := c.fs.fpb
 	c.mutateFrags(b*fpb, (b+n)*fpb, true)
 	c.rotor = b * fpb
 	return b
-}
-
-// findClusterBestFit returns the start of the first free run that can
-// hold n blocks *with room left over* (length > n), so the file's next
-// cluster can chain directly after this one; only when no such run
-// exists does it settle for an exact fit. The allocation is taken from
-// the head of the run, leaving the tail free.
-func (c *CylGroup) findClusterBestFit(n int) int {
-	b := 0
-	fallback := -1
-	for {
-		start := c.blkfree.NextSet(b)
-		if start < 0 {
-			return fallback
-		}
-		length := 0
-		end := start
-		for end < c.nblk && c.blkfree.Test(end) {
-			length++
-			end++
-		}
-		if length > n {
-			return start
-		}
-		if length == n && fallback < 0 {
-			fallback = start
-		}
-		b = end
-	}
 }
 
 // freeFrags releases group-relative fragments [fragIdx, fragIdx+n).

@@ -216,10 +216,11 @@ func TestAllocCluster(t *testing.T) {
 	if b != start+10 {
 		t.Errorf("cluster at %d, want %d", b, start+10)
 	}
-	// Preference occupied: first fit from the front.
+	// Preference occupied: the group-wide ChainFit search takes the
+	// first run with room to spare — the 10 blocks in front.
 	b2 := c.allocCluster(start+10, 3)
 	if b2 != start {
-		t.Errorf("fallback cluster at %d, want first fit %d", b2, start)
+		t.Errorf("fallback cluster at %d, want %d", b2, start)
 	}
 	if err := fs.checkGroups(); err != nil {
 		t.Fatal(err)

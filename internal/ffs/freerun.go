@@ -2,25 +2,29 @@ package ffs
 
 import "fmt"
 
-// Free-run search disciplines exposed to allocation policies. The
-// realloc mechanism (allocCluster) hard-wires the chain-aware scan of
-// findClusterBestFit; the policy lab's contenders want to choose the
-// placement themselves, so the scan variants are exported here on the
-// cylinder group, operating on the same block-level free map and
-// cluster summaries. Every search is a deterministic forward walk —
-// no randomness, no iteration-order dependence — so policies built on
-// them inherit the repo's byte-identical replay guarantee.
+// Free-run search: the one place that answers "which free run of n
+// blocks gets the cluster?". The realloc mechanism (allocCluster) and
+// every allocation policy use it, on the same block-level free map and
+// cluster summaries. Every search is a deterministic forward walk — no
+// randomness, no iteration-order dependence — so policies built on it
+// inherit the repo's byte-identical replay guarantee.
 
 // RunFit selects the free-run search discipline of FindFreeRun.
 type RunFit int
 
 const (
+	// ChainFit, the zero value, takes the first free run with room to
+	// spare (length > n), so the file's next cluster can chain directly
+	// after this one; only when no such run exists does it settle for
+	// the first exact fit. It is the realloc mechanism's default.
+	ChainFit RunFit = iota
 	// FirstFit takes the first free run of at least n blocks — the
-	// discipline of the A4 ablation's FirstFitClusters knob.
-	FirstFit RunFit = iota
-	// BestFit takes the tightest free run of at least n blocks (the
-	// full-scan variant of the first-fit search: every run is visited,
-	// the one whose length is closest to n wins, earliest on ties).
+	// literal 4.4BSD scan, and the discipline of the A4 ablation's
+	// FirstFitClusters knob.
+	FirstFit
+	// BestFit takes the tightest free run of at least n blocks (every
+	// run is visited, the one whose length is closest to n wins,
+	// earliest on ties).
 	BestFit
 	// LargestFit takes the longest free run of at least n blocks
 	// (earliest on ties) — the reservation discipline of the extent
@@ -64,6 +68,13 @@ func (c *CylGroup) FindFreeRun(n int, fit RunFit) int {
 			continue
 		}
 		switch fit {
+		case ChainFit:
+			if length > n {
+				return start
+			}
+			if best < 0 {
+				best = start // first exact fit, the fallback
+			}
 		case BestFit:
 			if best < 0 || length < bestLen {
 				best, bestLen = start, length

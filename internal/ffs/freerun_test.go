@@ -27,6 +27,9 @@ func TestFindFreeRunDisciplines(t *testing.T) {
 		fit  RunFit
 		want int
 	}{
+		{2, ChainFit, ds + 2},    // first run with room to spare
+		{3, ChainFit, ds + 10},   // the len-3 run leaves no room; skip it
+		{7, ChainFit, ds + 10},   // no run longer than 7: first exact fit
 		{2, FirstFit, ds + 2},    // first run with ≥ 2
 		{2, BestFit, ds + 20},    // exact fit beats the earlier len-3 run
 		{2, LargestFit, ds + 10}, // earliest of the two len-7 runs
@@ -49,7 +52,7 @@ func TestFindFreeRunExhausted(t *testing.T) {
 	c := fs.Cg(1)
 	ds := c.DataStart() / fs.fpb
 	carveRuns(t, c, [][2]int{{ds + 2, 3}, {ds + 8, 4}})
-	for _, fit := range []RunFit{FirstFit, BestFit, LargestFit} {
+	for _, fit := range []RunFit{ChainFit, FirstFit, BestFit, LargestFit} {
 		if got := c.FindFreeRun(5, fit); got != -1 {
 			t.Errorf("FindFreeRun(5, %v) = %d, want -1", fit, got)
 		}

@@ -9,7 +9,9 @@
 //
 // The allocation *policy* under study (original vs. realloc) is supplied
 // by the caller through the Policy interface; implementations live in
-// internal/core.
+// internal/core (the paper's two) and internal/policy (the registry and
+// its contenders). Policies place relocated runs through one free-run
+// search, CylGroup.FindFreeRun, which also backs clusteralloc.
 package ffs
 
 import "fmt"
@@ -47,10 +49,13 @@ type Params struct {
 	// LogicalRPS is the fs's notion of revolutions per second
 	// (fs_rps), used only to convert RotDelay into a fragment skip.
 	LogicalRPS int
-	// FirstFitClusters switches the cluster search to the literal
-	// 4.4BSD first-fit scan instead of the default chain-aware fit
-	// (which prefers runs with room for the file's next cluster). The
-	// A4 ablation bench measures the difference; see DESIGN.md §5.2.
+	// FirstFitClusters switches the mechanism's cluster search to the
+	// literal 4.4BSD first-fit scan instead of the default chain-aware
+	// fit (which prefers runs with room for the file's next cluster).
+	// Unlike a policy's core.Realloc.Fit, it applies to every
+	// group-wide search, including the fallback when the chained slot
+	// is taken. The A4 ablation bench measures the difference; see
+	// DESIGN.md §5.2.
 	FirstFitClusters bool
 	// LogicalHeads / LogicalSectors mirror the fs's notion of disk
 	// geometry (Table 1 italic values). They are retained for fidelity

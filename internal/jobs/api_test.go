@@ -9,6 +9,7 @@ import (
 	"path/filepath"
 	"strconv"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -174,6 +175,46 @@ func TestAPIDuplicateAndShedding(t *testing.T) {
 	}
 	if resp.Header.Get("Retry-After") == "" {
 		t.Error("429 without Retry-After")
+	}
+}
+
+// TestAPIConcurrentIDlessSubmits pins that the daemon's ID assignment
+// is serialized with the enqueue: concurrent POST /jobs without an id
+// must all be accepted (201) under distinct IDs, never refused with a
+// 409 because two of them picked the same fresh ID.
+func TestAPIConcurrentIDlessSubmits(t *testing.T) {
+	_, srv := newTestServer(t, fastOpts(t.TempDir()))
+	const n = 16
+	codes := make([]int, n)
+	ids := make([]string, n)
+	var wg sync.WaitGroup
+	for i := 0; i < n; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			resp, err := http.Post(srv.URL+"/jobs", "application/json", strings.NewReader(`{"days":1,"seed":3}`))
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			defer resp.Body.Close()
+			var created struct{ ID string }
+			if err := json.NewDecoder(resp.Body).Decode(&created); err != nil {
+				t.Error(err)
+			}
+			codes[i], ids[i] = resp.StatusCode, created.ID
+		}()
+	}
+	wg.Wait()
+	seen := map[string]bool{}
+	for i := range codes {
+		if codes[i] != http.StatusCreated {
+			t.Errorf("submit %d: status %d, want 201", i, codes[i])
+		}
+		if ids[i] == "" || seen[ids[i]] {
+			t.Errorf("submit %d: id %q empty or already assigned", i, ids[i])
+		}
+		seen[ids[i]] = true
 	}
 }
 

@@ -102,6 +102,10 @@ type Manager struct {
 	liveMu sync.Mutex
 	live   map[string]*obs.Registry
 
+	// submitMu serializes Submit's ID assignment with its enqueue, so
+	// concurrent ID-less submissions never pick the same fresh ID.
+	submitMu sync.Mutex
+
 	reqID atomic.Int64 // HTTP middleware's request-id generator
 
 	closeOnce sync.Once
@@ -193,6 +197,8 @@ func (m *Manager) Submit(sp *Spec) (string, error) {
 		m.ops.Counter("agesrv_jobs_shed_total").Inc()
 		return "", fmt.Errorf("%w (%d pending)", ErrBusy, m.q.Depth())
 	}
+	m.submitMu.Lock()
+	defer m.submitMu.Unlock()
 	if sp.ID == "" {
 		sp.ID = m.freshID()
 	}

@@ -53,9 +53,9 @@ type Spec struct {
 	ShortPairsPerDay float64 `json:"short_pairs_per_day,omitempty"`
 	LongMaxBytes     int64   `json:"long_max_bytes,omitempty"`
 
-	// CheckpointDays checkpoints the replay every k completed days
-	// (default 1; 0 disables periodic checkpoints — a graceful shutdown
-	// still writes a final one).
+	// CheckpointDays checkpoints the replay every k completed days.
+	// Unset (0) means no periodic checkpoints; a graceful drain still
+	// writes a final one at the exact operation cursor.
 	CheckpointDays int `json:"checkpoint_days,omitempty"`
 	// Faults is an internal/faults plan injected into the first fresh
 	// run only — resumed and retried runs never re-fire it, so a

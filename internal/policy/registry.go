@@ -11,21 +11,23 @@
 //   - "ffs+extent" reserves a contiguous run at a file's first write
 //     and grows it in place, re-homing to the largest free run when the
 //     reservation dies (extent.go);
-//   - "ffs+firstfit" / "ffs+bestfit" are one implementation
-//     parameterized by the free-run selection discipline (fit.go);
+//   - "ffs+firstfit" / "ffs+bestfit" are the realloc policy with its
+//     cross-group fallback placed by another free-run discipline
+//     (core.Realloc{Fit: ffs.FirstFit} / {Fit: ffs.BestFit});
 //   - "ssd" is a seek-free cost model that ignores rotational placement
 //     entirely and optimizes only run contiguity (ssd.go).
 //
-// Registered names are the canonical policy identity: the experiment
-// cache keys aged images by them (experiments.policyKey), agesrv job
-// specs validate against them, and the tournament driver enumerates
-// them. Registration rejects duplicate or mismatched names, so a
-// registered name can never silently alias two different policies.
+// Registered names are the user-facing policy identity: agesrv job
+// specs validate against them, the tournament driver enumerates them,
+// and their slugs name checkpoint arms, obs scopes and CI matrix legs.
+// Registration rejects duplicate or mismatched names, so a registered
+// name can never silently alias two different policies. (The
+// experiment cache does not need names: it keys aged images by the
+// policy's full value.)
 package policy
 
 import (
 	"fmt"
-	"reflect"
 	"sort"
 	"strings"
 	"sync"
@@ -44,15 +46,14 @@ func init() {
 	MustRegister("ffs", func() ffs.Policy { return core.Original{} })
 	MustRegister("ffs+realloc", func() ffs.Policy { return core.Realloc{} })
 	MustRegister("ffs+extent", func() ffs.Policy { return Extent{} })
-	MustRegister("ffs+firstfit", func() ffs.Policy { return Fit{} })
-	MustRegister("ffs+bestfit", func() ffs.Policy { return Fit{Best: true} })
+	MustRegister("ffs+firstfit", func() ffs.Policy { return core.Realloc{Fit: ffs.FirstFit} })
+	MustRegister("ffs+bestfit", func() ffs.Policy { return core.Realloc{Fit: ffs.BestFit} })
 	MustRegister("ssd", func() ffs.Policy { return SSD{} })
 }
 
 // Register adds a named policy factory to the registry. The name must
 // be non-empty, unused, and equal to the Name() of the policy the
-// factory builds — the last check is what makes registered names
-// collision-free cache keys.
+// factory builds, so a name always means one policy.
 func Register(name string, factory func() ffs.Policy) error {
 	if name == "" {
 		return fmt.Errorf("policy: empty name")
@@ -119,25 +120,6 @@ func Resolve(name string) (ffs.Policy, error) {
 		n = "ffs+realloc"
 	}
 	return New(n)
-}
-
-// CanonicalName reports the registry name identifying p, and whether p
-// is exactly the registered policy of that name (same type and flag
-// values, not just the same display name). Ad-hoc variants — say an
-// ablation's re-flagged Realloc — are not canonical and must be keyed
-// by their full value instead.
-func CanonicalName(p ffs.Policy) (string, bool) {
-	if p == nil {
-		return "", false
-	}
-	name := p.Name()
-	mu.Lock()
-	f := factories[name]
-	mu.Unlock()
-	if f == nil || !reflect.DeepEqual(f(), p) {
-		return "", false
-	}
-	return name, true
 }
 
 // Slug converts a policy name to its file/matrix-safe form: '+' and

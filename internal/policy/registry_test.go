@@ -72,27 +72,3 @@ func TestNewBuildsEachRegisteredPolicy(t *testing.T) {
 		t.Errorf("unknown-policy error does not list registered names: %v", err)
 	}
 }
-
-func TestCanonicalName(t *testing.T) {
-	for _, name := range Names() {
-		p, err := New(name)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, ok := CanonicalName(p)
-		if !ok || got != name {
-			t.Errorf("CanonicalName(New(%q)) = %q, %v", name, got, ok)
-		}
-	}
-	// Ad-hoc ablation variants are NOT canonical: they must fall back to
-	// full-value cache keys.
-	for _, p := range []ffs.Policy{
-		core.Realloc{InGroupOnly: true},
-		core.Realloc{ReallocSingleBlocks: true},
-		nil,
-	} {
-		if name, ok := CanonicalName(p); ok {
-			t.Errorf("CanonicalName(%#v) = %q, want not canonical", p, name)
-		}
-	}
-}
