@@ -115,11 +115,8 @@ func TestMetricsIdenticalAcrossWorkers(t *testing.T) {
 	}
 }
 
-// TestCacheCountsTally checks the footer counters — a cold suite build
-// misses, an identical rebuild hits — and that aged-image keys identify
-// policies by value: every registered policy and every ablation
-// variant gets a key of its own, and a freshly built copy of a policy
-// maps to the same key.
+// TestCacheCountsTally checks the footer counters: a cold suite build
+// misses, an identical rebuild hits.
 func TestCacheCountsTally(t *testing.T) {
 	ResetCaches()
 	cfg := tinyCfg(78)
@@ -143,8 +140,14 @@ func TestCacheCountsTally(t *testing.T) {
 	if bh != 1 || bm != 1 || ah != 3 || am != 3 {
 		t.Errorf("warm rebuild counts %d/%d/%d/%d, want 1/1/3/3", bh, bm, ah, am)
 	}
+}
 
-	params := cfg.FsParams
+// TestAgedKeyIdentifiesPolicy checks that aged-image keys identify
+// policies by value: every registered policy and every ablation variant
+// gets a key of its own, and a freshly built copy of a policy maps to
+// the same key.
+func TestAgedKeyIdentifiesPolicy(t *testing.T) {
+	params := tinyCfg(78).FsParams
 	firstFit := params
 	firstFit.FirstFitClusters = true
 	type variant struct {
