@@ -263,6 +263,36 @@ func (s *Set) RunLengthAt(i int, max int) int {
 	return s.runLengthFrom(i, max)
 }
 
+// RunLengthBefore returns the length of the run of set bits ending just
+// below i — bits i-1, i-2, ... — truncated at max when max > 0; it is 0
+// when i is 0 or bit i-1 is clear. i may equal Len(). The backward
+// mirror of RunLengthAt: all-ones words are consumed whole, counting
+// leading ones with LeadingZeros64.
+func (s *Set) RunLengthBefore(i, max int) int {
+	if i < 0 || i > s.n {
+		//lint:ignore ffsvet/nopanic precondition panic: rejects a caller bug (API misuse), never reachable from replayed disk state
+		panic(fmt.Sprintf("bitset: RunLengthBefore index %d out of range [0,%d]", i, s.n))
+	}
+	n := 0
+	for i > 0 {
+		w := (i - 1) / wordBits
+		avail := (i-1)%wordBits + 1
+		// Shift bit i-1 up to bit 63. The shift fills the bottom with
+		// zeros, so the complement's leading-zero count — the run of
+		// ones from bit 63 down — is bounded by the bits available.
+		run := bits.LeadingZeros64(^(s.words[w] << uint(wordBits-avail)))
+		n += run
+		if max > 0 && n >= max {
+			return max
+		}
+		if run < avail {
+			return n
+		}
+		i -= avail
+	}
+	return n
+}
+
 // FindRun searches [lo, hi) for the first run of at least length set
 // bits and returns its start index, or -1 if none exists. A run may not
 // extend past hi. Both the skip to the next set bit and the run count

@@ -109,6 +109,95 @@ func TestRunLengthAt(t *testing.T) {
 	}
 }
 
+// naiveRunLengthBefore is RunLengthBefore's reference: one Test per bit.
+func naiveRunLengthBefore(s *Set, i, max int) int {
+	n := 0
+	for j := i - 1; j >= 0 && s.Test(j); j-- {
+		n++
+		if max > 0 && n == max {
+			break
+		}
+	}
+	return n
+}
+
+func TestRunLengthBefore(t *testing.T) {
+	s := New(200)
+	s.SetRange(10, 20)  // inside one word
+	s.SetRange(60, 130) // spans words 0, 1 and 2
+	s.SetRange(190, 200)
+	cases := []struct{ i, max, want int }{
+		{0, 0, 0},     // nothing below bit 0
+		{10, 0, 0},    // bit 9 clear
+		{20, 0, 10},   // whole run
+		{15, 0, 5},    // partial run
+		{20, 3, 3},    // capped
+		{20, 1, 1},    // cap of one
+		{64, 0, 4},    // the tail 60..63 of word 0
+		{65, 0, 5},    // first bit of word 1 plus the tail of word 0
+		{128, 0, 68},  // a whole all-ones word
+		{130, 0, 70},  // all three words
+		{130, 65, 65}, // cap past one word
+		{130, 100, 70},
+		{200, 0, 10}, // i == Len()
+		{200, 7, 7},
+	}
+	for _, tc := range cases {
+		if got := s.RunLengthBefore(tc.i, tc.max); got != tc.want {
+			t.Errorf("RunLengthBefore(%d, %d) = %d, want %d", tc.i, tc.max, got, tc.want)
+		}
+	}
+	// A clear bit exactly on a word boundary ends the run there, with
+	// set bits on its other side.
+	g := New(130)
+	g.SetRange(0, 130)
+	g.Clear(64)
+	if got := g.RunLengthBefore(130, 0); got != 65 {
+		t.Errorf("RunLengthBefore(130) over clear bit 64 = %d, want 65", got)
+	}
+	if got := g.RunLengthBefore(64, 0); got != 64 {
+		t.Errorf("RunLengthBefore(64) = %d, want 64", got)
+	}
+}
+
+// Property: RunLengthBefore agrees with a per-bit backward walk at
+// every index (word boundaries and i == Len() included) and for caps
+// of none, one, within a word and past a word.
+func TestQuickRunLengthBeforeMatchesNaive(t *testing.T) {
+	f := func(seed int64) bool {
+		rng := rand.New(rand.NewSource(seed))
+		n := 1 + rng.Intn(400)
+		s := New(n)
+		// Long runs, so words fill completely and runs cross boundaries.
+		for i := 0; i < n; {
+			run := rng.Intn(150)
+			if rng.Intn(2) == 0 {
+				s.SetRange(i, min(i+run, n))
+			}
+			i += run + 1
+		}
+		// Single clear bits split long runs, some on word boundaries.
+		for j := rng.Intn(4); j > 0; j-- {
+			s.Clear(rng.Intn(n))
+			if b := 64 * rng.Intn(n/64+1); b < n {
+				s.Clear(b)
+			}
+		}
+		for i := 0; i <= n; i++ {
+			for _, max := range []int{0, 1, 5, 64, 65, 130} {
+				if got, want := s.RunLengthBefore(i, max), naiveRunLengthBefore(s, i, max); got != want {
+					t.Logf("n=%d i=%d max=%d: got %d want %d (%s)", n, i, max, got, want, s)
+					return false
+				}
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, nil); err != nil {
+		t.Fatal(err)
+	}
+}
+
 func TestFindRun(t *testing.T) {
 	s := New(100)
 	s.SetRange(4, 6)   // run of 2
@@ -198,6 +287,8 @@ func TestPanics(t *testing.T) {
 	mustPanic("Set(10)", func() { s.Set(10) })
 	mustPanic("SetRange bad", func() { s.SetRange(5, 3) })
 	mustPanic("FindRun len 0", func() { s.FindRun(0, 10, 0) })
+	mustPanic("RunLengthBefore(11)", func() { s.RunLengthBefore(11, 0) })
+	mustPanic("RunLengthBefore(-1)", func() { s.RunLengthBefore(-1, 0) })
 	mustPanic("New(-1)", func() { New(-1) })
 }
 

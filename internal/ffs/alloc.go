@@ -103,10 +103,9 @@ func (fs *FileSystem) allocBlockMech(cgIdx int, pref Daddr) (Daddr, error) {
 	if pref != NilDaddr && pref >= c.startFrag && pref < c.startFrag+Daddr(c.nfrags) {
 		prefRel = c.relFrag(pref)
 	}
+	// hashalloc chose a group with nbfree > 0, and allocBlockNear
+	// reports a group whose map disagrees as corrupt.
 	b := c.allocBlockNear(prefRel)
-	if b < 0 {
-		throwCorrupt("allocBlock", chosen, "nbfree>0 but allocBlockNear failed")
-	}
 	fs.Stats.BlocksAllocated++
 	got := c.absFrag(b * fs.fpb)
 	if prefRel >= 0 {

@@ -2,14 +2,16 @@ package ffs
 
 import (
 	"fmt"
+	"math/bits"
 
 	"ffsage/internal/bitset"
 )
 
 // CylGroup is one cylinder group: a fragment-granularity free map plus
 // the summary structures FFS keeps to avoid scanning it — per-run-length
-// free fragment counts (cg_frsum) and per-run-length free block cluster
-// counts (cg_clustersum) — and the inode map.
+// free fragment counts (cg_frsum) with a per-block index of them, and
+// per-run-length free block cluster counts (cg_clustersum) — and the
+// inode map.
 //
 // Fragment indices and block indices in this type are group-relative;
 // the FileSystem converts to and from absolute Daddr.
@@ -31,6 +33,11 @@ type CylGroup struct {
 	// frsum[k] counts maximal runs of exactly k free fragments inside
 	// partially-allocated blocks, 1 ≤ k < fpb.
 	frsum []int
+	// fragRuns[k], 1 ≤ k < fpb, is frsum's per-block index: bit b is
+	// set iff block b holds a maximal run of exactly k free fragments.
+	// Full blocks never appear in it, so allocFrags finds its donor
+	// block with one word-wise NextSet instead of a walk over the group.
+	fragRuns []*bitset.Set
 	// clusterSum[k] counts maximal runs of free blocks of length k,
 	// with k capped at maxcontig (the last bin counts all runs of at
 	// least maxcontig blocks), 1 ≤ k ≤ maxcontig.
@@ -59,6 +66,7 @@ func newCylGroup(fs *FileSystem, index int, startFrag Daddr, nfrags, metaFrags i
 		free:       bitset.New(nfrags),
 		blkfree:    bitset.New(nfrags / fpb),
 		frsum:      make([]int, fpb),
+		fragRuns:   newFragRuns(fpb, nfrags/fpb),
 		clusterSum: make([]int, fs.P.MaxContig+1),
 		inodes:     bitset.New(fs.ipg),
 		nifree:     fs.ipg,
@@ -77,6 +85,16 @@ func newCylGroup(fs *FileSystem, index int, startFrag Daddr, nfrags, metaFrags i
 	}
 	c.rotor = blkRoundUp(metaFrags, fpb)
 	return c
+}
+
+// newFragRuns returns an empty fragRuns index for a group of nblk
+// blocks (slot 0 is unused).
+func newFragRuns(fpb, nblk int) []*bitset.Set {
+	r := make([]*bitset.Set, fpb)
+	for k := 1; k < fpb; k++ {
+		r[k] = bitset.New(nblk)
+	}
+	return r
 }
 
 func blkRoundUp(x, fpb int) int { return (x + fpb - 1) / fpb * fpb }
@@ -134,13 +152,10 @@ func (c *CylGroup) clusterRemove(length int) {
 // bins, add the new configuration's bins.
 func (c *CylGroup) clusterAcct(b int, becomingFree bool) {
 	max := c.fs.P.MaxContig
-	back := 0
-	for i := b - 1; i >= 0 && back < max && c.blkfree.Test(i); i-- {
-		back++
-	}
+	back := c.blkfree.RunLengthBefore(b, max)
 	fwd := 0
-	for i := b + 1; i < c.nblk && fwd < max && c.blkfree.Test(i); i++ {
-		fwd++
+	if b+1 < c.nblk {
+		fwd = c.blkfree.RunLengthAt(b+1, max)
 	}
 	if becomingFree {
 		c.clusterRemove(back)
@@ -173,10 +188,10 @@ func (c *CylGroup) HasCluster(n int) bool {
 
 // blockPattern summarizes one block's fragment bitmap.
 type blockPattern struct {
-	full    bool // all fragments free
-	nf      int  // free fragments if not full
-	runs    [9]int
-	maxFree int
+	full    bool   // all fragments free
+	nf      int    // free fragments if not full
+	runs    [9]int // runs[k]: maximal free runs of exactly k fragments, partial blocks only
+	runMask uint8  // bit k set iff runs[k] > 0
 }
 
 // freeTotal returns the block's total free fragment count, whether the
@@ -203,9 +218,6 @@ func buildPatternTable(fpb int) []blockPattern {
 			if m&(1<<uint(i)) != 0 {
 				p.nf++
 				run++
-				if run > p.maxFree {
-					p.maxFree = run
-				}
 			} else if run > 0 {
 				p.runs[run]++
 				run = 0
@@ -214,11 +226,15 @@ func buildPatternTable(fpb int) []blockPattern {
 		if run == fpb {
 			p.full = true
 			p.nf = 0
-			p.maxFree = fpb
 			continue
 		}
 		if run > 0 {
 			p.runs[run]++
+		}
+		for k, r := range p.runs {
+			if r > 0 {
+				p.runMask |= 1 << uint(k)
+			}
 		}
 	}
 	return t
@@ -311,10 +327,17 @@ func (c *CylGroup) applyPatternDelta(b int, before, after *blockPattern) {
 	}
 	c.nffree += after.nf - before.nf
 	c.fs.freeFrags += int64(after.freeTotal(c.fs.fpb) - before.freeTotal(c.fs.fpb))
-	for k := 1; k < c.fs.fpb; k++ {
+	// Only the bins either pattern has runs in can change.
+	for m := before.runMask | after.runMask; m != 0; m &= m - 1 {
+		k := bits.TrailingZeros8(m)
 		c.frsum[k] += after.runs[k] - before.runs[k]
 		if c.frsum[k] < 0 {
 			throwCorrupt("applyPatternDelta", c.Index, "frsum[%d] underflow", k)
+		}
+		if after.runs[k] > 0 {
+			c.fragRuns[k].Set(b)
+		} else {
+			c.fragRuns[k].Clear(b)
 		}
 	}
 }
@@ -338,6 +361,18 @@ func (c *CylGroup) allocBlockAt(b int) {
 // the group rotor". Returns the block index, or -1 when the group has
 // no free block.
 func (c *CylGroup) allocBlockNear(prefFrag int) int {
+	b := c.allocBlockNearFree(prefFrag)
+	if b >= 0 {
+		c.allocBlockAt(b)
+	}
+	return b
+}
+
+// allocBlockNearFree is allocBlockNear's search without the claim: it
+// returns the free block allocBlockNear would take, or -1 when the
+// group has none. The split path of allocFrags uses it to claim only
+// part of the block.
+func (c *CylGroup) allocBlockNearFree(prefFrag int) int {
 	if c.nbfree == 0 {
 		return -1
 	}
@@ -356,7 +391,6 @@ func (c *CylGroup) allocBlockNear(prefFrag int) int {
 	if b < 0 {
 		throwCorrupt("allocBlockNear", c.Index, "nbfree=%d but no free block found", c.nbfree)
 	}
-	c.allocBlockAt(b)
 	return b
 }
 
@@ -390,51 +424,25 @@ func (c *CylGroup) allocFrags(n, prefFrag int) int {
 		c.rotor = b * fpb
 		return b * fpb
 	}
-	// Scan partial blocks from the preference (or rotor) for a maximal
-	// run of exactly allocsiz fragments.
+	// The donor is the first block, cyclically from the preference (or
+	// rotor), holding a maximal run of exactly allocsiz fragments — the
+	// block a walk over the group's partial blocks would meet first.
 	start := c.rotor / fpb
 	if prefFrag >= 0 && prefFrag/fpb < c.nblk {
 		start = prefFrag / fpb
 	}
-	for i := 0; i < c.nblk; i++ {
-		b := (start + i) % c.nblk
-		if c.blkfree.Test(b) {
-			continue // full blocks are not fragment donors
-		}
-		p := c.pattern(b)
-		if p.runs[allocsiz] == 0 {
-			continue
-		}
-		// Find the run of exactly allocsiz within the block.
-		idx := c.findRunInBlock(b, allocsiz)
-		c.mutateFrags(idx, idx+n, true)
-		c.rotor = b * fpb
-		return idx
-	}
-	throwCorrupt("allocFrags", c.Index, "frsum[%d]=%d but no run found", allocsiz, c.frsum[allocsiz])
-	return -1 // unreachable
-}
-
-// allocBlockNearFree is allocBlockNear without claiming the block; it
-// returns a free block index or -1. Used by the split path, which wants
-// to claim only part of the block.
-func (c *CylGroup) allocBlockNearFree(prefFrag int) int {
-	if c.nbfree == 0 {
-		return -1
-	}
-	fpb := c.fs.fpb
-	start := c.rotor / fpb
-	if prefFrag >= 0 {
-		start = prefFrag / fpb
-		if start >= c.nblk {
-			start = 0
-		}
-	}
-	b := c.blkfree.NextSet(start)
+	donors := c.fragRuns[allocsiz]
+	b := donors.NextSet(start)
 	if b < 0 {
-		b = c.blkfree.NextSet(0)
+		b = donors.NextSet(0)
 	}
-	return b
+	if b < 0 {
+		throwCorrupt("allocFrags", c.Index, "frsum[%d]=%d but no run found", allocsiz, c.frsum[allocsiz])
+	}
+	idx := c.findRunInBlock(b, allocsiz)
+	c.mutateFrags(idx, idx+n, true)
+	c.rotor = b * fpb
+	return idx
 }
 
 // findRunInBlock locates the first maximal free run of exactly length

@@ -334,3 +334,131 @@ func TestQuickCgAccountingConsistent(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// linearAllocFragsPick is the donor search allocFrags made before the
+// fragRuns index existed, kept as the differential oracle: pick the
+// smallest frsum bin ≥ n, then walk every block cyclically from the
+// preference (or rotor), skipping full blocks, to the first one with a
+// maximal run of exactly that size; with no such bin, walk the same
+// way to the first free block and split it. It returns the fragment
+// index allocFrags(n, prefFrag) must return, without allocating, and
+// -2 when the summaries promise a run the map does not have.
+func linearAllocFragsPick(c *CylGroup, n, prefFrag int) int {
+	fpb := c.fs.fpb
+	allocsiz := 0
+	for k := n; k < fpb; k++ {
+		if c.frsum[k] > 0 {
+			allocsiz = k
+			break
+		}
+	}
+	if allocsiz == 0 {
+		if c.nbfree == 0 {
+			return -1
+		}
+		start := c.rotor / fpb
+		if prefFrag >= 0 {
+			start = prefFrag / fpb
+			if start >= c.nblk {
+				start = 0
+			}
+		}
+		for i := 0; i < c.nblk; i++ {
+			if b := (start + i) % c.nblk; c.blkfree.Test(b) {
+				return b * fpb
+			}
+		}
+		return -2
+	}
+	start := c.rotor / fpb
+	if prefFrag >= 0 && prefFrag/fpb < c.nblk {
+		start = prefFrag / fpb
+	}
+	for i := 0; i < c.nblk; i++ {
+		b := (start + i) % c.nblk
+		if c.blkfree.Test(b) || c.pattern(b).runs[allocsiz] == 0 {
+			continue
+		}
+		return c.findRunInBlock(b, allocsiz)
+	}
+	return -2
+}
+
+// TestAllocFragsMatchesLinearScan drives random alloc/extend/free
+// sequences through small groups at every fragment geometry and checks
+// that each allocFrags pick equals the old linear scan's, so the
+// fragRuns index changes the cost of the search and nothing else.
+func TestAllocFragsMatchesLinearScan(t *testing.T) {
+	for _, fpb := range []int{2, 4, 8} {
+		p := smallParams()
+		p.SizeBytes = 4 << 20
+		p.FragSize = p.BlockSize / fpb
+		f := func(seed int64) bool {
+			rng := rand.New(rand.NewSource(seed))
+			fs, err := NewFileSystem(p, nopPolicy{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			c := fs.Cg(rng.Intn(len(fs.cgs)))
+			type alloc struct{ idx, n int }
+			var live []alloc
+			picks := 0
+			for op := 0; op < 1500; op++ {
+				// Free less often as the group fills, so runs of
+				// every shape appear and the group nears exhaustion.
+				full := 1 - float64(c.FreeFrags())/float64(c.nfrags)
+				switch r := rng.Float64(); {
+				case len(live) > 0 && r < 0.45*full:
+					k := rng.Intn(len(live))
+					c.freeFrags(live[k].idx, live[k].n)
+					live[k] = live[len(live)-1]
+					live = live[:len(live)-1]
+				case len(live) > 0 && r < 0.6:
+					k := rng.Intn(len(live))
+					if a := &live[k]; a.n < fpb {
+						newN := a.n + 1 + rng.Intn(fpb-a.n)
+						if c.extendFrags(a.idx, a.n, newN) {
+							a.n = newN
+						}
+					}
+				case r < 0.7:
+					if b := c.allocBlockNear(rng.Intn(c.nfrags)); b >= 0 {
+						live = append(live, alloc{b * fpb, fpb})
+					}
+				default:
+					n := 1 + rng.Intn(fpb-1)
+					pref := -1
+					switch rng.Intn(4) {
+					case 0:
+						pref = c.nfrags + rng.Intn(c.nfrags) // past the group: rotor
+					case 1, 2:
+						pref = rng.Intn(c.nfrags)
+					}
+					want := linearAllocFragsPick(c, n, pref)
+					got := c.allocFrags(n, pref)
+					if got != want {
+						t.Logf("fpb %d seed %d op %d: allocFrags(%d, %d) = %d, linear scan %d",
+							fpb, seed, op, n, pref, got, want)
+						return false
+					}
+					if got >= 0 {
+						live = append(live, alloc{got, n})
+						picks++
+					}
+				}
+			}
+			if picks == 0 {
+				t.Logf("fpb %d seed %d: no fragment allocations", fpb, seed)
+				return false
+			}
+			if err := fs.checkGroups(); err != nil {
+				t.Logf("fpb %d seed %d: %v", fpb, seed, err)
+				return false
+			}
+			return true
+		}
+		if err := quick.Check(f, &quick.Config{MaxCount: 20}); err != nil {
+			t.Fatalf("fpb %d: %v", fpb, err)
+		}
+	}
+}

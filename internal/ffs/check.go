@@ -13,8 +13,9 @@ import (
 //
 // Verified invariants:
 //
-//  1. per-group counters (nffree, nbfree, frsum, cluster summary, block
-//     map) match a recomputation from the fragment bitmap;
+//  1. per-group counters (nffree, nbfree, frsum and its fragRuns index,
+//     cluster summary, block map) match a recomputation from the
+//     fragment bitmap;
 //  2. the union of all file extents, indirect blocks, and metadata
 //     areas exactly equals the allocated fragments (no leaks, no double
 //     allocation);
@@ -65,56 +66,90 @@ func (fs *FileSystem) checkLayoutCounts() error {
 	return nil
 }
 
+// groupSummary is the part of a cylinder group derived from its
+// fragment map: the free counters, frsum and its fragRuns index, the
+// block free map and the cluster summary.
+type groupSummary struct {
+	nffree, nbfree int
+	frsum          []int
+	fragRuns       []*bitset.Set
+	blkfree        *bitset.Set
+	clusterSum     []int
+}
+
+// recomputeSummary derives the group's summary from its fragment map
+// alone, ignoring every stored summary. Check compares the result with
+// the stored one; Repair installs it.
+func (c *CylGroup) recomputeSummary() groupSummary {
+	fpb, maxContig := c.fs.fpb, c.fs.P.MaxContig
+	s := groupSummary{
+		frsum:      make([]int, fpb),
+		fragRuns:   newFragRuns(fpb, c.nblk),
+		blkfree:    bitset.New(c.nblk),
+		clusterSum: make([]int, maxContig+1),
+	}
+	for b := 0; b < c.nblk; b++ {
+		p := c.pattern(b)
+		if p.full {
+			s.nbfree++
+			s.blkfree.Set(b)
+			continue
+		}
+		s.nffree += p.nf
+		for k := 1; k < fpb; k++ {
+			s.frsum[k] += p.runs[k]
+			if p.runs[k] > 0 {
+				s.fragRuns[k].Set(b)
+			}
+		}
+	}
+	// Cluster summary: maximal free-block runs, capped at maxcontig.
+	run := 0
+	for b := 0; b <= c.nblk; b++ {
+		if b < c.nblk && s.blkfree.Test(b) {
+			run++
+			continue
+		}
+		if run > 0 {
+			s.clusterSum[min(run, maxContig)]++
+			run = 0
+		}
+	}
+	return s
+}
+
+// summaryDrift returns the first way the group's stored summary
+// disagrees with s, or nil when they agree.
+func (c *CylGroup) summaryDrift(s groupSummary) error {
+	if s.nffree != c.nffree || s.nbfree != c.nbfree {
+		return fmt.Errorf("cg %d: counters nffree=%d/%d nbfree=%d/%d (recomputed/stored)",
+			c.Index, s.nffree, c.nffree, s.nbfree, c.nbfree)
+	}
+	for k := 1; k < c.fs.fpb; k++ {
+		if s.frsum[k] != c.frsum[k] {
+			return fmt.Errorf("cg %d: frsum[%d]=%d, stored %d", c.Index, k, s.frsum[k], c.frsum[k])
+		}
+	}
+	for k := 1; k < c.fs.fpb; k++ {
+		if !s.fragRuns[k].Equal(c.fragRuns[k]) {
+			return fmt.Errorf("cg %d: fragRuns[%d] index disagrees with fragment map", c.Index, k)
+		}
+	}
+	if !s.blkfree.Equal(c.blkfree) {
+		return fmt.Errorf("cg %d: block free map disagrees with fragment map", c.Index)
+	}
+	for k := 1; k <= c.fs.P.MaxContig; k++ {
+		if s.clusterSum[k] != c.clusterSum[k] {
+			return fmt.Errorf("cg %d: clusterSum[%d]=%d, stored %d", c.Index, k, s.clusterSum[k], c.clusterSum[k])
+		}
+	}
+	return nil
+}
+
 func (fs *FileSystem) checkGroups() error {
 	for _, c := range fs.cgs {
-		nffree, nbfree := 0, 0
-		frsum := make([]int, fs.fpb)
-		blk := bitset.New(c.nblk)
-		for b := 0; b < c.nblk; b++ {
-			p := c.pattern(b)
-			if p.full {
-				nbfree++
-				blk.Set(b)
-				continue
-			}
-			nffree += p.nf
-			for k := 1; k < fs.fpb; k++ {
-				frsum[k] += p.runs[k]
-			}
-		}
-		if nffree != c.nffree || nbfree != c.nbfree {
-			return fmt.Errorf("cg %d: counters nffree=%d/%d nbfree=%d/%d (recomputed/stored)",
-				c.Index, nffree, c.nffree, nbfree, c.nbfree)
-		}
-		for k := 1; k < fs.fpb; k++ {
-			if frsum[k] != c.frsum[k] {
-				return fmt.Errorf("cg %d: frsum[%d]=%d, stored %d", c.Index, k, frsum[k], c.frsum[k])
-			}
-		}
-		if !blk.Equal(c.blkfree) {
-			return fmt.Errorf("cg %d: block free map disagrees with fragment map", c.Index)
-		}
-		// Cluster summary: recompute maximal free-block runs, capped.
-		sum := make([]int, fs.P.MaxContig+1)
-		run := 0
-		for b := 0; b <= c.nblk; b++ {
-			if b < c.nblk && blk.Test(b) {
-				run++
-				continue
-			}
-			if run > 0 {
-				capped := run
-				if capped > fs.P.MaxContig {
-					capped = fs.P.MaxContig
-				}
-				sum[capped]++
-				run = 0
-			}
-		}
-		for k := 1; k <= fs.P.MaxContig; k++ {
-			if sum[k] != c.clusterSum[k] {
-				return fmt.Errorf("cg %d: clusterSum[%d]=%d, stored %d", c.Index, k, sum[k], c.clusterSum[k])
-			}
+		if err := c.summaryDrift(c.recomputeSummary()); err != nil {
+			return err
 		}
 	}
 	// The per-group counters are sound; the cached file-system-wide

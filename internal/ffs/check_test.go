@@ -71,6 +71,27 @@ func TestCheckDetectsFrsumDrift(t *testing.T) {
 	wantCheckError(t, fs, "frsum")
 }
 
+// driftFragRuns moves one fragRuns entry of group 0 to a block with no
+// such run. frsum keeps the right count, so only the index cross-check
+// can see the damage.
+func driftFragRuns(fs *FileSystem) {
+	c := fs.Cg(0)
+	for k := 1; k < fs.fpb; k++ {
+		if b := c.fragRuns[k].NextSet(0); b >= 0 {
+			c.fragRuns[k].Clear(b)
+			c.fragRuns[k].Set(c.blkfree.NextSet(0))
+			return
+		}
+	}
+	panic("fixture has no partial block in group 0")
+}
+
+func TestCheckDetectsFragRunsDrift(t *testing.T) {
+	fs, _ := corruptibleFs(t)
+	driftFragRuns(fs)
+	wantCheckError(t, fs, "fragRuns")
+}
+
 func TestCheckDetectsClusterSumDrift(t *testing.T) {
 	fs, _ := corruptibleFs(t)
 	c := fs.Cg(2)

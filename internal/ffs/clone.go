@@ -1,5 +1,7 @@
 package ffs
 
+import "ffsage/internal/bitset"
+
 // Clone returns a deep copy of the file system, sharing nothing with
 // the original except the read-only pattern table. The benchmark
 // harness clones each aged image so every benchmark run starts from
@@ -37,6 +39,7 @@ func (fs *FileSystem) Clone() *FileSystem {
 			nffree:     g.nffree,
 			nbfree:     g.nbfree,
 			frsum:      append([]int(nil), g.frsum...),
+			fragRuns:   cloneSets(g.fragRuns),
 			clusterSum: append([]int(nil), g.clusterSum...),
 			inodes:     g.inodes.Clone(),
 			nifree:     g.nifree,
@@ -84,4 +87,15 @@ func (fs *FileSystem) Clone() *FileSystem {
 func (fs *FileSystem) WithPolicy(p Policy) *FileSystem {
 	fs.policy = p
 	return fs
+}
+
+// cloneSets deep-copies a slice of bitsets, keeping nil slots nil.
+func cloneSets(sets []*bitset.Set) []*bitset.Set {
+	c := make([]*bitset.Set, len(sets))
+	for i, s := range sets {
+		if s != nil {
+			c[i] = s.Clone()
+		}
+	}
+	return c
 }

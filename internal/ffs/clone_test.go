@@ -34,7 +34,8 @@ func populate(t *testing.T, fs *FileSystem, n int) []*File {
 
 // cgEqual reports whether the structural state of group i is identical
 // in both file systems: fragment bitmap, block bitmap, cluster
-// summaries, fragment-size summaries, inode map and counters.
+// summaries, fragment-size summaries and their fragRuns index, inode
+// map and counters.
 func cgEqual(a, b *FileSystem, i int) bool {
 	ca, cb := a.cgs[i], b.cgs[i]
 	if !ca.free.Equal(cb.free) || !ca.blkfree.Equal(cb.blkfree) || !ca.inodes.Equal(cb.inodes) {
@@ -45,6 +46,11 @@ func cgEqual(a, b *FileSystem, i int) bool {
 	}
 	for k := range ca.frsum {
 		if ca.frsum[k] != cb.frsum[k] {
+			return false
+		}
+	}
+	for k := 1; k < len(ca.fragRuns); k++ {
+		if !ca.fragRuns[k].Equal(cb.fragRuns[k]) {
 			return false
 		}
 	}

@@ -57,13 +57,8 @@ func (c *CylGroup) FindFreeRun(n int, fit RunFit) int {
 		if start < 0 {
 			break
 		}
-		length := 0
-		end := start
-		for end < c.nblk && c.blkfree.Test(end) {
-			length++
-			end++
-		}
-		b = end
+		length := c.blkfree.RunLengthAt(start, 0)
+		b = start + length
 		if length < n {
 			continue
 		}
@@ -99,12 +94,10 @@ func (c *CylGroup) FindFreeRun(n int, fit RunFit) int {
 // of range). The extent policy uses it to measure the headroom left
 // after a placed run.
 func (c *CylGroup) FreeRunLenAt(b, max int) int {
-	n := 0
-	for b >= 0 && b < c.nblk && n < max && c.blkfree.Test(b) {
-		n++
-		b++
+	if b < 0 || b >= c.nblk || max <= 0 {
+		return 0
 	}
-	return n
+	return c.blkfree.RunLengthAt(b, max)
 }
 
 // CgIndexOfAddr returns the index of the cylinder group containing the

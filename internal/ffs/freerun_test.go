@@ -82,6 +82,28 @@ func TestFreeRunLenAt(t *testing.T) {
 	if got := c.FreeRunLenAt(c.NBlocks(), 5); got != 0 {
 		t.Errorf("FreeRunLenAt(past end) = %d, want 0", got)
 	}
+	for _, max := range []int{0, -1} {
+		if got := c.FreeRunLenAt(ds+10, max); got != 0 {
+			t.Errorf("FreeRunLenAt(free, max %d) = %d, want 0", max, got)
+		}
+	}
+}
+
+func TestFreeRunLenAtGroupEnd(t *testing.T) {
+	fs := newSmallFs(t)
+	c := fs.Cg(1)
+	end := c.NBlocks()
+	carveRuns(t, c, [][2]int{{end - 5, 5}})
+	// The run ends at the group's last block.
+	if got := c.FreeRunLenAt(end-5, 100); got != 5 {
+		t.Errorf("FreeRunLenAt(run to group end) = %d, want 5", got)
+	}
+	if got := c.FreeRunLenAt(end-1, 100); got != 1 {
+		t.Errorf("FreeRunLenAt(last block) = %d, want 1", got)
+	}
+	if got := fs.FreeRunAfter(fs.BlockAddr(1, end-1), 100); got != 0 {
+		t.Errorf("FreeRunAfter(last block) = %d, want 0", got)
+	}
 }
 
 func TestBlockAddrAndFreeRunAfter(t *testing.T) {

@@ -2,7 +2,6 @@ package ffs
 
 import (
 	"fmt"
-	"slices"
 	"sort"
 	"strings"
 
@@ -25,7 +24,8 @@ import (
 //     the conflict (first claim wins, like fsck's duplicate-block pass);
 //  4. allocation maps — rebuild each group's fragment bitmap as the
 //     complement of the claimed set, then recompute the block map,
-//     nffree/nbfree, frsum, and the cluster summary from it, freeing
+//     nffree/nbfree, frsum and its fragRuns index, and the cluster
+//     summary from it (recomputeSummary, the same pass Check runs), freeing
 //     leaked fragments and reclaiming phantoms as a side effect;
 //  5. inode maps — rebuild each group's inode bitmap, nifree, and ndir
 //     from the file table;
@@ -431,43 +431,10 @@ func (fs *FileSystem) rebuildGroups(claimed *bitset.Set, rep *RepairReport) {
 		changed := !newFree.Equal(c.free)
 		c.free = newFree
 
-		blk := bitset.New(c.nblk)
-		nffree, nbfree := 0, 0
-		frsum := make([]int, fs.fpb)
-		for b := 0; b < c.nblk; b++ {
-			p := c.pattern(b)
-			if p.full {
-				nbfree++
-				blk.Set(b)
-				continue
-			}
-			nffree += p.nf
-			for k := 1; k < fs.fpb; k++ {
-				frsum[k] += p.runs[k]
-			}
-		}
-		sum := make([]int, fs.P.MaxContig+1)
-		run := 0
-		for b := 0; b <= c.nblk; b++ {
-			if b < c.nblk && blk.Test(b) {
-				run++
-				continue
-			}
-			if run > 0 {
-				capped := run
-				if capped > fs.P.MaxContig {
-					capped = fs.P.MaxContig
-				}
-				sum[capped]++
-				run = 0
-			}
-		}
-		if !changed {
-			changed = nffree != c.nffree || nbfree != c.nbfree ||
-				!blk.Equal(c.blkfree) || !slices.Equal(frsum, c.frsum) ||
-				!slices.Equal(sum, c.clusterSum)
-		}
-		c.blkfree, c.nffree, c.nbfree, c.frsum, c.clusterSum = blk, nffree, nbfree, frsum, sum
+		sum := c.recomputeSummary()
+		changed = changed || c.summaryDrift(sum) != nil
+		c.nffree, c.nbfree, c.frsum, c.fragRuns, c.blkfree, c.clusterSum =
+			sum.nffree, sum.nbfree, sum.frsum, sum.fragRuns, sum.blkfree, sum.clusterSum
 		if c.rotor < 0 || c.rotor >= c.nfrags {
 			c.rotor = c.DataStart()
 			changed = true

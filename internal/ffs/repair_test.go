@@ -45,6 +45,9 @@ func TestRepairFixesEachCorruptionClass(t *testing.T) {
 		{"frsum drift", func(fs *FileSystem, f *File) {
 			fs.Cg(0).frsum[3]++
 		}},
+		{"fragRuns drift", func(fs *FileSystem, f *File) {
+			driftFragRuns(fs)
+		}},
 		{"clusterSum drift", func(fs *FileSystem, f *File) {
 			c := fs.Cg(2)
 			c.clusterSum[fs.P.MaxContig]--
