@@ -5,19 +5,11 @@
 // atomicwrite, snapshotpure, ctxloop), which query a conservative
 // call graph spanning every analyzed package.
 //
-// Standalone mode builds that graph over all matched packages at once
-// and is the authoritative run; -json emits the findings as a JSON
-// array on stdout:
+// ffsvet builds that graph over all matched packages and their test
+// files at once; -json emits the findings as a JSON array on stdout:
 //
 //	go run ./cmd/ffsvet ./...
 //	go run ./cmd/ffsvet -json ./...
-//
-// Vettool mode covers test files but sees one compilation unit at a
-// time, so the whole-program checkers run partially (optimistically —
-// they under-report rather than false-positive there):
-//
-//	go build -o bin/ffsvet ./cmd/ffsvet
-//	go vet -vettool=bin/ffsvet ./...
 package main
 
 import (

@@ -225,7 +225,7 @@ func replayFrom(fsys *ffs.FileSystem, wl *trace.Workload, opts Options, dirs []*
 	}
 	var runTr *obs.Tracer
 	if opts.Obs != nil {
-		runTr = opts.Obs.Tracer("run")
+		runTr = opts.Obs.Tracer("run", obs.EventLines)
 	}
 
 	// writeCheckpoint persists the replay state at a cursor: lastDay is

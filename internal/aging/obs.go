@@ -66,7 +66,7 @@ func PublishResult(sc *obs.Scope, res *Result, wl *trace.Workload) {
 			m.rewrites++
 		}
 	}
-	tr := sc.TracerCap("days", len(res.LayoutByDay)+1)
+	tr := sc.TracerCap("days", obs.EventLines, len(res.LayoutByDay)+1)
 	for i, pt := range res.LayoutByDay {
 		var m mix
 		if p := byDay[pt.Day]; p != nil {
@@ -100,7 +100,7 @@ func publishSpans(sc *obs.Scope, res *Result, wl *trace.Workload) {
 	if len(days) == 0 {
 		return
 	}
-	tr := sc.SpanTracer("spans")
+	tr := sc.Tracer("spans", obs.SpanLines)
 	tr.Start(float64(days[0].Day)-1, "replay",
 		obs.I("days", int64(len(days))), obs.I("ops", int64(len(wl.Ops))))
 	oi := 0

@@ -139,9 +139,9 @@ func TestRunStreamRecordsIncidents(t *testing.T) {
 	if !errors.As(err, &crash) {
 		t.Fatalf("expected planned crash, got %v", err)
 	}
-	tr := reg.Tracer("aging.test.run")
+	tr := reg.Tracer("aging.test.run", obs.EventLines)
 	var checkpoints, crashes int
-	for _, ev := range tr.Events() {
+	for _, ev := range tr.Spans() {
 		switch ev.Name {
 		case "checkpoint":
 			checkpoints++

@@ -10,9 +10,9 @@
 // acknowledged writes reach an fsync, state files are replaced via
 // tmp+rename, checkpoint/snapshot paths never reach wall-clock or
 // global-rand reads, and unbounded drain loops poll cancellation. The
-// analyzers here enforce all of it; cmd/ffsvet drives them standalone
-// (one call graph over every matched package — the authoritative run)
-// or as a `go vet -vettool` (per compilation unit, partial).
+// analyzers here enforce all of it; cmd/ffsvet drives them over every
+// matched package and its test files, with one call graph spanning
+// them all.
 //
 // The framework mirrors the shape of golang.org/x/tools/go/analysis
 // (Analyzer, Pass, Diagnostic) but is self-contained: it depends only
@@ -114,8 +114,8 @@ func (p *Pass) Callee(call *ast.CallExpr) *types.Func {
 }
 
 // A Package bundles everything the analyzers need about one
-// type-checked package, however it was loaded (go list, vet.cfg, or a
-// test fixture).
+// type-checked package, however it was loaded (go list or a test
+// fixture).
 type Package struct {
 	Path  string // import path, e.g. "ffsage/internal/ffs"
 	Fset  *token.FileSet
@@ -156,8 +156,8 @@ func (p *ProgramPass) ReportAt(pos token.Position, format string, args ...interf
 }
 
 // Run applies analyzers to the single package pkg. It exists for the
-// per-package callers (fixtures, the vettool path builds its own
-// Program); whole-program analyzers see a one-package Program.
+// per-package callers (fixtures); whole-program analyzers see a
+// one-package Program.
 func Run(pkg *Package, analyzers []*Analyzer) []Diagnostic {
 	return RunProgram(NewProgram([]*Package{pkg}), analyzers)
 }

@@ -88,9 +88,8 @@ func TestPkgPathOf(t *testing.T) {
 }
 
 // TestRepoIsClean runs the default suite over the whole module's
-// non-test sources, pinning the acceptance criterion — ffsvet passes
-// clean on its own tree — into the ordinary test tier. (The vettool
-// path in CI additionally covers test files.)
+// sources and test files, pinning the acceptance criterion — ffsvet
+// passes clean on its own tree — into the ordinary test tier.
 func TestRepoIsClean(t *testing.T) {
 	if testing.Short() {
 		t.Skip("spawns go list -export over the whole module")
@@ -102,9 +101,8 @@ func TestRepoIsClean(t *testing.T) {
 	if len(pkgs) == 0 {
 		t.Fatal("loaded no packages")
 	}
-	// One Program spanning every package: the authoritative run, where
-	// the whole-program analyzers see cross-package reachability (the
-	// vettool path degrades to per-unit partial programs).
+	// One Program spanning every package, as cmd/ffsvet runs it, so the
+	// whole-program analyzers see cross-package reachability.
 	for _, d := range RunProgram(NewProgram(pkgs), DefaultSuite()) {
 		t.Errorf("%s", d)
 	}

@@ -50,9 +50,10 @@ func Atomicwrite(cfg AtomicwriteConfig) *Analyzer {
 		Doc:  "state files must be written via tmp+rename helpers, never created or truncated in place",
 		RunProgram: func(pass *ProgramPass) {
 			reachesRename := func(key string) bool {
-				return pass.Prog.ReachesOrOpaque(key, func(n *Node) bool {
+				_, ok := pass.Prog.Reaches(key, func(n *Node) bool {
 					return n.Key == renamePrimitive
 				})
+				return ok
 			}
 			for _, n := range pass.Prog.Graph.SortedNodes() {
 				if !n.HasBody || n.InTest || !guarded[n.Pkg] {

@@ -85,14 +85,6 @@ type CallGraph struct {
 type Program struct {
 	Pkgs  []*Package
 	Graph *CallGraph
-
-	// Partial marks a Program that covers less than the full module —
-	// the `go vet -vettool` protocol hands over one compilation unit at
-	// a time. Reachability queries that would *suppress* a finding
-	// treat calls into unseen module-internal code optimistically, so
-	// partial runs under-report rather than over-report; the standalone
-	// driver and TestRepoIsClean run the authoritative full program.
-	Partial bool
 }
 
 // NewProgram builds the call graph over pkgs.
@@ -526,53 +518,4 @@ func (p *Program) Reaches(start string, pred func(*Node) bool) (Path, bool) {
 		}
 	}
 	return nil, false
-}
-
-// ReachesOrOpaque is Reaches with partial-program optimism: in a
-// Partial program a traversal that runs into module-internal code whose
-// body is not part of this compilation unit answers true, so that
-// single-package (vettool) runs never report a finding the full program
-// would not. moduleOf(start) defines "module-internal" as sharing the
-// first import-path element with the start node's package.
-func (p *Program) ReachesOrOpaque(start string, pred func(*Node) bool) bool {
-	if _, ok := p.Reaches(start, pred); ok {
-		return true
-	}
-	if !p.Partial {
-		return false
-	}
-	root := p.Graph.Nodes[start]
-	if root == nil {
-		return false
-	}
-	module := firstPathElem(root.Pkg)
-	if module == "" {
-		return false
-	}
-	opaque := func(n *Node) bool {
-		return !n.HasBody && firstPathElem(keyPkgPath(n.Key)) == module
-	}
-	_, ok := p.Reaches(start, opaque)
-	return ok
-}
-
-func firstPathElem(path string) string {
-	if i := strings.IndexByte(path, '/'); i >= 0 {
-		return path[:i]
-	}
-	return path
-}
-
-// keyPkgPath extracts the package path from a node key:
-// "(*pkg/path.T).M" -> "pkg/path", "pkg/path.F" -> "pkg/path".
-func keyPkgPath(key string) string {
-	key = strings.TrimPrefix(key, "(*")
-	key = strings.TrimPrefix(key, "(")
-	if i := strings.LastIndexByte(key, ')'); i >= 0 {
-		key = key[:i]
-	}
-	if i := strings.LastIndexByte(key, '.'); i >= 0 {
-		return key[:i]
-	}
-	return ""
 }

@@ -109,42 +109,6 @@ func TestPollsCtxMarking(t *testing.T) {
 	}
 }
 
-// TestReachesOrOpaque pins the partial-program semantics: a call into
-// an opaque function of the same module answers true only when the
-// program is marked Partial.
-func TestReachesOrOpaque(t *testing.T) {
-	g := &CallGraph{Nodes: map[string]*Node{}}
-	a := g.node("mod/pkg.A")
-	a.Pkg = "mod/pkg"
-	a.HasBody = true
-	a.Edges = append(a.Edges,
-		Edge{Callee: "mod/other.Helper"}, // same module, unseen body: opaque
-		Edge{Callee: "os.Getenv"},        // other module: stays a plain leaf
-	)
-	g.node("mod/other.Helper")
-	g.node("os.Getenv")
-	never := func(*Node) bool { return false }
-
-	full := &Program{Graph: g}
-	if full.ReachesOrOpaque("mod/pkg.A", never) {
-		t.Error("full program: opaque optimism must not apply")
-	}
-	partial := &Program{Graph: g, Partial: true}
-	if !partial.ReachesOrOpaque("mod/pkg.A", never) {
-		t.Error("partial program: unseen same-module callee must answer true")
-	}
-
-	// A node whose only unseen callees are other-module leaves gets no
-	// optimism even in partial mode.
-	b := g.node("mod/pkg.B")
-	b.Pkg = "mod/pkg"
-	b.HasBody = true
-	b.Edges = append(b.Edges, Edge{Callee: "os.Getenv"})
-	if partial.ReachesOrOpaque("mod/pkg.B", never) {
-		t.Error("stdlib leaves must not count as opaque module-internal code")
-	}
-}
-
 // TestFuncKeyNormalization pins test-variant stripping.
 func TestFuncKeyNormalization(t *testing.T) {
 	cases := map[string]string{
@@ -155,12 +119,6 @@ func TestFuncKeyNormalization(t *testing.T) {
 		if got := normalizeKey(in); got != want {
 			t.Errorf("normalizeKey(%q) = %q, want %q", in, got, want)
 		}
-	}
-	if got, want := keyPkgPath("(*ffsage/internal/queue.WAL).append"), "ffsage/internal/queue"; got != want {
-		t.Errorf("keyPkgPath = %q, want %q", got, want)
-	}
-	if got, want := keyPkgPath("os.WriteFile"), "os"; got != want {
-		t.Errorf("keyPkgPath = %q, want %q", got, want)
 	}
 }
 

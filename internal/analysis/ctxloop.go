@@ -102,10 +102,13 @@ func checkCtxloops(pass *ProgramPass, pkg *Package) {
 // context-polling function.
 func loopPollsCtx(prog *Program, pkg *Package, body *ast.BlockStmt) bool {
 	g := prog.Graph
-	pollsCtx := func(n *Node) bool { return n.PollsCtx }
+	reaches := func(key string) bool {
+		_, ok := prog.Reaches(key, func(n *Node) bool { return n.PollsCtx })
+		return ok
+	}
 	anyReaches := func(keys []string) bool {
 		for _, key := range keys {
-			if prog.ReachesOrOpaque(key, pollsCtx) {
+			if reaches(key) {
 				return true
 			}
 		}
@@ -145,7 +148,7 @@ func loopPollsCtx(prog *Program, pkg *Package, body *ast.BlockStmt) bool {
 						}
 						return !polls
 					}
-					if prog.ReachesOrOpaque(FuncKey(fn), pollsCtx) {
+					if reaches(FuncKey(fn)) {
 						polls = true
 					}
 					return !polls

@@ -34,29 +34,11 @@ func DefaultSuite() []*Analyzer {
 		DefaultFsyncackConfig(), DefaultAtomicwriteConfig(), DefaultSnapshotpureConfig(), DefaultCtxloopConfig())
 }
 
-// Main implements cmd/ffsvet. Two modes share the analyzers:
-//
-//   - vettool: `go vet -vettool=$(which ffsvet) ./...` — cmd/go drives
-//     the tool per package (including test files) through the
-//     unitchecker protocol; this is what CI runs.
-//   - standalone: `ffsvet [patterns]` — loads matching packages via
-//     `go list -export` and analyzes their non-test sources directly.
-//
-// Returns the process exit code.
+// Main implements cmd/ffsvet: `ffsvet [flags] [patterns]` loads the
+// matching packages with their test files via `go list -test -export`
+// (see LoadPatterns) and runs the suite over one whole-program call
+// graph. Returns the process exit code.
 func Main(args []string) int {
-	// The -V=full and -flags handshakes arrive before flag parsing and
-	// must produce exactly one line on stdout.
-	for _, a := range args {
-		switch a {
-		case "-V=full", "--V=full":
-			fmt.Println(VersionString())
-			return 0
-		case "-flags", "--flags":
-			fmt.Println("[]")
-			return 0
-		}
-	}
-
 	fs := flag.NewFlagSet("ffsvet", flag.ContinueOnError)
 	dr := DefaultDetrandConfig()
 	cc := DefaultCheckedCorruptionConfig()
@@ -66,7 +48,7 @@ func Main(args []string) int {
 	aw := DefaultAtomicwriteConfig()
 	sp := DefaultSnapshotpureConfig()
 	cl := DefaultCtxloopConfig()
-	jsonOut := fs.Bool("json", false, "emit findings as a JSON array on stdout (standalone mode only)")
+	jsonOut := fs.Bool("json", false, "emit findings as a JSON array on stdout")
 	csv := func(p *[]string, name, usage string) {
 		def := strings.Join(*p, ",")
 		fs.Func(name, usage+" (comma-separated; default "+def+")", func(v string) error {
@@ -85,8 +67,7 @@ func Main(args []string) int {
 	csv(&sp.Sinks, "snapshotpure.sinks", "extra process-local sinks forbidden under snapshot roots")
 	csv(&cl.Packages, "ctxloop.pkgs", "packages whose unbounded loops must poll context cancellation")
 	fs.Usage = func() {
-		fmt.Fprintf(fs.Output(), "usage: ffsvet [flags] [package patterns]\n")
-		fmt.Fprintf(fs.Output(), "       go vet -vettool=$(which ffsvet) ./...\n\nAnalyzers:\n")
+		fmt.Fprintf(fs.Output(), "usage: ffsvet [flags] [package patterns]\n\nAnalyzers:\n")
 		for _, a := range DefaultSuite() {
 			fmt.Fprintf(fs.Output(), "  ffsvet/%-18s %s\n", a.Name, a.Doc)
 		}
@@ -99,12 +80,7 @@ func Main(args []string) int {
 	}
 	analyzers := Suite(dr, cc, np, dm, fa, aw, sp, cl)
 
-	rest := fs.Args()
-	if len(rest) == 1 && strings.HasSuffix(rest[0], ".cfg") {
-		return RunVetTool(rest[0], analyzers)
-	}
-
-	patterns := rest
+	patterns := fs.Args()
 	if len(patterns) == 0 {
 		patterns = []string{"./..."}
 	}
@@ -113,10 +89,8 @@ func Main(args []string) int {
 		fmt.Fprintf(os.Stderr, "ffsvet: %v\n", err)
 		return 2
 	}
-	// Standalone mode is the authoritative whole-program run: one call
-	// graph spanning every loaded package, so reachability crosses
-	// package boundaries (vettool mode sees one unit at a time and
-	// degrades to under-reporting; see Program.Partial).
+	// One call graph spans every loaded package, so reachability
+	// crosses package boundaries.
 	diags := RunProgram(NewProgram(pkgs), analyzers)
 	if *jsonOut {
 		if err := WriteJSON(os.Stdout, diags); err != nil {

@@ -131,7 +131,7 @@ func (l *fixtureLoader) load(path string) (*Package, error) {
 			filenames = append(filenames, filepath.Join(dir, e.Name()))
 		}
 	}
-	files, err := ParseFiles(l.fset, filenames)
+	files, err := parseFiles(l.fset, filenames, nil)
 	if err != nil {
 		return nil, err
 	}

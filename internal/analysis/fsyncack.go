@@ -51,9 +51,10 @@ func Fsyncack(cfg FsyncackConfig) *Analyzer {
 		Doc:  "durable writes in ack-bearing packages must reach an fsync before success is returned",
 		RunProgram: func(pass *ProgramPass) {
 			reachesSync := func(key string) bool {
-				return pass.Prog.ReachesOrOpaque(key, func(n *Node) bool {
+				_, ok := pass.Prog.Reaches(key, func(n *Node) bool {
 					return syncPrimitives[n.Key]
 				})
+				return ok
 			}
 			for _, n := range pass.Prog.Graph.SortedNodes() {
 				if !n.HasBody || n.InTest || !guarded[n.Pkg] {

@@ -19,8 +19,9 @@ import (
 
 // An ExportImporter resolves imports against compiler export data, the
 // way cmd/vet does: importMap translates source import paths to
-// canonical package paths, exports maps those to export-data files
-// produced by the gc compiler (vet.cfg PackageFile, or go list -export).
+// canonical package paths (a test variant's imports of recompiled
+// packages), exports maps those to export-data files produced by the
+// gc compiler (go list -export).
 type ExportImporter struct {
 	inner types.ImporterFrom
 }
@@ -68,12 +69,25 @@ func envOr(key, fallback string) string {
 	return fallback
 }
 
-// ParseFiles parses the named files (absolute paths) with comments,
-// which the suppression scanner needs.
-func ParseFiles(fset *token.FileSet, filenames []string) ([]*ast.File, error) {
+// A Patch rewrites a source file's bytes before parsing; filename is
+// the file's absolute path. Mutation tests use it to seed defects into
+// the real tree without touching it.
+type Patch func(filename string, src []byte) []byte
+
+// parseFiles parses the named files (absolute paths) with comments,
+// which the suppression scanner needs, applying patch when non-nil.
+func parseFiles(fset *token.FileSet, filenames []string, patch Patch) ([]*ast.File, error) {
 	var files []*ast.File
 	for _, name := range filenames {
-		f, err := parser.ParseFile(fset, name, nil, parser.ParseComments)
+		var src any
+		if patch != nil {
+			data, err := os.ReadFile(name)
+			if err != nil {
+				return nil, err
+			}
+			src = patch(name, data)
+		}
+		f, err := parser.ParseFile(fset, name, src, parser.ParseComments)
 		if err != nil {
 			return nil, err
 		}
@@ -90,19 +104,27 @@ type listedPackage struct {
 	Name       string
 	Export     string
 	GoFiles    []string
+	ForTest    string
+	ImportMap  map[string]string
 	Standard   bool
 	DepOnly    bool
 }
 
-// LoadPatterns loads the non-test compilation of every package matching
-// the go list patterns, type-checked against fresh gc export data.
-// Test files are covered by the `go vet -vettool` path, which receives
-// them from cmd/go; the standalone loader keeps to the production
-// sources.
+// LoadPatterns loads every package matching the go list patterns with
+// its tests, type-checked against fresh gc export data. A package with
+// in-package tests is analyzed as its test variant ("p [p.test]", its
+// sources plus its _test.go files) in place of the plain package, an
+// external test package ("p_test [p.test]") is analyzed too, and both
+// are type-checked under their bare import paths. The synthesized
+// p.test mains and dependencies recompiled for a test are skipped.
 func LoadPatterns(dir string, patterns []string) ([]*Package, error) {
+	return loadPatterns(dir, patterns, nil)
+}
+
+func loadPatterns(dir string, patterns []string, patch Patch) ([]*Package, error) {
 	args := append([]string{
-		"list", "-export", "-deps",
-		"-json=ImportPath,Dir,Name,Export,GoFiles,Standard,DepOnly",
+		"list", "-test", "-export", "-deps",
+		"-json=ImportPath,Dir,Name,Export,GoFiles,ForTest,ImportMap,Standard,DepOnly",
 	}, patterns...)
 	cmd := exec.Command("go", args...)
 	cmd.Dir = dir
@@ -114,6 +136,7 @@ func LoadPatterns(dir string, patterns []string) ([]*Package, error) {
 	}
 
 	exports := map[string]string{}
+	tested := map[string]bool{} // packages whose test variant replaces them
 	var targets []*listedPackage
 	dec := json.NewDecoder(bytes.NewReader(out))
 	for {
@@ -126,26 +149,37 @@ func LoadPatterns(dir string, patterns []string) ([]*Package, error) {
 		if p.Export != "" {
 			exports[p.ImportPath] = p.Export
 		}
-		if !p.DepOnly && !p.Standard {
-			targets = append(targets, &p)
-		}
-	}
-
-	var pkgs []*Package
-	for _, t := range targets {
-		if len(t.GoFiles) == 0 {
+		if p.DepOnly || p.Standard || len(p.GoFiles) == 0 {
 			continue
 		}
+		switch path, _, _ := strings.Cut(p.ImportPath, " "); {
+		case p.ForTest == "" && p.Name == "main" && strings.HasSuffix(p.ImportPath, ".test"):
+			continue // synthesized test main
+		case p.ForTest != "" && path != p.ForTest && path != p.ForTest+"_test":
+			continue // dependency recompiled for a test
+		case path == p.ForTest:
+			tested[path] = true
+		}
+		targets = append(targets, &p)
+	}
+
+	goVersion := goVersionOf(dir)
+	var pkgs []*Package
+	for _, t := range targets {
+		if t.ForTest == "" && tested[t.ImportPath] {
+			continue
+		}
+		path, _, _ := strings.Cut(t.ImportPath, " ")
 		fset := token.NewFileSet()
 		var filenames []string
 		for _, f := range t.GoFiles {
 			filenames = append(filenames, filepath.Join(t.Dir, f))
 		}
-		files, err := ParseFiles(fset, filenames)
+		files, err := parseFiles(fset, filenames, patch)
 		if err != nil {
 			return nil, err
 		}
-		pkg, err := TypeCheck(fset, t.ImportPath, goVersionOf(dir), files, NewExportImporter(fset, nil, exports))
+		pkg, err := TypeCheck(fset, path, goVersion, files, NewExportImporter(fset, t.ImportMap, exports))
 		if err != nil {
 			return nil, fmt.Errorf("%s: %v", t.ImportPath, err)
 		}

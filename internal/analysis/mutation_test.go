@@ -10,75 +10,27 @@ package analysis
 
 import (
 	"bytes"
-	"encoding/json"
-	"go/ast"
-	"go/parser"
-	"go/token"
-	"io"
-	"os"
-	"os/exec"
 	"path/filepath"
 	"strings"
 	"testing"
 )
 
-// loadRepoPackage loads one package of this module, with patch applied
-// to each source file's bytes before parsing (nil patch = verbatim).
-func loadRepoPackage(t *testing.T, importPath string, patch func(name string, src []byte) []byte) *Package {
+// loadRepoPackage loads one package of this module with its tests,
+// with patch applied to each source file's bytes before parsing (nil
+// patch = verbatim).
+func loadRepoPackage(t *testing.T, importPath string, patch Patch) *Package {
 	t.Helper()
-	cmd := exec.Command("go", "list", "-export", "-deps",
-		"-json=ImportPath,Dir,Name,Export,GoFiles,Standard,DepOnly", importPath)
-	cmd.Dir = "../.."
-	var stderr bytes.Buffer
-	cmd.Stderr = &stderr
-	out, err := cmd.Output()
+	pkgs, err := loadPatterns("../..", []string{importPath}, patch)
 	if err != nil {
-		t.Fatalf("go list: %v\n%s", err, stderr.String())
+		t.Fatalf("loading %s: %v", importPath, err)
 	}
-	exports := map[string]string{}
-	var target *listedPackage
-	dec := json.NewDecoder(bytes.NewReader(out))
-	for {
-		var p listedPackage
-		if err := dec.Decode(&p); err == io.EOF {
-			break
-		} else if err != nil {
-			t.Fatalf("go list output: %v", err)
-		}
-		if p.Export != "" {
-			exports[p.ImportPath] = p.Export
-		}
-		if p.ImportPath == importPath {
-			pv := p
-			target = &pv
+	for _, pkg := range pkgs {
+		if pkg.Path == importPath {
+			return pkg
 		}
 	}
-	if target == nil {
-		t.Fatalf("go list did not return %s", importPath)
-	}
-	fset := token.NewFileSet()
-	var files []*ast.File
-	for _, name := range target.GoFiles {
-		full := filepath.Join(target.Dir, name)
-		var src any
-		if patch != nil {
-			data, err := os.ReadFile(full)
-			if err != nil {
-				t.Fatal(err)
-			}
-			src = patch(full, data)
-		}
-		f, err := parser.ParseFile(fset, full, src, parser.ParseComments)
-		if err != nil {
-			t.Fatalf("parsing mutated %s: %v", name, err)
-		}
-		files = append(files, f)
-	}
-	pkg, err := TypeCheck(fset, importPath, goVersionOf("../.."), files, NewExportImporter(fset, nil, exports))
-	if err != nil {
-		t.Fatalf("type-checking mutated %s: %v", importPath, err)
-	}
-	return pkg
+	t.Fatalf("loader did not return %s", importPath)
+	return nil
 }
 
 // mustReplace asserts the mutation anchor still exists in the source —
@@ -100,7 +52,7 @@ func TestMutationDeletedSyncIsFlagged(t *testing.T) {
 	if testing.Short() {
 		t.Skip("spawns go list -export over the module")
 	}
-	load := func(patch func(name string, src []byte) []byte) []Diagnostic {
+	load := func(patch Patch) []Diagnostic {
 		pkg := loadRepoPackage(t, "ffsage/internal/queue", patch)
 		return RunProgram(NewProgram([]*Package{pkg}),
 			[]*Analyzer{Fsyncack(DefaultFsyncackConfig())})
@@ -132,7 +84,7 @@ func TestMutationInjectedClockIsFlagged(t *testing.T) {
 	if testing.Short() {
 		t.Skip("spawns go list -export over the module")
 	}
-	load := func(patch func(name string, src []byte) []byte) []Diagnostic {
+	load := func(patch Patch) []Diagnostic {
 		pkg := loadRepoPackage(t, "ffsage/internal/trace", patch)
 		return RunProgram(NewProgram([]*Package{pkg}),
 			[]*Analyzer{Snapshotpure(DefaultSnapshotpureConfig())})
@@ -164,5 +116,41 @@ func TestMutationInjectedClockIsFlagged(t *testing.T) {
 			lines = append(lines, d.String())
 		}
 		t.Errorf("no finding names both time.Now and the corruptWrap witness:\n%s", strings.Join(lines, "\n"))
+	}
+}
+
+// TestMutationTestFileIsLoaded seeds a global-generator draw into a
+// real _test.go file of a detrand package and requires the standalone
+// loader plus the default suite to report it there: proof that
+// LoadPatterns analyzes test files, not just production sources.
+func TestMutationTestFileIsLoaded(t *testing.T) {
+	if testing.Short() {
+		t.Skip("spawns go list -export over the module")
+	}
+	load := func(patch Patch) []Diagnostic {
+		pkgs, err := loadPatterns("../..", []string{"ffsage/internal/bitset"}, patch)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return RunProgram(NewProgram(pkgs), DefaultSuite())
+	}
+	if diags := load(nil); len(diags) != 0 {
+		t.Fatalf("unmutated bitset is not clean: %v", diags)
+	}
+	diags := load(func(name string, src []byte) []byte {
+		if filepath.Base(name) != "bitset_test.go" {
+			return src
+		}
+		return mustReplace(t, src, "rand.NewSource(seed)", "rand.NewSource(seed+rand.Int63n(1))")
+	})
+	found := false
+	for _, d := range diags {
+		if d.Analyzer == "detrand" && filepath.Base(d.Pos.Filename) == "bitset_test.go" &&
+			strings.Contains(d.Message, "rand.Int63n") {
+			found = true
+		}
+	}
+	if !found {
+		t.Fatalf("a global rand.Int63n seeded into bitset_test.go produced no detrand finding there: %v", diags)
 	}
 }

@@ -399,7 +399,7 @@ type spanPoint struct {
 // order, keeping the stream byte-identical across worker counts and
 // crash/resume.
 func publishSweepSpans(sc *obs.Scope, root string, pts []spanPoint) {
-	tr := sc.SpanTracer("spans")
+	tr := sc.Tracer("spans", obs.SpanLines)
 	tr.Start(0, root, obs.I("points", int64(len(pts))))
 	t := 0.0
 	for _, p := range pts {

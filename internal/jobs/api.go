@@ -422,13 +422,8 @@ func (m *Manager) followEvents(w http.ResponseWriter, r *http.Request, id string
 			return
 		}
 		for _, stream := range liveStreams {
-			for _, ev := range reg.Tracer(stream).Events() {
-				if ev.Seq < lastSeq[stream] {
-					continue
-				}
-				lastSeq[stream] = ev.Seq + 1
-				_ = obs.AppendEventJSON(w, stream, ev)
-			}
+			// A write error has nowhere to go but the connection itself.
+			lastSeq[stream], _ = reg.Tracer(stream, obs.EventLines).WriteFrom(w, lastSeq[stream])
 		}
 		if flusher != nil {
 			flusher.Flush()

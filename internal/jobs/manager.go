@@ -416,7 +416,7 @@ func (m *Manager) execute(ctx context.Context, rec queue.Record, sp *Spec, resum
 	reg := obs.NewRegistry()
 	m.setLive(rec.ID, reg)
 	sc := reg.Scope("job")
-	prog := sc.Tracer("progress")
+	prog := sc.Tracer("progress", obs.EventLines)
 
 	jctx := ctx
 	if sp.TimeoutSec > 0 {

@@ -1,7 +1,7 @@
 // Package obs is the simulator's observability core: a deterministic
 // metrics registry (counters, gauges, fixed-bucket weighted histograms)
-// and a structured event tracer ([Tracer], in events.go) keyed on
-// simulated time. Everything here is zero-dependency and deliberately
+// and bounded trace streams of events and hierarchical spans ([Tracer],
+// in tracer.go) keyed on simulated time. Everything here is zero-dependency and deliberately
 // free of wall-clock reads in the metric path, so two runs of the same
 // simulation — on any worker count, interrupted and resumed or not —
 // produce byte-identical snapshots. The one wall-clock-adjacent corner,
@@ -136,7 +136,7 @@ func (h *Histogram) Sum() float64 {
 	return s
 }
 
-// Registry holds named metrics and event tracers. The zero value is
+// Registry holds named metrics and trace streams. The zero value is
 // not usable; construct with NewRegistry. All methods are safe for
 // concurrent use.
 type Registry struct {
@@ -145,7 +145,6 @@ type Registry struct {
 	gauges   map[string]*Gauge
 	hists    map[string]*Histogram
 	tracers  map[string]*Tracer
-	spans    map[string]*SpanTracer
 
 	jobsMu sync.Mutex
 	jobsOn bool
@@ -159,7 +158,6 @@ func NewRegistry() *Registry {
 		gauges:   map[string]*Gauge{},
 		hists:    map[string]*Histogram{},
 		tracers:  map[string]*Tracer{},
-		spans:    map[string]*SpanTracer{},
 	}
 }
 
@@ -254,12 +252,6 @@ func (s *Scope) Gauge(name string) *Gauge { return s.r.Gauge(s.full(name)) }
 func (s *Scope) Histogram(name string, bounds []float64) *Histogram {
 	return s.r.Histogram(s.full(name), bounds)
 }
-
-// Tracer returns the scoped event stream.
-func (s *Scope) Tracer(name string) *Tracer { return s.r.Tracer(s.full(name)) }
-
-// TracerCap returns the scoped tracer with an explicit ring capacity.
-func (s *Scope) TracerCap(name string, cap int) *Tracer { return s.r.TracerCap(s.full(name), cap) }
 
 // formatFloat renders v in the shortest form that round-trips, the
 // snapshot's canonical float syntax.

@@ -57,7 +57,7 @@ func TestScopePrefixing(t *testing.T) {
 	if got := r.Counter("aging.age-ffs.ops").Value(); got != 7 {
 		t.Errorf("scoped counter = %d, want 7", got)
 	}
-	sc.Tracer("days").Emit(1, "day")
+	sc.Tracer("days", EventLines).Emit(1, "day")
 	var buf bytes.Buffer
 	if err := r.WriteEvents(&buf); err != nil {
 		t.Fatal(err)
@@ -103,42 +103,68 @@ gauge z.final 0.5
 
 func TestTracerRingDropsOldest(t *testing.T) {
 	r := NewRegistry()
-	tr := r.TracerCap("s", 3)
+	tr := r.TracerCap("s", EventLines, 3)
 	for i := 0; i < 5; i++ {
 		tr.Emit(float64(i), "e", I("i", int64(i)))
 	}
 	if tr.Len() != 3 || tr.Dropped() != 2 {
 		t.Fatalf("len=%d dropped=%d", tr.Len(), tr.Dropped())
 	}
-	evs := tr.Events()
-	if evs[0].T != 2 || evs[2].T != 4 {
+	evs := tr.Spans()
+	if evs[0].Start != 2 || evs[2].End != 4 || evs[0].Parent != 0 {
 		t.Errorf("ring kept wrong window: %+v", evs)
-	}
-	if evs[0].Seq != 2 || evs[2].Seq != 4 {
-		t.Errorf("seq not absolute: %+v", evs)
 	}
 	var buf bytes.Buffer
 	if err := r.WriteEvents(&buf); err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(buf.String(), `{"stream":"s","header":"events","events":3,"dropped":2}`) {
-		t.Errorf("missing header record with drop count: %q", buf.String())
+	want := `{"stream":"s","header":"events","events":3,"dropped":2}
+{"stream":"s","seq":2,"t":2,"event":"e","i":2}
+{"stream":"s","seq":3,"t":3,"event":"e","i":3}
+{"stream":"s","seq":4,"t":4,"event":"e","i":4}
+`
+	if buf.String() != want {
+		t.Errorf("events dump:\n%s\nwant (seq absolute, header with drop count):\n%s", buf.String(), want)
+	}
+
+	// WriteFrom ships the same lines from a stream position on, skips
+	// what the ring already evicted, and returns the next position.
+	buf.Reset()
+	next, err := tr.WriteFrom(&buf, 4)
+	if err != nil || next != 5 || buf.String() != `{"stream":"s","seq":4,"t":4,"event":"e","i":4}`+"\n" {
+		t.Errorf("WriteFrom(4) = %d, %v, %q", next, err, buf.String())
+	}
+	buf.Reset()
+	if next, _ := tr.WriteFrom(&buf, 0); next != 5 || strings.Count(buf.String(), "\n") != 3 {
+		t.Errorf("WriteFrom(0) = %d, %q", next, buf.String())
 	}
 }
 
 // TestEventsHeaderAlwaysPresent pins the satellite contract: every
 // stream's JSONL dump leads with a header line even when nothing was
 // dropped, so consumers can always distinguish "complete" from
-// "truncated" without guessing.
+// "truncated" without guessing. An empty stream keeps its header in the
+// dump its format names, and only there.
 func TestEventsHeaderAlwaysPresent(t *testing.T) {
 	r := NewRegistry()
-	r.Tracer("clean").Emit(1, "e")
-	var buf bytes.Buffer
-	if err := r.WriteEvents(&buf); err != nil {
+	r.Tracer("clean", EventLines).Emit(1, "e")
+	r.Tracer("idle", EventLines)
+	r.Tracer("idle.spans", SpanLines)
+	var ev, sp bytes.Buffer
+	if err := r.WriteEvents(&ev); err != nil {
 		t.Fatal(err)
 	}
-	if !strings.HasPrefix(buf.String(), `{"stream":"clean","header":"events","events":1,"dropped":0}`) {
-		t.Errorf("missing zero-drop header: %q", buf.String())
+	if err := r.WriteSpans(&sp); err != nil {
+		t.Fatal(err)
+	}
+	if !strings.HasPrefix(ev.String(), `{"stream":"clean","header":"events","events":1,"dropped":0}`) {
+		t.Errorf("missing zero-drop header: %q", ev.String())
+	}
+	if !strings.HasSuffix(ev.String(), `{"stream":"idle","header":"events","events":0,"dropped":0}`+"\n") {
+		t.Errorf("empty event stream lost its header: %q", ev.String())
+	}
+	if want := `{"stream":"idle.spans","header":"spans","spans":0,"dropped":0}` + "\n"; sp.String() != want {
+		t.Errorf("spans dump = %q, want only %q", sp.String(), want)
 	}
 }
 
@@ -146,7 +172,7 @@ func TestEventsHeaderAlwaysPresent(t *testing.T) {
 // decoder, pinning the hand-rolled encoder to real JSON.
 func TestEventsAreValidJSON(t *testing.T) {
 	r := NewRegistry()
-	tr := r.Tracer("json")
+	tr := r.Tracer("json", EventLines)
 	tr.Emit(1.5, "weird", S("s", "a\"b\\c\nd\tߜ"), I("n", -3), F("f", 0.1), B("ok", true))
 	var buf bytes.Buffer
 	if err := r.WriteEvents(&buf); err != nil {
@@ -192,5 +218,61 @@ func TestJobCapture(t *testing.T) {
 	r.CaptureJobs(false)
 	if len(r.Jobs()) != 0 {
 		t.Error("CaptureJobs(false) did not clear")
+	}
+}
+
+// TestWriteEventsHeaderMatchesRecords pins the one-lock export: a dump
+// taken while a writer is still emitting into a wrapping ring must
+// carry, per stream, a header whose counts describe exactly the records
+// that follow — events equals the record count and the first record's
+// seq equals dropped.
+func TestWriteEventsHeaderMatchesRecords(t *testing.T) {
+	r := NewRegistry()
+	tr := r.TracerCap("live", EventLines, 8)
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for i := 0; i < 20000; i++ {
+			tr.Emit(float64(i), "tick", I("i", int64(i)))
+		}
+	}()
+	defer func() { <-done }()
+	check := func() {
+		var buf bytes.Buffer
+		if err := r.WriteEvents(&buf); err != nil {
+			t.Fatal(err)
+		}
+		var hdr struct {
+			Events, Dropped int64
+		}
+		var records []struct{ Seq int64 }
+		for i, line := range strings.Split(strings.TrimSpace(buf.String()), "\n") {
+			if i == 0 {
+				if err := json.Unmarshal([]byte(line), &hdr); err != nil {
+					t.Fatalf("header %q: %v", line, err)
+				}
+				continue
+			}
+			var rec struct{ Seq int64 }
+			if err := json.Unmarshal([]byte(line), &rec); err != nil {
+				t.Fatalf("record %q: %v", line, err)
+			}
+			records = append(records, rec)
+		}
+		if int64(len(records)) != hdr.Events {
+			t.Fatalf("header says %d events, %d records follow:\n%s", hdr.Events, len(records), buf.String())
+		}
+		if len(records) > 0 && records[0].Seq != hdr.Dropped {
+			t.Fatalf("first seq %d, header dropped %d:\n%s", records[0].Seq, hdr.Dropped, buf.String())
+		}
+	}
+	for {
+		select {
+		case <-done:
+			check()
+			return
+		default:
+			check()
+		}
 	}
 }

@@ -9,7 +9,7 @@ import (
 
 func TestSpanHierarchyAndIDs(t *testing.T) {
 	r := NewRegistry()
-	tr := r.Scope("x").SpanTracer("spans")
+	tr := r.Scope("x").Tracer("spans", SpanLines)
 	root := tr.Start(0, "replay")
 	day := tr.Start(0, "day", I("day", 1))
 	op := tr.Start(0.25, "op", S("kind", "create"))
@@ -43,7 +43,7 @@ func TestSpanHierarchyAndIDs(t *testing.T) {
 
 func TestSpanRingWraparoundAndDropped(t *testing.T) {
 	r := NewRegistry()
-	tr := r.SpanTracerCap("s", 3)
+	tr := r.TracerCap("s", SpanLines, 3)
 	for i := 0; i < 5; i++ {
 		tr.Start(float64(i), "w", I("i", int64(i)))
 		tr.End(float64(i) + 1)
@@ -71,7 +71,7 @@ func TestSpanRingWraparoundAndDropped(t *testing.T) {
 
 func TestStrayEndIsNoOp(t *testing.T) {
 	r := NewRegistry()
-	tr := r.SpanTracer("s")
+	tr := r.Tracer("s", SpanLines)
 	tr.End(1)
 	if tr.Len() != 0 || tr.OpenDepth() != 0 {
 		t.Errorf("stray End recorded something: len=%d open=%d", tr.Len(), tr.OpenDepth())
@@ -84,13 +84,13 @@ func TestStrayEndIsNoOp(t *testing.T) {
 func TestWriteSpansValidJSONAndDeterministic(t *testing.T) {
 	build := func() *Registry {
 		r := NewRegistry()
-		tr := r.SpanTracer("b.spans")
+		tr := r.Tracer("b.spans", SpanLines)
 		tr.Start(0, "outer", S("s", "a\"b\\c\nd"))
 		tr.Start(0.5, "inner", F("f", 0.125), B("ok", true))
 		tr.End(1)
 		tr.End(2, I("n", -7))
-		r.SpanTracer("a.spans").Start(0, "solo")
-		r.SpanTracer("a.spans").End(1)
+		r.Tracer("a.spans", SpanLines).Start(0, "solo")
+		r.Tracer("a.spans", SpanLines).End(1)
 		return r
 	}
 	var a, b bytes.Buffer
@@ -143,7 +143,7 @@ type chromeTraceEvent struct {
 // durations, and parentage riding in args.
 func TestChromeTraceValidatesAgainstSchema(t *testing.T) {
 	r := NewRegistry()
-	tr := r.SpanTracer("job.spans")
+	tr := r.Tracer("job.spans", SpanLines)
 	tr.Start(0, "replay", S("policy", "realloc"))
 	tr.Start(0, "day", I("day", 1))
 	tr.End(1)
@@ -205,21 +205,34 @@ func TestChromeTraceValidatesAgainstSchema(t *testing.T) {
 
 // TestSpanEmitSteadyStateAllocs is the in-package half of the span.emit
 // perfbench budget: once the ring and open stack are warm, Start/End
-// cycles must not allocate.
+// cycles and Emit calls on a full ring must not allocate.
 func TestSpanEmitSteadyStateAllocs(t *testing.T) {
 	r := NewRegistry()
-	tr := r.SpanTracerCap("s", 64)
-	cycle := func() {
-		tr.Start(0, "outer", I("a", 1), S("b", "x"))
-		tr.Start(0.5, "inner", F("c", 2.5))
-		tr.End(1, B("ok", true))
-		tr.End(2)
+	spans := r.TracerCap("s", SpanLines, 64)
+	events := r.TracerCap("e", EventLines, 64)
+	for _, c := range []struct {
+		name  string
+		cycle func()
+	}{
+		{"start/end", func() {
+			spans.Start(0, "outer", I("a", 1), S("b", "x"))
+			spans.Start(0.5, "inner", F("c", 2.5))
+			spans.End(1, B("ok", true))
+			spans.End(2)
+		}},
+		{"emit", func() {
+			events.Emit(1, "day", I("day", 1), F("layout", 0.5), S("kind", "x"), B("ok", true))
+		}},
+	} {
+		for i := 0; i < 128; i++ { // fill the ring, warm open stack and attr backing
+			c.cycle()
+		}
+		if n := testing.AllocsPerRun(100, c.cycle); n != 0 {
+			t.Errorf("%s: steady-state emission allocates %v allocs/op, want 0", c.name, n)
+		}
 	}
-	for i := 0; i < 128; i++ { // warm ring, open stack, and attr backing
-		cycle()
-	}
-	if n := testing.AllocsPerRun(100, cycle); n != 0 {
-		t.Errorf("steady-state span emission allocates %v allocs/op, want 0", n)
+	if events.Dropped() == 0 {
+		t.Error("emit case never wrapped the ring")
 	}
 }
 

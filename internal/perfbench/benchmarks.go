@@ -258,7 +258,7 @@ func setupReplaySteady(fx *Fixture) (*Instance, error) {
 // allocs/op budget of 0 that -check enforces, mirroring
 // TestSpanEmitSteadyStateAllocs.
 func setupSpanEmit(fx *Fixture) (*Instance, error) {
-	tr := obs.NewRegistry().SpanTracerCap("bench", 256)
+	tr := obs.NewRegistry().TracerCap("bench", obs.SpanLines, 256)
 	const cycles = 512
 	op := func() error {
 		t := 0.0
