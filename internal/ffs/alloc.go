@@ -70,8 +70,8 @@ func (fs *FileSystem) blkpref(f *File, lbn int) (cgIdx int, pref Daddr) {
 	pref = prevAddr + Daddr(fs.fpb)
 	// Pre-clustering FFS spaced successive blocks by the rotational
 	// delay instead of placing them adjacently.
-	pref += Daddr(fs.P.RotDelayFrags())
-	if pref >= Daddr(fs.P.TotalFrags()) {
+	pref += Daddr(fs.rotDelayFrags)
+	if pref >= Daddr(fs.totalFrags) {
 		return fs.cgIndexOf(prevAddr), NilDaddr
 	}
 	return fs.cgIndexOf(pref), pref
@@ -175,16 +175,38 @@ func (fs *FileSystem) allocFragsMech(cgIdx int, pref Daddr, n int) (Daddr, error
 }
 
 // freeRange releases nfrags fragments starting at d. The range must lie
-// within one cylinder group (callers free one block or one tail at a
-// time, which always satisfies this). cgIndexOf's arithmetic guess
-// avoids CgOf's linear scan on this per-free path; relFrag still
-// validates that d lies inside the chosen group.
+// within one cylinder group (callers free one block, one tail or one
+// run from freeBlocks, which always satisfies this).
 func (fs *FileSystem) freeRange(d Daddr, nfrags int) {
-	if d < 0 || d >= Daddr(fs.P.TotalFrags()) {
+	c := fs.freeCg(d)
+	c.freeFrags(c.relFrag(d), nfrags)
+}
+
+// freeBlocks releases the full blocks at addrs, last first, with one
+// freeRange per run of physically consecutive blocks. A run stops at
+// its group's start, taken once per run from the group's bounds.
+func (fs *FileSystem) freeBlocks(addrs []Daddr) {
+	fpb := Daddr(fs.fpb)
+	for hi := len(addrs); hi > 0; {
+		c := fs.freeCg(addrs[hi-1])
+		lo := hi - 1
+		for lo > 0 && addrs[lo-1] == addrs[lo]-fpb && addrs[lo-1] >= c.startFrag {
+			lo--
+		}
+		c.freeFrags(c.relFrag(addrs[lo]), (hi-lo)*fs.fpb)
+		hi = lo
+	}
+}
+
+// freeCg returns the group holding d, which is about to be freed.
+// cgIndexOf's arithmetic guess avoids CgOf's linear scan on this
+// per-free path; relFrag still validates that d lies inside the chosen
+// group.
+func (fs *FileSystem) freeCg(d Daddr) *CylGroup {
+	if d < 0 || d >= Daddr(fs.totalFrags) {
 		throwCorrupt("freeRange", -1, "daddr %d outside file system", d)
 	}
-	c := fs.cgs[fs.cgIndexOf(d)]
-	c.freeFrags(c.relFrag(d), nfrags)
+	return fs.cgs[fs.cgIndexOf(d)]
 }
 
 // TryReallocRun is the relocation mechanism behind the realloc policy
@@ -225,9 +247,9 @@ func (fs *FileSystem) TryReallocRun(f *File, start, end, cgIdx int, pref Daddr) 
 	if b < 0 {
 		return false
 	}
+	fs.freeBlocks(f.Blocks[start:end])
 	newAddr := c.absFrag(b * fs.fpb)
 	for i := start; i < end; i++ {
-		fs.freeRange(f.Blocks[i], fs.fpb)
 		f.Blocks[i] = newAddr + Daddr((i-start)*fs.fpb)
 	}
 	fs.Stats.ClusterMoves++
@@ -267,7 +289,7 @@ func (fs *FileSystem) ReallocPref(f *File, start int) (Daddr, int) {
 		return NilDaddr, fs.cgIndexOf(f.Blocks[start])
 	}
 	pref := f.Blocks[start-1] + Daddr(fs.fpb)
-	if pref >= Daddr(fs.P.TotalFrags()) {
+	if pref >= Daddr(fs.totalFrags) {
 		return NilDaddr, fs.cgIndexOf(f.Blocks[start])
 	}
 	return pref, fs.cgIndexOf(pref)

@@ -146,23 +146,26 @@ func (c *CylGroup) clusterRemove(length int) {
 	c.clusterSum[length]--
 }
 
-// clusterAcct updates the cluster summary when block b transitions
-// between free and allocated, in the style of ffs_clusteracct: measure
-// the free runs on either side (capped at maxcontig), remove their old
-// bins, add the new configuration's bins.
-func (c *CylGroup) clusterAcct(b int, becomingFree bool) {
+// clusterAcct updates the cluster summary when blocks [b0, b1) change
+// together between free and allocated, in the style of
+// ffs_clusteracct: measure the free runs on either side (capped at
+// maxcontig), remove their old bins, add the new configuration's bins.
+// The blocks' own blkfree bits are not read, so callers may flip them
+// before or after.
+func (c *CylGroup) clusterAcct(b0, b1 int, becomingFree bool) {
 	max := c.fs.P.MaxContig
-	back := c.blkfree.RunLengthBefore(b, max)
+	back := c.blkfree.RunLengthBefore(b0, max)
 	fwd := 0
-	if b+1 < c.nblk {
-		fwd = c.blkfree.RunLengthAt(b+1, max)
+	if b1 < c.nblk {
+		fwd = c.blkfree.RunLengthAt(b1, max)
 	}
+	n := b1 - b0
 	if becomingFree {
 		c.clusterRemove(back)
 		c.clusterRemove(fwd)
-		c.clusterAdd(back + 1 + fwd)
+		c.clusterAdd(back + n + fwd)
 	} else {
-		c.clusterRemove(back + 1 + fwd)
+		c.clusterRemove(back + n + fwd)
 		c.clusterAdd(back)
 		c.clusterAdd(fwd)
 	}
@@ -255,11 +258,60 @@ func (c *CylGroup) pattern(b int) *blockPattern {
 // mutateFrags flips the allocation state of group-relative fragments
 // [lo, hi) to allocated (alloc=true) or free, updating every summary.
 // It panics if any fragment is already in the requested state — the
-// simulator's equivalent of a "freeing free block" kernel panic.
+// simulator's equivalent of a "freeing free block" kernel panic. The
+// whole blocks inside the range change state as one run (mutateBlocks);
+// only a partial head and tail block take the per-block pattern path.
 func (c *CylGroup) mutateFrags(lo, hi int, alloc bool) {
 	if lo < 0 || hi > c.nfrags || lo >= hi {
 		throwCorrupt("mutateFrags", c.Index, "range [%d,%d) of %d", lo, hi, c.nfrags)
 	}
+	fpb := c.fs.fpb
+	b0, b1 := (lo+fpb-1)/fpb, hi/fpb // the whole blocks in [lo, hi)
+	if b0 >= b1 {
+		c.mutatePartial(lo, hi, alloc)
+		return
+	}
+	if lo < b0*fpb {
+		c.mutatePartial(lo, b0*fpb, alloc)
+	}
+	c.mutateBlocks(b0, b1, alloc)
+	if b1*fpb < hi {
+		c.mutatePartial(b1*fpb, hi, alloc)
+	}
+}
+
+// mutateBlocks flips whole blocks [b0, b1) between fully free and fully
+// allocated in one step: a word-wise check of the fragment map, range
+// flips of both bitmaps, and one cluster-summary update for the run. A
+// fully free or fully allocated block holds no partial free run, so
+// frsum, fragRuns and nffree do not change.
+func (c *CylGroup) mutateBlocks(b0, b1 int, alloc bool) {
+	fpb := c.fs.fpb
+	lo, hi := b0*fpb, b1*fpb
+	n := b1 - b0
+	if alloc {
+		if !c.free.TestRange(lo, hi) {
+			c.badMutate(lo, hi, alloc)
+		}
+		c.free.ClearRange(lo, hi)
+		c.blkfree.ClearRange(b0, b1)
+		n = -n
+	} else {
+		if c.free.CountRange(lo, hi) != 0 {
+			c.badMutate(lo, hi, alloc)
+		}
+		c.free.SetRange(lo, hi)
+		c.blkfree.SetRange(b0, b1)
+	}
+	c.clusterAcct(b0, b1, !alloc)
+	c.nbfree += n
+	c.fs.freeBlks += int64(n)
+	c.fs.freeFrags += int64(n * fpb)
+}
+
+// mutatePartial is mutateFrags for a range without whole blocks: each
+// block it touches changes through its fragment pattern.
+func (c *CylGroup) mutatePartial(lo, hi int, alloc bool) {
 	fpb := c.fs.fpb
 	patterns := c.fs.patterns
 	for b := lo / fpb; b <= (hi-1)/fpb; b++ {
@@ -317,12 +369,12 @@ func (c *CylGroup) applyPatternDelta(b int, before, after *blockPattern) {
 			c.nbfree++
 			c.fs.freeBlks++
 			c.blkfree.Set(b)
-			c.clusterAcct(b, true)
+			c.clusterAcct(b, b+1, true)
 		} else {
 			c.nbfree--
 			c.fs.freeBlks--
 			c.blkfree.Clear(b)
-			c.clusterAcct(b, false)
+			c.clusterAcct(b, b+1, false)
 		}
 	}
 	c.nffree += after.nf - before.nf

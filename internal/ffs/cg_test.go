@@ -1,6 +1,7 @@
 package ffs
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -459,6 +460,285 @@ func TestAllocFragsMatchesLinearScan(t *testing.T) {
 		}
 		if err := quick.Check(f, &quick.Config{MaxCount: 20}); err != nil {
 			t.Fatalf("fpb %d: %v", fpb, err)
+		}
+	}
+}
+
+// perBlockMutate is mutateFrags as it was before whole-block runs,
+// kept as the differential oracle: every block of [lo, hi) changes
+// through its fragment pattern, and each block that turns fully free
+// or fully allocated updates the cluster summary on its own, one
+// ffs_clusteracct call per block.
+func perBlockMutate(c *CylGroup, lo, hi int, alloc bool) {
+	fpb, maxContig := c.fs.fpb, c.fs.P.MaxContig
+	for b := lo / fpb; b <= (hi-1)/fpb; b++ {
+		base := b * fpb
+		blo, bhi := max(base, lo), min(base+fpb, hi)
+		before := c.free.Mask8(base, fpb)
+		seg := uint8(uint(1)<<uint(bhi-base)-1) &^ uint8(uint(1)<<uint(blo-base)-1)
+		after := before | seg
+		if alloc {
+			after = before &^ seg
+		}
+		if (alloc && before&seg != seg) || (!alloc && before&seg != 0) {
+			panic(fmt.Sprintf("perBlockMutate: illegal op on [%d,%d)", blo, bhi))
+		}
+		if alloc {
+			c.free.ClearRange(blo, bhi)
+		} else {
+			c.free.SetRange(blo, bhi)
+		}
+		bp, ap := &c.fs.patterns[before], &c.fs.patterns[after]
+		if bp.full != ap.full {
+			back := c.blkfree.RunLengthBefore(b, maxContig)
+			fwd := 0
+			if b+1 < c.nblk {
+				fwd = c.blkfree.RunLengthAt(b+1, maxContig)
+			}
+			if ap.full {
+				c.nbfree++
+				c.fs.freeBlks++
+				c.blkfree.Set(b)
+				c.clusterRemove(back)
+				c.clusterRemove(fwd)
+				c.clusterAdd(back + 1 + fwd)
+			} else {
+				c.nbfree--
+				c.fs.freeBlks--
+				c.blkfree.Clear(b)
+				c.clusterRemove(back + 1 + fwd)
+				c.clusterAdd(back)
+				c.clusterAdd(fwd)
+			}
+		}
+		c.nffree += ap.nf - bp.nf
+		c.fs.freeFrags += int64(ap.freeTotal(fpb) - bp.freeTotal(fpb))
+		for k := 1; k < fpb; k++ {
+			c.frsum[k] += ap.runs[k] - bp.runs[k]
+			if ap.runs[k] > 0 {
+				c.fragRuns[k].Set(b)
+			} else {
+				c.fragRuns[k].Clear(b)
+			}
+		}
+	}
+}
+
+// sameState reports the first difference between fs and the oracle
+// ref: any group's maps, summaries or counters (cgEqual), or the
+// file-system-wide free counts.
+func sameState(fs, ref *FileSystem) error {
+	for i := range fs.cgs {
+		if !cgEqual(fs, ref, i) {
+			return fmt.Errorf("cg %d differs from the per-block oracle", i)
+		}
+	}
+	if fs.freeFrags != ref.freeFrags || fs.freeBlks != ref.freeBlks {
+		return fmt.Errorf("free counts %d frags/%d blocks, oracle %d/%d",
+			fs.freeFrags, fs.freeBlks, ref.freeFrags, ref.freeBlks)
+	}
+	return nil
+}
+
+// catchCorruption runs fn and returns the *CorruptionError it throws,
+// as an exported mutator would.
+func catchCorruption(fn func()) (err error) {
+	defer recoverCorruption(&err)
+	fn()
+	return nil
+}
+
+// TestMutateBlocksMatchesPerBlock drives random whole-block runs (longer
+// than maxcontig, from the first data block, up to the group's last
+// block), arbitrary fragment ranges, fragment allocations, extensions
+// and frees through one group at every fragment geometry, applying each
+// change to a twin file system through perBlockMutate. After every step
+// both must agree on every map, summary and counter, so whole-block
+// runs change the cost of an update and nothing else.
+func TestMutateBlocksMatchesPerBlock(t *testing.T) {
+	for _, fpb := range []int{1, 2, 4, 8} {
+		p := smallParams()
+		p.SizeBytes = 4 << 20
+		p.FragSize = p.BlockSize / fpb
+		p.BytesPerInode = max(p.BytesPerInode, p.FragSize)
+		maxContig := p.MaxContig
+		var longRuns, firstRuns, endRuns int
+		f := func(seed int64) bool {
+			rng := rand.New(rand.NewSource(seed))
+			fs, err := NewFileSystem(p, nopPolicy{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			ref, err := NewFileSystem(p, nopPolicy{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			gi := rng.Intn(len(fs.cgs))
+			c, rc := fs.cgs[gi], ref.cgs[gi]
+			first := c.DataStart() / fpb
+			type alloc struct{ lo, hi int }
+			var live []alloc
+			claim := func(lo, hi int) {
+				perBlockMutate(rc, lo, hi, true)
+				live = append(live, alloc{lo, hi})
+			}
+			for op := 0; op < 800; op++ {
+				full := 1 - float64(c.FreeFrags())/float64(c.nfrags)
+				var what string
+				switch r := rng.Float64(); {
+				case len(live) > 0 && r < 0.5*full:
+					// Free a whole allocation or any piece of one.
+					k := rng.Intn(len(live))
+					a := live[k]
+					lo, hi := a.lo, a.hi
+					if rng.Intn(2) == 0 {
+						lo = a.lo + rng.Intn(a.hi-a.lo)
+						hi = lo + 1 + rng.Intn(a.hi-lo)
+					}
+					what = fmt.Sprintf("free [%d,%d)", lo, hi)
+					c.freeFrags(lo, hi-lo)
+					perBlockMutate(rc, lo, hi, false)
+					live[k] = live[len(live)-1]
+					live = live[:len(live)-1]
+					if a.lo < lo {
+						live = append(live, alloc{a.lo, lo})
+					}
+					if hi < a.hi {
+						live = append(live, alloc{hi, a.hi})
+					}
+				case r < 0.6:
+					// A run of whole blocks: anywhere, from the first
+					// data block, or ending at the group's last block.
+					want := 1 + rng.Intn(3*maxContig)
+					var b0, n int
+					switch rng.Intn(4) {
+					case 0:
+						b0 = first
+						n = c.blkfree.RunLengthAt(b0, want)
+					case 1:
+						n = c.blkfree.RunLengthBefore(c.nblk, want)
+						b0 = c.nblk - n
+					default:
+						b0 = first + rng.Intn(c.nblk-first)
+						n = c.blkfree.RunLengthAt(b0, want)
+					}
+					if n == 0 {
+						continue
+					}
+					what = fmt.Sprintf("alloc blocks [%d,%d)", b0, b0+n)
+					c.mutateFrags(b0*fpb, (b0+n)*fpb, true)
+					claim(b0*fpb, (b0+n)*fpb)
+					if n > maxContig {
+						longRuns++
+					}
+					if b0 == first {
+						firstRuns++
+					}
+					if b0+n == c.nblk {
+						endRuns++
+					}
+				case r < 0.7:
+					// The cluster allocator's call site.
+					n := 1 + rng.Intn(maxContig)
+					b := c.allocCluster(first+rng.Intn(c.nblk-first), n)
+					if b < 0 {
+						continue
+					}
+					what = fmt.Sprintf("allocCluster [%d,%d)", b, b+n)
+					claim(b*fpb, (b+n)*fpb)
+				case r < 0.8:
+					// Any free fragment range: partial head and tail
+					// blocks around a whole-block middle.
+					lo := rng.Intn(c.nfrags)
+					n := c.free.RunLengthAt(lo, 1+rng.Intn(3*maxContig*fpb))
+					if n == 0 {
+						continue
+					}
+					what = fmt.Sprintf("alloc frags [%d,%d)", lo, lo+n)
+					c.mutateFrags(lo, lo+n, true)
+					claim(lo, lo+n)
+				case fpb > 1 && len(live) > 0 && r < 0.85:
+					k := rng.Intn(len(live))
+					a := &live[k]
+					oldN := a.hi - a.lo
+					if oldN >= fpb {
+						continue
+					}
+					newN := oldN + 1 + rng.Intn(fpb-oldN)
+					if !c.extendFrags(a.lo, oldN, newN) {
+						continue
+					}
+					what = fmt.Sprintf("extend [%d,%d) to %d", a.lo, a.hi, newN)
+					perBlockMutate(rc, a.hi, a.lo+newN, true)
+					a.hi = a.lo + newN
+				case fpb > 1:
+					n := 1 + rng.Intn(fpb-1)
+					idx := c.allocFrags(n, rng.Intn(c.nfrags))
+					if idx < 0 {
+						continue
+					}
+					what = fmt.Sprintf("allocFrags %d at %d", n, idx)
+					claim(idx, idx+n)
+				default:
+					continue
+				}
+				if err := sameState(fs, ref); err != nil {
+					t.Logf("fpb %d seed %d op %d (%s): %v", fpb, seed, op, what, err)
+					return false
+				}
+				if err := fs.checkGroups(); err != nil {
+					t.Logf("fpb %d seed %d op %d (%s): %v", fpb, seed, op, what, err)
+					return false
+				}
+			}
+			// Releasing everything leaves a clean file system.
+			for _, a := range live {
+				c.freeFrags(a.lo, a.hi-a.lo)
+				perBlockMutate(rc, a.lo, a.hi, false)
+			}
+			if err := sameState(fs, ref); err != nil {
+				t.Logf("fpb %d seed %d after release: %v", fpb, seed, err)
+				return false
+			}
+			if err := fs.Check(); err != nil {
+				t.Logf("fpb %d seed %d after release: %v", fpb, seed, err)
+				return false
+			}
+			return true
+		}
+		if err := quick.Check(f, &quick.Config{MaxCount: 12}); err != nil {
+			t.Fatalf("fpb %d: %v", fpb, err)
+		}
+		if longRuns == 0 || firstRuns == 0 || endRuns == 0 {
+			t.Fatalf("fpb %d: runs longer than maxcontig %d, from the first data block %d, to the group end %d; want each > 0",
+				fpb, longRuns, firstRuns, endRuns)
+		}
+
+		// Consecutive addresses that cross into the next group are
+		// freed as one run per group. (The next group's first block is
+		// its metadata, so no file holds such a pair; freeBlocks must
+		// still not hand a group a range past its end.)
+		fs, err := NewFileSystem(p, nopPolicy{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		ref, err := NewFileSystem(p, nopPolicy{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		c0 := fs.cgs[0]
+		last := (c0.nblk - 1) * fpb
+		c0.mutateFrags(last, last+fpb, true)
+		perBlockMutate(ref.cgs[0], last, last+fpb, true)
+		if err := catchCorruption(func() {
+			fs.freeBlocks([]Daddr{c0.absFrag(last), fs.cgs[1].startFrag})
+		}); err != nil {
+			t.Fatalf("fpb %d: freeing a run across a group boundary: %v", fpb, err)
+		}
+		perBlockMutate(ref.cgs[0], last, last+fpb, false)
+		perBlockMutate(ref.cgs[1], 0, fpb, false)
+		if err := sameState(fs, ref); err != nil {
+			t.Fatalf("fpb %d: run across a group boundary: %v", fpb, err)
 		}
 	}
 }

@@ -22,7 +22,7 @@ func (fs *FileSystem) Clone() *FileSystem {
 		patterns:    fs.patterns, // immutable after construction
 		freeFrags:   fs.freeFrags,
 		freeBlks:    fs.freeBlks,
-		ppi:         fs.ppi,
+		derived:     fs.derived,
 		pooling:     fs.pooling,
 	}
 	c.IgnoreReserve = fs.IgnoreReserve

@@ -70,6 +70,7 @@ func cgEqual(a, b *FileSystem, i int) bool {
 // the concurrency-boundary guarantee the aged-image cache relies on.
 func TestCloneSharesNothing(t *testing.T) {
 	p := smallParams()
+	p.RotDelay = 4 // so every cached Params value is nonzero
 	orig, err := NewFileSystem(p, nopPolicy{})
 	if err != nil {
 		t.Fatal(err)
@@ -84,6 +85,9 @@ func TestCloneSharesNothing(t *testing.T) {
 	}
 	if o, c := orig.LayoutScore(), clone.LayoutScore(); o != c {
 		t.Fatalf("clone layout score %v, original %v", c, o)
+	}
+	if o, c := orig.derived, clone.derived; o != c || o.totalFrags != p.TotalFrags() || o.rotDelayFrags == 0 {
+		t.Fatalf("clone Params cache %+v, original %+v, TotalFrags %d", c, o, p.TotalFrags())
 	}
 
 	// Mutate both concurrently with divergent operations.

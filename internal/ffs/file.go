@@ -344,12 +344,13 @@ func (fs *FileSystem) removeFile(f *File) {
 func (fs *FileSystem) freeFileBlocks(f *File, keep int) {
 	fpb := fs.fpb
 	freedAny := keep < len(f.Blocks)
-	for i := len(f.Blocks) - 1; i >= keep; i-- {
-		n := fpb
-		if i == len(f.Blocks)-1 {
-			n = f.TailFrags
-		}
-		fs.freeRange(f.Blocks[i], n)
+	full := len(f.Blocks)
+	if freedAny && f.TailFrags < fpb {
+		full--
+		fs.freeRange(f.Blocks[full], f.TailFrags)
+	}
+	if keep < full {
+		fs.freeBlocks(f.Blocks[keep:full])
 	}
 	f.Blocks = f.Blocks[:keep]
 	kept := f.Indirects[:0]

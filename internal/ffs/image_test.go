@@ -34,6 +34,9 @@ func TestImageRoundTrip(t *testing.T) {
 	if got.FreeFrags() != fs.FreeFrags() {
 		t.Errorf("free frags %d vs %d", got.FreeFrags(), fs.FreeFrags())
 	}
+	if a, b := got.derived, fs.derived; a != b {
+		t.Errorf("Params cache %+v vs %+v", a, b)
+	}
 	// Every file's layout survives bit-exactly.
 	for ino, f := range fs.Files() {
 		g, ok := got.Files()[ino]

@@ -443,7 +443,7 @@ func (fs *FileSystem) rebuildGroups(claimed *bitset.Set, rep *RepairReport) {
 			rep.GroupsRebuilt++
 		}
 	}
-	// The wholesale rebuild bypassed applyPatternDelta; refresh the
+	// The wholesale rebuild bypassed mutateFrags; refresh the
 	// file-system-wide cached free counts from the new group counters.
 	fs.recountFree()
 }

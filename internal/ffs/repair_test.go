@@ -3,6 +3,7 @@ package ffs
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"testing"
 )
 
@@ -284,4 +285,58 @@ func TestCorruptionErrorSurfacesNotPanics(t *testing.T) {
 	}
 	// And Repair makes the fs usable again.
 	mustRepair(t, fs)
+}
+
+// TestRunDiagnosticsNameFirstFragment pins the corruption report of the
+// whole-block run path: freeing a file whose contiguous run holds an
+// already-free block, and a cluster allocation over a run holding an
+// allocated fragment, both fail with the per-fragment diagnostic of the
+// old block-at-a-time loop, naming the first offending fragment. The
+// one behavioural difference: a run is checked before any of it
+// changes, so the failed free leaves every block of the run allocated
+// (the old loop had already freed the blocks it met first, the file's
+// last ones), and the failed cluster claims none of its blocks.
+func TestRunDiagnosticsNameFirstFragment(t *testing.T) {
+	want := func(t *testing.T, err error, op string, cg int, detail string) {
+		t.Helper()
+		var ce *CorruptionError
+		if !errors.As(err, &ce) {
+			t.Fatalf("got %T (%v), want *CorruptionError", err, err)
+		}
+		if ce.Op != op || ce.Cg != cg || ce.Detail != detail {
+			t.Fatalf("got %s in cg %d: %q; want %s in cg %d: %q", ce.Op, ce.Cg, ce.Detail, op, cg, detail)
+		}
+	}
+
+	t.Run("delete", func(t *testing.T) {
+		fs := newSmallFs(t)
+		fpb := fs.fpb
+		f := mustCreate(t, fs, fs.Root(), "run", 5*int64(fs.P.BlockSize))
+		if len(f.Blocks) != 5 || !f.RunIsContiguous(0, 5, fpb) {
+			t.Fatalf("want 5 contiguous blocks, got %v", f.Blocks)
+		}
+		c := fs.CgOf(f.Blocks[0])
+		bad := c.relFrag(f.Blocks[2])
+		c.freeFrags(bad, fpb) // block 2 is free while the file still maps it
+		want(t, fs.Delete(f), "mutateFrags", c.Index, fmt.Sprintf("frag %d already free", bad))
+		for i, d := range f.Blocks {
+			if rel := c.relFrag(d); i != 2 && c.free.CountRange(rel, rel+fpb) != 0 {
+				t.Fatalf("block %d of the failed run was freed", i)
+			}
+		}
+	})
+
+	t.Run("allocCluster", func(t *testing.T) {
+		fs := newSmallFs(t)
+		fpb := fs.fpb
+		c := fs.Cg(1)
+		b := c.DataStart()/fpb + 3
+		bad := (b+1)*fpb + fpb/2
+		c.free.Clear(bad) // allocated in the map, block b+1 still counted free
+		err := catchCorruption(func() { c.allocCluster(b, 4) })
+		want(t, err, "mutateFrags", c.Index, fmt.Sprintf("frag %d already allocated", bad))
+		if c.free.CountRange(b*fpb, (b+4)*fpb) != 4*fpb-1 {
+			t.Fatal("the failed cluster claimed fragments")
+		}
+	})
 }

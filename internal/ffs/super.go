@@ -57,18 +57,27 @@ type FileSystem struct {
 
 	// freeFrags and freeBlks cache the file-system-wide free counts so
 	// freespace() and the section-switch scans stop summing every group
-	// on each allocation. applyPatternDelta maintains them; Check
+	// on each allocation. mutateFrags maintains them; Check
 	// verifies them against the per-group counters.
 	freeFrags int64
 	freeBlks  int64
 
-	// ppi caches BlockSize/4 (block pointers per indirect block).
-	ppi int
+	derived
 
 	// pool recycles File structures between delete and create so the
 	// steady-state replay loop allocates nothing; see arena.go.
 	pool    filePool
 	pooling bool
+}
+
+// derived caches values computed from Params at newfs time. The
+// per-block paths read them, and Params' value-receiver methods would
+// copy the whole struct on every call.
+type derived struct {
+	ppi           int   // BlockSize/4: block pointers per indirect block
+	totalFrags    int64 // P.TotalFrags()
+	reserveFrags  int64 // the minfree reserve, in fragments
+	rotDelayFrags int   // P.RotDelayFrags()
 }
 
 // AllocFaultHook is the fault-injection point for the allocator. It is
@@ -117,7 +126,12 @@ func NewFileSystem(p Params, policy Policy) (*FileSystem, error) {
 		pooling: true,
 	}
 	fs.patterns = buildPatternTable(fs.fpb)
-	fs.ppi = p.BlockSize / 4
+	fs.derived = derived{
+		ppi:           p.BlockSize / 4,
+		totalFrags:    p.TotalFrags(),
+		reserveFrags:  p.TotalFrags() * int64(p.MinFreePct) / 100,
+		rotDelayFrags: p.RotDelayFrags(),
+	}
 
 	// Carve the partition into cylinder groups of whole blocks; the
 	// first groups absorb the remainder, one block each.
@@ -215,7 +229,7 @@ func (fs *FileSystem) inoNumber(cg, slot int) int { return cg*fs.ipg + slot }
 
 // FreeFrags returns the number of free fragments file-system wide,
 // including the reserve. The count is maintained incrementally by
-// applyPatternDelta, so this is O(1).
+// mutateFrags, so this is O(1).
 func (fs *FileSystem) FreeFrags() int64 { return fs.freeFrags }
 
 // FreeBlocksTotal returns the number of fully free blocks, maintained
@@ -224,7 +238,7 @@ func (fs *FileSystem) FreeBlocksTotal() int64 { return fs.freeBlks }
 
 // recountFree recomputes the cached file-system-wide free counts from
 // the per-group counters, for callers (repair) that rebuild groups
-// wholesale instead of going through applyPatternDelta.
+// wholesale instead of going through mutateFrags.
 func (fs *FileSystem) recountFree() {
 	fs.freeFrags, fs.freeBlks = 0, 0
 	for _, c := range fs.cgs {
@@ -254,7 +268,7 @@ func (fs *FileSystem) freespace() int64 {
 	if fs.IgnoreReserve {
 		return fs.FreeFrags()
 	}
-	return fs.FreeFrags() - fs.P.TotalFrags()*int64(fs.P.MinFreePct)/100
+	return fs.FreeFrags() - fs.reserveFrags
 }
 
 // Files returns the live file table, keyed by inode number. Callers
