@@ -38,18 +38,7 @@ func TestQuickGolden(t *testing.T) {
 		mdPath: out("report.md"), metrics: out("metrics.txt"),
 		events: out("events.jsonl"), spansJSONL: out("spans.jsonl")}
 
-	// run prints the report and the timing footer to stdout; keep the
-	// test log readable.
-	devnull, err := os.OpenFile(os.DevNull, os.O_WRONLY, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	stdout := os.Stdout
-	os.Stdout = devnull
-	err = run(o)
-	os.Stdout = stdout
-	devnull.Close()
-	if err != nil {
+	if err := runQuiet(o); err != nil {
 		t.Fatal(err)
 	}
 

@@ -5,12 +5,14 @@
 //
 // Usage:
 //
-//	repro [-seed N] [-quick] [-only fig2,table2] [-ablations]
-//	      [-busstudy] [-profiles] [-policies all|a,b] [-j N] [-slowscore]
+//	repro [-seed N] [-quick] [-days N] [-only fig2,table2,tournament] [-ablations]
+//	      [-busstudy] [-profiles] [-policies all|a,b] [-fragments dir] [-j N] [-slowscore]
 //	      [-faults spec] [-checkpoint-every K] [-checkpoint-dir dir] [-resume]
 //	      [-md out.md] [-svg dir] [-metrics out.metrics] [-events out.jsonl]
 //	      [-spans out.trace.json] [-spans-jsonl out.spans.jsonl]
 //	      [-cpuprofile out.pprof] [-memprofile out.pprof]
+//	repro -assemble dir [-seed N] [-quick] [-days N] [-policies all|a,b] [-md out.md]
+//	repro -list
 //
 // The full run ages three 502 MB file systems through a ten-month
 // workload and sweeps the sequential benchmark over 18 file sizes on
@@ -19,6 +21,14 @@
 // byte-identical regardless of -j because results are collected in
 // submission order. A per-job timing footer goes to stdout (never the
 // markdown report).
+//
+// The policy tournament (-policies, or -only tournament for every
+// registered policy) decomposes into per-policy fragments: -fragments
+// writes one <slug>.frag per policy, so a CI matrix can run one leg per
+// policy, and -assemble renders the tournament section from such
+// fragments without simulating — the same bytes as a single-process
+// run with the same -seed, -quick, -days and -policies. -list prints
+// the registered policy names.
 package main
 
 import (
@@ -31,6 +41,7 @@ import (
 	"path/filepath"
 	"runtime"
 	"runtime/pprof"
+	"slices"
 	"sort"
 	"strings"
 	"time"
@@ -49,13 +60,17 @@ import (
 
 func main() {
 	var (
+		list       = flag.Bool("list", false, "print the registered policy names, one per line, and exit")
 		seed       = flag.Int64("seed", 1996, "workload generation seed")
 		quick      = flag.Bool("quick", false, "scaled-down run (60 days, 128 MB)")
-		only       = flag.String("only", "", "comma-separated subset: table1,fig1,...,fig6,table2")
+		days       = flag.Int("days", 0, "override the aging period in simulated days (0 = the scale's default)")
+		only       = flag.String("only", "", "comma-separated subset: "+strings.Join(exhibitKeys, ","))
 		ablations  = flag.Bool("ablations", false, "also run the A1/A2/A4/A5 ablations")
 		profiles   = flag.Bool("profiles", false, "also run the §6 workload-profile study")
 		busStudy   = flag.Bool("busstudy", false, "also run the §5.1 bus-bandwidth study")
 		policies   = flag.String("policies", "", "also run the N-way policy tournament: all, or comma-separated registered names")
+		fragDir    = flag.String("fragments", "", "also write each tournament policy's report fragment to <dir>/<slug>.frag")
+		assemble   = flag.String("assemble", "", "render only the tournament section, from the fragments in this directory, without simulating")
 		jobs       = flag.Int("j", 0, "max concurrent jobs (0 = GOMAXPROCS)")
 		slowScore  = flag.Bool("slowscore", false, "compute daily layout scores by full rescan (cross-check of the incremental counters)")
 		arena      = flag.String("arena", "on", "File-recycling arena for the aging replays: on or off (off is a cross-check; results are identical)")
@@ -73,6 +88,12 @@ func main() {
 		memProf    = flag.String("memprofile", "", "write a heap profile to this file")
 	)
 	flag.Parse()
+	if *list {
+		for _, name := range policy.Names() {
+			fmt.Println(name)
+		}
+		return
+	}
 	if *jobs > 0 {
 		runner.SetWorkers(*jobs)
 	}
@@ -89,8 +110,9 @@ func main() {
 		}
 		defer pprof.StopCPUProfile()
 	}
-	err := run(options{seed: *seed, quick: *quick, only: *only, ablations: *ablations,
-		profiles: *profiles, busStudy: *busStudy, policies: *policies, slowScore: *slowScore, arena: *arena,
+	err := run(options{seed: *seed, quick: *quick, days: *days, only: *only, ablations: *ablations,
+		profiles: *profiles, busStudy: *busStudy, policies: *policies, fragDir: *fragDir, assemble: *assemble,
+		slowScore: *slowScore, arena: *arena,
 		faults: *faultSpec, ckptEvery: *ckptEvery, ckptDir: *ckptDir, resume: *resume,
 		mdPath: *mdPath, svgDir: *svgDir, metrics: *metricsOut, events: *eventsOut,
 		spans: *spansOut, spansJSONL: *spansJSONL})
@@ -156,11 +178,14 @@ func (r *report) table(lines []string) {
 type options struct {
 	seed       int64
 	quick      bool
+	days       int
 	only       string
 	ablations  bool
 	profiles   bool
 	busStudy   bool
 	policies   string
+	fragDir    string
+	assemble   string
 	slowScore  bool
 	arena      string
 	faults     string
@@ -251,8 +276,45 @@ func recoveryConfig(o options) (*experiments.Recovery, error) {
 	return rec, nil
 }
 
+// paperExhibits are the -only keys of the paper's tables and figures,
+// in report order. Every one of them reads the experiment suite.
+var paperExhibits = []string{"table1", "fig1", "fig2", "fig3", "fig4", "fig5", "fig6", "table2"}
+
+// exhibitKeys are the valid -only keys.
+var exhibitKeys = append(slices.Clip(paperExhibits), "tournament")
+
+// parseOnly turns the -only list into a set of exhibit keys, rejecting
+// any key that names no exhibit.
+func parseOnly(spec string) (map[string]bool, error) {
+	want := map[string]bool{}
+	for _, k := range strings.Split(spec, ",") {
+		if k = strings.ToLower(strings.TrimSpace(k)); k == "" {
+			continue
+		}
+		if !slices.Contains(exhibitKeys, k) {
+			return nil, fmt.Errorf("-only: unknown exhibit %q (valid: %s)", k, strings.Join(exhibitKeys, ","))
+		}
+		want[k] = true
+	}
+	return want, nil
+}
+
 func run(o options) error {
-	seed, quick, only, ablations, mdPath := o.seed, o.quick, o.only, o.ablations, o.mdPath
+	seed, quick, ablations, mdPath := o.seed, o.quick, o.ablations, o.mdPath
+	want, err := parseOnly(o.only)
+	if err != nil {
+		return err
+	}
+	if o.assemble != "" {
+		if slices.ContainsFunc(paperExhibits, func(k string) bool { return want[k] }) ||
+			ablations || o.profiles || o.busStudy || o.svgDir != "" || o.fragDir != "" {
+			return fmt.Errorf("-assemble renders only the tournament section; it takes no other exhibit, study or -fragments")
+		}
+		want["tournament"] = true
+	}
+	sel := func(k string) bool { return len(want) == 0 || want[k] }
+	needSuite := o.busStudy || o.svgDir != "" || slices.ContainsFunc(paperExhibits, sel)
+
 	cfg := experiments.Full(seed)
 	scale := "full (paper) scale"
 	if quick {
@@ -260,6 +322,12 @@ func run(o options) error {
 		scale = "quick scale"
 	}
 	cfg.SlowScore = o.slowScore
+	if o.days > 0 {
+		cfg.WorkloadCfg.Days = o.days
+	}
+	if cfg.HotWindow >= cfg.WorkloadCfg.Days {
+		cfg.HotWindow = cfg.WorkloadCfg.Days / 2
+	}
 	switch o.arena {
 	case "", "on":
 	case "off":
@@ -273,13 +341,6 @@ func run(o options) error {
 	}
 	cfg.Recovery = rec
 	cfg.Obs = obs.Default
-	want := map[string]bool{}
-	for _, k := range strings.Split(only, ",") {
-		if k = strings.TrimSpace(k); k != "" {
-			want[strings.ToLower(k)] = true
-		}
-	}
-	sel := func(k string) bool { return len(want) == 0 || want[k] }
 
 	r := &report{out: os.Stdout}
 	if mdPath != "" {
@@ -293,20 +354,22 @@ func run(o options) error {
 	}
 
 	fmt.Printf("ffsage reproduction: seed %d, %s\n", seed, scale)
-	fmt.Println("building workload and aging three file systems...")
-	s, err := experiments.NewSuite(cfg)
-	if err != nil {
-		return err
+	var s *experiments.Suite
+	if needSuite {
+		fmt.Println("building workload and aging three file systems...")
+		if s, err = experiments.NewSuite(cfg); err != nil {
+			return err
+		}
+		gt := s.Build.Reference.GroundTruth.Summarize()
+		rc := s.Build.Reconstructed.Summarize()
+		r.section("Workload")
+		r.text("ground truth:  %v", gt)
+		r.text("reconstructed: %v (replayed by the aging tool)", rc)
+		r.text("paper:         ~800,000 operations writing 48.6 GB over ten months")
+		r.text("end state: %d live files, utilization %.0f%% (paper: 8,774 files)",
+			s.Build.Reference.EndLiveFiles,
+			100*float64(s.Build.Reference.EndUsedBytes)/float64(cfg.WorkloadCfg.FsBytes))
 	}
-	gt := s.Build.Reference.GroundTruth.Summarize()
-	rc := s.Build.Reconstructed.Summarize()
-	r.section("Workload")
-	r.text("ground truth:  %v", gt)
-	r.text("reconstructed: %v (replayed by the aging tool)", rc)
-	r.text("paper:         ~800,000 operations writing 48.6 GB over ten months")
-	r.text("end state: %d live files, utilization %.0f%% (paper: 8,774 files)",
-		s.Build.Reference.EndLiveFiles,
-		100*float64(s.Build.Reference.EndUsedBytes)/float64(cfg.WorkloadCfg.FsBytes))
 
 	if sel("table1") {
 		r.section("Table 1: Benchmark Configuration")
@@ -513,8 +576,8 @@ func run(o options) error {
 			" the file system's clustering does at allocation time — recovers both" +
 			" costs, and it converges to the same ceiling on either image")
 	}
-	if o.policies != "" {
-		if err := runTournament(r, cfg, o.policies, scale); err != nil {
+	if o.policies != "" || want["tournament"] {
+		if err := runTournament(r, cfg, o, scale); err != nil {
 			return err
 		}
 	}
@@ -650,33 +713,72 @@ func fmtBytes(b uint64) string {
 	return fmt.Sprintf("%dB", b)
 }
 
-// runTournament runs the N-way policy tournament and emits its report
-// as a section. The rendered lines come from the same fragment-based
-// writer as cmd/tournament, so this section is byte-identical to that
-// command's output (and to a CI fan-in assembly) for the same inputs.
-func runTournament(r *report, cfg experiments.Config, spec, scale string) error {
-	names := policy.Names()
-	if spec != "all" {
-		names = nil
-		for _, n := range strings.Split(spec, ",") {
-			if n = strings.TrimSpace(n); n != "" {
-				names = append(names, n)
+// selectPolicies resolves the -policies flag to policy names in a
+// deterministic order: registry order for "all" (or no flag), flag
+// order otherwise.
+func selectPolicies(spec string) ([]string, error) {
+	if spec == "" || spec == "all" {
+		return policy.Names(), nil
+	}
+	var names []string
+	for _, n := range strings.Split(spec, ",") {
+		if n = strings.TrimSpace(n); n != "" {
+			names = append(names, n)
+		}
+	}
+	if len(names) == 0 {
+		return nil, fmt.Errorf("-policies %q selects nothing", spec)
+	}
+	return names, nil
+}
+
+// runTournament emits the N-way policy tournament as a section. The
+// report is assembled from per-policy fragments, computed here (and
+// written to -fragments) or read from -assemble without simulating, so
+// a fan-in of single-policy legs reproduces a single-process run byte
+// for byte.
+func runTournament(r *report, cfg experiments.Config, o options, scale string) error {
+	names, err := selectPolicies(o.policies)
+	if err != nil {
+		return err
+	}
+	days := cfg.WorkloadCfg.Days
+	fragments := make([][]byte, len(names))
+	if o.assemble != "" {
+		for i, name := range names {
+			if fragments[i], err = os.ReadFile(filepath.Join(o.assemble, policy.Slug(name)+".frag")); err != nil {
+				return fmt.Errorf("missing fragment for %s: %w", name, err)
+			}
+		}
+	} else {
+		pols, err := experiments.RegisteredPolicies(names...)
+		if err != nil {
+			return err
+		}
+		entries, err := experiments.Tournament(cfg, pols...)
+		if err != nil {
+			return err
+		}
+		if o.fragDir != "" {
+			if err := os.MkdirAll(o.fragDir, 0o777); err != nil {
+				return err
+			}
+		}
+		for i := range entries {
+			fragments[i] = entries[i].Fragment(days)
+			if o.fragDir != "" {
+				path := filepath.Join(o.fragDir, policy.Slug(names[i])+".frag")
+				if err := os.WriteFile(path, fragments[i], 0o666); err != nil {
+					return err
+				}
 			}
 		}
 	}
-	pols, err := experiments.RegisteredPolicies(names...)
-	if err != nil {
-		return err
-	}
-	r.section(fmt.Sprintf("Policy tournament: %d-way comparison", len(pols)))
-	entries, err := experiments.Tournament(cfg, pols...)
-	if err != nil {
-		return err
-	}
 	var buf strings.Builder
-	if err := experiments.RenderTournament(&buf, scale, cfg.Seed, cfg.WorkloadCfg.Days, entries); err != nil {
+	if err := experiments.WriteTournamentReport(&buf, scale, cfg.Seed, days, names, fragments); err != nil {
 		return err
 	}
+	r.section(fmt.Sprintf("Policy tournament: %d-way comparison", len(names)))
 	r.table(strings.Split(strings.TrimRight(buf.String(), "\n"), "\n"))
 	return nil
 }

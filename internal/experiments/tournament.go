@@ -40,8 +40,8 @@ type TournamentEntry struct {
 }
 
 // RegisteredPolicies instantiates the named policies from the
-// registry, preserving order. It is the lookup used by cmd/tournament
-// and cmd/repro, so both report unknown names with the registered list.
+// registry, preserving order. It is the lookup cmd/repro and the
+// benchmark use, so both report unknown names with the registered list.
 func RegisteredPolicies(names ...string) ([]ffs.Policy, error) {
 	pols := make([]ffs.Policy, len(names))
 	for i, name := range names {
@@ -238,16 +238,4 @@ func WriteTournamentReport(w io.Writer, scale string, seed int64, days int, name
 		}
 	}
 	return nil
-}
-
-// RenderTournament writes the full report for already-computed entries
-// (the single-process path).
-func RenderTournament(w io.Writer, scale string, seed int64, days int, entries []TournamentEntry) error {
-	names := make([]string, len(entries))
-	fragments := make([][]byte, len(entries))
-	for i := range entries {
-		names[i] = entries[i].Name
-		fragments[i] = entries[i].Fragment(days)
-	}
-	return WriteTournamentReport(w, scale, seed, days, names, fragments)
 }

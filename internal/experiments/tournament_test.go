@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"bytes"
+	"fmt"
 	"strings"
 	"testing"
 
@@ -31,7 +32,8 @@ func allPolicies(t *testing.T) []ffs.Policy {
 }
 
 // runTournament runs the full field on a cold cache under the given
-// worker bound and returns the entries plus the rendered report.
+// worker bound and returns the entries plus the report assembled from
+// their fragments.
 func runTournament(t *testing.T, workers int) ([]TournamentEntry, string) {
 	t.Helper()
 	ResetCaches()
@@ -42,8 +44,14 @@ func runTournament(t *testing.T, workers int) ([]TournamentEntry, string) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	names := make([]string, len(entries))
+	fragments := make([][]byte, len(entries))
+	for i := range entries {
+		names[i] = entries[i].Name
+		fragments[i] = entries[i].Fragment(cfg.WorkloadCfg.Days)
+	}
 	var buf bytes.Buffer
-	if err := RenderTournament(&buf, "quick", cfg.Seed, cfg.WorkloadCfg.Days, entries); err != nil {
+	if err := WriteTournamentReport(&buf, "quick", cfg.Seed, cfg.WorkloadCfg.Days, names, fragments); err != nil {
 		t.Fatal(err)
 	}
 	return entries, buf.String()
@@ -102,24 +110,31 @@ func TestTournamentProperty(t *testing.T) {
 	}
 }
 
-// TestTournamentReportAssembles pins the fan-in contract: assembling
-// the report from per-policy fragments reproduces the single-process
-// rendering byte for byte, and the report names every policy.
+// TestTournamentReportAssembles pins the fan-in contract: the report
+// assembled from per-policy fragments puts every summary row under the
+// table header, then every detail section, each in policy order, and
+// names every policy.
 func TestTournamentReportAssembles(t *testing.T) {
 	entries, report := runTournament(t, 0)
 	cfg := tournamentCfg()
 	names := make([]string, len(entries))
-	fragments := make([][]byte, len(entries))
 	for i := range entries {
 		names[i] = entries[i].Name
-		fragments[i] = entries[i].Fragment(cfg.WorkloadCfg.Days)
 	}
-	var buf bytes.Buffer
-	if err := WriteTournamentReport(&buf, "quick", cfg.Seed, cfg.WorkloadCfg.Days, names, fragments); err != nil {
-		t.Fatal(err)
+	var want strings.Builder
+	fmt.Fprintf(&want, "policy tournament: %d policies, seed %d, quick, %d days aged\n",
+		len(entries), cfg.Seed, cfg.WorkloadCfg.Days)
+	fmt.Fprintf(&want, "policies: %s\n\n%s\n", strings.Join(names, ", "), TournamentTableHeader())
+	for i := range entries {
+		want.WriteString(entries[i].SummaryRow() + "\n")
 	}
-	if buf.String() != report {
-		t.Errorf("assembled report differs from single-process rendering\nassembled:\n%s\nfull:\n%s", buf.String(), report)
+	for i := range entries {
+		for _, l := range entries[i].Section(cfg.WorkloadCfg.Days) {
+			want.WriteString(l + "\n")
+		}
+	}
+	if report != want.String() {
+		t.Errorf("assembled report differs from its rows and sections\nassembled:\n%s\nwant:\n%s", report, want.String())
 	}
 	for _, name := range policy.Names() {
 		if !strings.Contains(report, "## "+name) {

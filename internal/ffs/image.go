@@ -82,7 +82,13 @@ func (fs *FileSystem) SaveImage(w io.Writer) error {
 // damaged image yields an error (possibly a *CorruptionError). Use
 // LoadImageLenient + Repair to salvage one.
 func LoadImage(r io.Reader, policy Policy) (*FileSystem, error) {
-	return loadImage(r, policy, false)
+	return loadImage(r, func(string) (Policy, error) { return policy, nil }, false)
+}
+
+// LoadSavedImage is LoadImage under the policy the image was saved
+// with: resolve maps the recorded policy name to a Policy.
+func LoadSavedImage(r io.Reader, resolve func(name string) (Policy, error)) (*FileSystem, error) {
+	return loadImage(r, resolve, false)
 }
 
 // LoadImageLenient reconstructs as much of an image as possible without
@@ -91,7 +97,7 @@ func LoadImage(r io.Reader, policy Policy) (*FileSystem, error) {
 // The result is NOT usable until Repair() has rebuilt the maps and
 // counters from the file table; cmd/fsck is the intended caller.
 func LoadImageLenient(r io.Reader, policy Policy) (*FileSystem, error) {
-	return loadImage(r, policy, true)
+	return loadImage(r, func(string) (Policy, error) { return policy, nil }, true)
 }
 
 // claimLenient marks [addr, addr+n) allocated where possible: fragments
@@ -120,11 +126,15 @@ func (fs *FileSystem) claimLenient(addr Daddr, n int) {
 	}
 }
 
-func loadImage(r io.Reader, policy Policy, lenient bool) (fs *FileSystem, err error) {
+func loadImage(r io.Reader, resolve func(string) (Policy, error), lenient bool) (fs *FileSystem, err error) {
 	defer recoverCorruption(&err)
 	var img imageData
 	if err := gob.NewDecoder(r).Decode(&img); err != nil {
 		return nil, fmt.Errorf("ffs: decoding image: %w", err)
+	}
+	policy, err := resolve(img.PolicyName)
+	if err != nil {
+		return nil, err
 	}
 	fs, err = NewFileSystem(img.Params, policy)
 	if err != nil {

@@ -16,7 +16,7 @@ const (
 )
 
 // BlockMap returns group cg's per-block states in block order — the
-// raw material for allocation-map visualizations (cmd/fsmap). The
+// raw material for allocation-map visualizations (fsimg map). The
 // string form makes fragmentation visible at a glance: long '#' runs
 // are clustered data, '.' runs are free pools, alternating '#.#.'
 // bands are the crumb fields the original policy leaves behind.
