@@ -670,10 +670,11 @@ func attributionTable(label string, st disk.Stats) []string {
 	return lines
 }
 
-// timingFooter prints the runner's per-job telemetry and the artifact
-// caches' hit/miss tallies to stdout only — never the markdown report
-// or the metrics snapshot, both of which stay byte-identical for any
-// -j and across checkpoint/resume (cache traffic does not).
+// timingFooter prints the serial stages (workload builds), the
+// runner's per-job telemetry and the artifact caches' hit/miss tallies
+// to stdout only — never the markdown report or the metrics snapshot,
+// both of which stay byte-identical for any -j and across
+// checkpoint/resume (cache traffic and wall time do not).
 func timingFooter() {
 	bh, bm, ah, am := experiments.CacheCounts()
 	if bh+bm+ah+am > 0 {
@@ -681,20 +682,26 @@ func timingFooter() {
 		fmt.Printf("  workload builds: %d hit, %d miss\n", bh, bm)
 		fmt.Printf("  aged images:     %d hit, %d miss\n", ah, am)
 	}
-	jobs := runner.Telemetry()
-	if len(jobs) == 0 {
+	stages, jobs := runner.Stages(), runner.Telemetry()
+	if len(stages)+len(jobs) == 0 {
 		return
 	}
-	fmt.Printf("\n--- timing (%d jobs, workers=%d) ---\n", len(jobs), runner.Workers())
-	var wall time.Duration
-	var alloc uint64
-	for _, st := range jobs {
+	fmt.Printf("\n--- timing (%d jobs + %d serial, workers=%d) ---\n", len(jobs), len(stages), runner.Workers())
+	line := func(st runner.Stat) {
 		status := ""
 		if st.Err != nil {
 			status = "  ERR: " + st.Err.Error()
 		}
 		fmt.Printf("  %-40s %10v %10s%s\n",
 			st.Label, st.Wall.Round(time.Millisecond), fmtBytes(st.AllocBytes), status)
+	}
+	for _, st := range stages {
+		line(st)
+	}
+	var wall time.Duration
+	var alloc uint64
+	for _, st := range jobs {
+		line(st)
 		wall += st.Wall
 		alloc += st.AllocBytes
 	}

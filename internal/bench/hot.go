@@ -35,38 +35,63 @@ type HotResult struct {
 // modified on or after fromDay, visited in directory order (one
 // cylinder group's files together) as in Section 5.2. Reads include
 // inode fetches; the write phase overwrites files in place, so it
-// carries no allocation or create-metadata cost.
+// carries no allocation or create-metadata cost. The benchmark only
+// reads the image — block addresses go to a private disk model — so
+// it runs on the image in place, and concurrent calls may share one.
 func HotFiles(image *ffs.FileSystem, p disk.Params, fromDay int) (HotResult, error) {
-	fsys := image.Clone()
-	files := layout.HotFiles(fsys, fromDay)
-	if len(files) == 0 {
-		return HotResult{}, fmt.Errorf("bench: no files modified on or after day %d", fromDay)
-	}
-	io, err := newRig(fsys, p)
+	h, err := newHotSet(image, fromDay)
 	if err != nil {
 		return HotResult{}, err
 	}
-	var res HotResult
+	return h.run(p)
+}
+
+// hotSet is the disk-independent half of the hot-file benchmark: the
+// hot files in visiting order and the result fields that depend only
+// on the image.
+type hotSet struct {
+	fsys  *ffs.FileSystem
+	files []*ffs.File
+	res   HotResult // ReadBps, WriteBps and Disk unset
+}
+
+func newHotSet(fsys *ffs.FileSystem, fromDay int) (*hotSet, error) {
+	files := layout.HotFiles(fsys, fromDay)
+	if len(files) == 0 {
+		return nil, fmt.Errorf("bench: no files modified on or after day %d", fromDay)
+	}
+	h := &hotSet{fsys: fsys, files: files}
+	res := &h.res
 	res.NFiles = len(files)
 	res.TotalBytes = layout.TotalBytes(files)
 	all := layout.AllFiles(fsys)
 	res.FracFiles = float64(len(files)) / float64(len(all))
 	res.FracBytes = float64(res.TotalBytes) / float64(layout.TotalBytes(all))
 	res.LayoutScore = layout.Aggregate(files, fsys.FragsPerBlock())
+	buckets := stats.PowerOfTwoBuckets(16<<10, 16<<20)
+	res.BySize = layout.BySize(files, fsys.FragsPerBlock(), buckets)
+	return h, nil
+}
 
+// run reads every hot file, then overwrites every one, on a fresh disk
+// with parameters p. Runs share nothing mutable, so several may run at
+// once; their results share the BySize slice.
+func (h *hotSet) run(p disk.Params) (HotResult, error) {
+	io, err := newRig(h.fsys, p)
+	if err != nil {
+		return HotResult{}, err
+	}
+	res := h.res
 	readTime := 0.0
-	for _, f := range files {
+	for _, f := range h.files {
 		readTime += io.read(f)
 	}
 	writeTime := 0.0
-	for _, f := range files {
+	for _, f := range h.files {
 		writeTime += io.overwrite(f)
 	}
 	res.ReadBps = float64(res.TotalBytes) / readTime
 	res.WriteBps = float64(res.TotalBytes) / writeTime
 	res.Disk = io.part.Disk().Stats()
-
-	buckets := stats.PowerOfTwoBuckets(16<<10, 16<<20)
-	res.BySize = layout.BySize(files, fsys.FragsPerBlock(), buckets)
 	return res, nil
 }

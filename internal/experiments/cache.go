@@ -7,6 +7,7 @@ import (
 
 	"ffsage/internal/aging"
 	"ffsage/internal/ffs"
+	"ffsage/internal/runner"
 	"ffsage/internal/trace"
 	"ffsage/internal/workload"
 )
@@ -89,7 +90,15 @@ func CachedBuild(wc workload.Config, nc workload.NFSTraceConfig) (*workload.Buil
 		buildHits.Add(1)
 	}
 	cacheMu.Unlock()
-	e.once.Do(func() { e.b, e.err = workload.BuildWorkload(wc, nc) })
+	e.once.Do(func() {
+		// A miss's build time goes to the timing footer as a serial
+		// stage: nothing overlaps it, and no job's telemetry covers it.
+		label := fmt.Sprintf("workload build seed=%d days=%d", wc.Seed, wc.Days)
+		e.err = runner.Time(label, func() (err error) {
+			e.b, err = workload.BuildWorkload(wc, nc)
+			return err
+		})
+	})
 	return e.b, e.err
 }
 

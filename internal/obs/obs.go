@@ -149,6 +149,7 @@ type Registry struct {
 	jobsMu sync.Mutex
 	jobsOn bool
 	jobs   []JobStat
+	stages []JobStat
 }
 
 // NewRegistry returns an empty registry.
@@ -326,14 +327,33 @@ type JobStat struct {
 	Err        error
 }
 
-// CaptureJobs enables (or disables) the job-telemetry log and clears
-// it. While disabled — the default — AppendJobs discards its input, so
-// long-running test processes do not accumulate history.
+// CaptureJobs enables (or disables) the job-telemetry log and the stage
+// log, and clears both. While disabled — the default — AppendJobs and
+// AppendStage discard their input, so long-running test processes do
+// not accumulate history.
 func (r *Registry) CaptureJobs(on bool) {
 	r.jobsMu.Lock()
 	defer r.jobsMu.Unlock()
 	r.jobsOn = on
-	r.jobs = nil
+	r.jobs, r.stages = nil, nil
+}
+
+// AppendStage logs one serial stage: timed work that ran outside any
+// runner group, such as a workload build. Stages sit beside the jobs in
+// the timing footer but are never counted among them.
+func (r *Registry) AppendStage(st JobStat) {
+	r.jobsMu.Lock()
+	defer r.jobsMu.Unlock()
+	if r.jobsOn {
+		r.stages = append(r.stages, st)
+	}
+}
+
+// Stages returns a copy of the captured stage log.
+func (r *Registry) Stages() []JobStat {
+	r.jobsMu.Lock()
+	defer r.jobsMu.Unlock()
+	return append([]JobStat(nil), r.stages...)
 }
 
 // AppendJobs appends finished-job stats in the order given (the

@@ -2,7 +2,6 @@ package obs
 
 import (
 	"bufio"
-	"fmt"
 	"io"
 	"sort"
 	"strconv"
@@ -271,19 +270,25 @@ func (t *Tracer) WriteFrom(w io.Writer, from int64) (int64, error) {
 }
 
 // writeRecord renders the i-th oldest buffered record as one JSONL line
-// in the stream's format. The caller holds t.mu.
+// in the stream's format. The line is appended into the writer's free
+// buffer space, so rendering allocates nothing once the buffer is
+// warm. The caller holds t.mu.
 func (t *Tracer) writeRecord(w *bufio.Writer, i int) {
 	sp := &t.ring[(t.start+i)%len(t.ring)]
+	b := appendJSONString(append(w.AvailableBuffer(), `{"stream":`...), t.name)
 	if t.format == SpanLines {
-		fmt.Fprintf(w, `{"stream":%s,"id":%d,"parent":%d,"span":%s,"start":%s,"end":%s`,
-			jsonString(t.name), sp.ID, sp.Parent, jsonString(sp.Name),
-			formatFloat(sp.Start), formatFloat(sp.End))
+		b = strconv.AppendInt(append(b, `,"id":`...), int64(sp.ID), 10)
+		b = strconv.AppendInt(append(b, `,"parent":`...), int64(sp.Parent), 10)
+		b = appendJSONString(append(b, `,"span":`...), sp.Name)
+		b = appendFloat(append(b, `,"start":`...), sp.Start)
+		b = appendFloat(append(b, `,"end":`...), sp.End)
 	} else {
-		fmt.Fprintf(w, `{"stream":%s,"seq":%d,"t":%s,"event":%s`,
-			jsonString(t.name), t.dropped+int64(i), formatFloat(sp.Start), jsonString(sp.Name))
+		b = strconv.AppendInt(append(b, `,"seq":`...), t.dropped+int64(i), 10)
+		b = appendFloat(append(b, `,"t":`...), sp.Start)
+		b = appendJSONString(append(b, `,"event":`...), sp.Name)
 	}
-	writeAttrs(w, sp.Attrs)
-	w.WriteString("}\n")
+	b = appendAttrs(b, sp.Attrs)
+	w.Write(append(b, "}\n"...))
 }
 
 // streams returns the registry's streams of format f sorted by name.
@@ -311,8 +316,11 @@ func (r *Registry) writeJSONL(w io.Writer, f Format) error {
 	label := f.label()
 	for _, t := range r.streams(f) {
 		t.mu.Lock()
-		fmt.Fprintf(bw, `{"stream":%s,"header":"%s","%s":%d,"dropped":%d}`+"\n",
-			jsonString(t.name), label, label, len(t.ring), t.dropped)
+		b := appendJSONString(append(bw.AvailableBuffer(), `{"stream":`...), t.name)
+		b = append(append(append(b, `,"header":"`...), label...), `","`...)
+		b = strconv.AppendInt(append(append(b, label...), `":`...), int64(len(t.ring)), 10)
+		b = strconv.AppendInt(append(b, `,"dropped":`...), t.dropped, 10)
+		bw.Write(append(b, "}\n"...))
 		for i := range t.ring {
 			t.writeRecord(bw, i)
 		}
@@ -344,16 +352,22 @@ func (r *Registry) WriteChromeTrace(w io.Writer) error {
 	bw.WriteString("\n")
 	bw.WriteString(`{"name":"process_name","ph":"M","pid":1,"tid":0,"args":{"name":"ffsage"}}`)
 	for tid, t := range r.streams(SpanLines) {
-		fmt.Fprintf(bw, ",\n{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":1,\"tid\":%d,\"args\":{\"name\":%s}}",
-			tid+1, jsonString(t.name))
+		b := append(bw.AvailableBuffer(), ",\n"...)
+		b = strconv.AppendInt(append(b, `{"name":"thread_name","ph":"M","pid":1,"tid":`...), int64(tid+1), 10)
+		b = appendJSONString(append(b, `,"args":{"name":`...), t.name)
+		bw.Write(append(b, "}}"...))
 		t.mu.Lock()
 		for i := range t.ring {
 			sp := &t.ring[(t.start+i)%len(t.ring)]
-			fmt.Fprintf(bw, ",\n{\"name\":%s,\"cat\":%s,\"ph\":\"X\",\"ts\":%s,\"dur\":%s,\"pid\":1,\"tid\":%d,\"args\":{\"id\":%d,\"parent\":%d",
-				jsonString(sp.Name), jsonString(t.name),
-				formatFloat(sp.Start*1e6), formatFloat((sp.End-sp.Start)*1e6), tid+1, sp.ID, sp.Parent)
-			writeAttrs(bw, sp.Attrs)
-			bw.WriteString("}}")
+			b := appendJSONString(append(bw.AvailableBuffer(), ",\n{\"name\":"...), sp.Name)
+			b = appendJSONString(append(b, `,"cat":`...), t.name)
+			b = appendFloat(append(b, `,"ph":"X","ts":`...), sp.Start*1e6)
+			b = appendFloat(append(b, `,"dur":`...), (sp.End-sp.Start)*1e6)
+			b = strconv.AppendInt(append(b, `,"pid":1,"tid":`...), int64(tid+1), 10)
+			b = strconv.AppendInt(append(b, `,"args":{"id":`...), int64(sp.ID), 10)
+			b = strconv.AppendInt(append(b, `,"parent":`...), int64(sp.Parent), 10)
+			b = appendAttrs(b, sp.Attrs)
+			bw.Write(append(b, "}}"...))
 		}
 		t.mu.Unlock()
 	}
@@ -361,49 +375,61 @@ func (r *Registry) WriteChromeTrace(w io.Writer) error {
 	return bw.Flush()
 }
 
-// writeAttrs renders attributes as `,"key":value` pairs in order.
-func writeAttrs(w *bufio.Writer, attrs []Attr) {
+// appendAttrs appends attributes as `,"key":value` pairs in order.
+func appendAttrs(b []byte, attrs []Attr) []byte {
 	for _, a := range attrs {
-		w.WriteByte(',')
-		w.WriteString(jsonString(a.Key))
-		w.WriteByte(':')
+		b = append(appendJSONString(append(b, ','), a.Key), ':')
 		switch a.Value.kind {
 		case 'i':
-			w.WriteString(strconv.FormatInt(a.Value.i, 10))
+			b = strconv.AppendInt(b, a.Value.i, 10)
 		case 'f':
-			w.WriteString(formatFloat(a.Value.f))
+			b = appendFloat(b, a.Value.f)
 		case 's':
-			w.WriteString(jsonString(a.Value.s))
+			b = appendJSONString(b, a.Value.s)
 		case 'b':
-			w.WriteString(strconv.FormatBool(a.Value.b))
+			b = strconv.AppendBool(b, a.Value.b)
 		}
 	}
+	return b
 }
 
-// jsonString renders s as a JSON string literal. Only the escapes JSON
-// requires are applied, so output is stable and minimal.
-func jsonString(s string) string {
-	out := make([]byte, 0, len(s)+2)
-	out = append(out, '"')
+// appendFloat appends v in formatFloat's shortest round-trip form.
+func appendFloat(b []byte, v float64) []byte { return strconv.AppendFloat(b, v, 'g', -1, 64) }
+
+// appendJSONString appends s as a JSON string literal. Only the escapes
+// JSON requires are applied, so output is stable and minimal; invalid
+// UTF-8 is replaced by U+FFFD. Plain printable ASCII, which every name
+// the simulator emits is, is copied in one step.
+func appendJSONString(b []byte, s string) []byte {
+	b = append(b, '"')
+	for i := 0; i < len(s); i++ {
+		if c := s[i]; c < 0x20 || c == '"' || c == '\\' || c >= utf8.RuneSelf {
+			return append(appendEscaped(append(b, s[:i]...), s[i:]), '"')
+		}
+	}
+	return append(append(b, s...), '"')
+}
+
+// appendEscaped appends s rune by rune with JSON's required escapes.
+func appendEscaped(b []byte, s string) []byte {
+	const hex = "0123456789abcdef"
 	for _, r := range s {
 		switch {
 		case r == '"':
-			out = append(out, '\\', '"')
+			b = append(b, '\\', '"')
 		case r == '\\':
-			out = append(out, '\\', '\\')
+			b = append(b, '\\', '\\')
 		case r == '\n':
-			out = append(out, '\\', 'n')
+			b = append(b, '\\', 'n')
 		case r == '\t':
-			out = append(out, '\\', 't')
+			b = append(b, '\\', 't')
 		case r == '\r':
-			out = append(out, '\\', 'r')
+			b = append(b, '\\', 'r')
 		case r < 0x20:
-			out = append(out, fmt.Sprintf(`\u%04x`, r)...)
+			b = append(b, '\\', 'u', '0', '0', hex[r>>4], hex[r&0xf])
 		default:
-			var buf [utf8.UTFMax]byte
-			n := utf8.EncodeRune(buf[:], r)
-			out = append(out, buf[:n]...)
+			b = utf8.AppendRune(b, r)
 		}
 	}
-	return string(append(out, '"'))
+	return b
 }

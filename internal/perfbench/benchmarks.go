@@ -36,9 +36,10 @@ func All() []Benchmark {
 		{Name: "ffs.clone", Quick: true, Setup: setupClone},
 		{Name: "checkpoint.encode", Quick: true, Setup: setupCheckpointEncode},
 		{Name: "checkpoint.decode", Quick: true, Setup: setupCheckpointDecode},
-		{Name: "workload.build", Quick: false, Setup: setupWorkloadBuild},
+		{Name: "obs.writespans", Quick: true, Setup: setupWriteSpans},
+		{Name: "workload.build", Quick: true, Setup: setupWorkloadBuild},
 		{Name: "bench.seqsweep", Quick: false, Setup: setupSeqSweep},
-		{Name: "bench.hotfiles", Quick: false, Setup: setupHotFiles},
+		{Name: "bench.hotfiles", Quick: true, Setup: setupHotFiles},
 	}
 	// One FlushCluster micro per registered policy (the benchmark name
 	// uses the slug, so -run regexes never meet a '+').
@@ -283,6 +284,33 @@ func setupSpanEmit(fx *Fixture) (*Instance, error) {
 		return nil, err
 	}
 	return &Instance{Op: op, Units: 2 * cycles}, nil
+}
+
+// setupWriteSpans measures the JSONL span export of both aged micro
+// replays, the dump `repro -spans-jsonl` writes. The streams are
+// published into a private registry, so benchmarks that publish into
+// the fixture's cannot change the work.
+func setupWriteSpans(fx *Fixture) (*Instance, error) {
+	reg := obs.NewRegistry()
+	aging.PublishResult(reg.Scope("aging.micro-ffs"), fx.AgedFFS, fx.Build.Reconstructed)
+	aging.PublishResult(reg.Scope("aging.micro-realloc"), fx.AgedRealloc, fx.Build.Reconstructed)
+	var buf bytes.Buffer
+	if err := reg.WriteSpans(&buf); err != nil {
+		return nil, err
+	}
+	size, lines := buf.Len(), bytes.Count(buf.Bytes(), []byte{'\n'})
+	op := func() error {
+		buf.Reset()
+		return reg.WriteSpans(&buf)
+	}
+	inst := &Instance{Op: op, Units: int64(lines)}
+	inst.Metrics = func(medianSec float64) map[string]float64 {
+		if medianSec <= 0 {
+			return nil
+		}
+		return map[string]float64{"mb_per_s": float64(size) / 1e6 / medianSec}
+	}
+	return inst, nil
 }
 
 // steadyCycle builds one state-neutral op cycle: create a working set

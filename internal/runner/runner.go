@@ -114,19 +114,11 @@ func (g *Group) Go(label string, fn func(context.Context) error) {
 		g.sem <- struct{}{}
 		defer func() { <-g.sem }()
 
-		var st Stat
-		st.Label = label
+		st := Stat{Label: label}
 		if err := g.ctx.Err(); err != nil {
 			st.Err = err
 		} else {
-			var m0 runtime.MemStats
-			runtime.ReadMemStats(&m0)
-			start := time.Now()
-			st.Err = fn(g.ctx)
-			st.Wall = time.Since(start)
-			var m1 runtime.MemStats
-			runtime.ReadMemStats(&m1)
-			st.AllocBytes = m1.TotalAlloc - m0.TotalAlloc
+			st = measure(label, func() error { return fn(g.ctx) })
 		}
 		g.mu.Lock()
 		g.stats[idx] = st
@@ -136,6 +128,33 @@ func (g *Group) Go(label string, fn func(context.Context) error) {
 		}
 	}()
 }
+
+// measure runs fn and returns its wall time, its error, and the
+// process-wide allocation delta seen while it ran.
+func measure(label string, fn func() error) Stat {
+	var m0, m1 runtime.MemStats
+	runtime.ReadMemStats(&m0)
+	start := time.Now()
+	err := fn()
+	wall := time.Since(start)
+	runtime.ReadMemStats(&m1)
+	return Stat{Label: label, Wall: wall, AllocBytes: m1.TotalAlloc - m0.TotalAlloc, Err: err}
+}
+
+// Time runs fn on the calling goroutine as a serial stage — work the
+// caller waits for outside any Group, such as a workload build — and,
+// while telemetry capture is on, logs its stats for the timing footer.
+// Stages are not jobs: Telemetry and the runner_jobs metrics never see
+// them.
+func Time(label string, fn func() error) error {
+	st := measure(label, fn)
+	obs.Default.AppendStage(st)
+	return st.Err
+}
+
+// Stages returns a copy of the captured stage log, in the order the
+// stages finished.
+func Stages() []Stat { return obs.Default.Stages() }
 
 // Wait blocks until every submitted job finished (or was skipped),
 // then returns the per-job stats in submission order and the error of

@@ -205,6 +205,28 @@ func TestTelemetryCapture(t *testing.T) {
 	}
 }
 
+// TestTimeLogsStageNotJob checks that a serial stage reaches the stage
+// log with its error, and stays out of the job telemetry.
+func TestTimeLogsStageNotJob(t *testing.T) {
+	CaptureTelemetry(true)
+	defer CaptureTelemetry(false)
+	boom := errors.New("boom")
+	if err := Time("build", func() error { return boom }); err != boom {
+		t.Fatalf("Time returned %v, want the stage's error", err)
+	}
+	st := Stages()
+	if len(st) != 1 || st[0].Label != "build" || st[0].Err != boom {
+		t.Fatalf("stages = %+v", st)
+	}
+	if tel := Telemetry(); len(tel) != 0 {
+		t.Fatalf("stage leaked into job telemetry: %+v", tel)
+	}
+	CaptureTelemetry(true)
+	if st := Stages(); len(st) != 0 {
+		t.Fatalf("re-enabling capture kept %d stages", len(st))
+	}
+}
+
 func TestRunHelper(t *testing.T) {
 	out := make([]int, 16)
 	err := Run(context.Background(), len(out), nil, func(_ context.Context, i int) error {

@@ -124,9 +124,30 @@ func TestOpOrdering(t *testing.T) {
 	b := Op{Day: 1, Sec: 5, ID: 11}
 	c := Op{Day: 1, Sec: 6, ID: 1}
 	d := Op{Day: 2, Sec: 0, ID: 0}
-	if !a.Before(b) || !b.Before(c) || !c.Before(d) || d.Before(a) {
-		t.Error("ordering broken")
+	create := Op{Day: 2, Sec: 0, ID: 0, Kind: OpCreate}
+	del := Op{Day: 2, Sec: 0, ID: 0, Kind: OpDelete, Size: 9}
+	chain := []Op{a, b, c, d, create, del}
+	for i := range chain {
+		for j := range chain {
+			if got, want := chain[i].Compare(chain[j]), cmpInt(i, j); got != want {
+				t.Errorf("Compare(op %d, op %d) = %d, want %d", i, j, got, want)
+			}
+		}
 	}
+	// Kind breaks the last tie; fields outside the key do not order.
+	if got := del.Compare(Op{Day: 2, Sec: 0, ID: 0, Kind: OpDelete}); got != 0 {
+		t.Errorf("ops equal on (Day, Sec, ID, Kind) compare %d, want 0", got)
+	}
+}
+
+func cmpInt(i, j int) int {
+	switch {
+	case i < j:
+		return -1
+	case i > j:
+		return 1
+	}
+	return 0
 }
 
 func TestSummarize(t *testing.T) {

@@ -43,6 +43,10 @@ type Op struct {
 	Day  int
 	Sec  float64
 	Kind OpKind
+	// ShortLived marks operations merged in from the NFS trace. It
+	// sits beside Kind so the two share one word: Op is 48 bytes, and
+	// the workload build's sorts move every op many times.
+	ShortLived bool
 	// ID identifies the file across operations. For snapshot-derived
 	// files it encodes the original system's inode number; short-lived
 	// files carry synthetic IDs. IDs are unique per live file.
@@ -53,25 +57,34 @@ type Op struct {
 	Cg int
 	// Size in bytes; meaningful for OpCreate and OpRewrite.
 	Size int64
-	// ShortLived marks operations merged in from the NFS trace.
-	ShortLived bool
 }
 
-// Before reports whether a sorts before b. The order is total —
-// (Day, Sec, ID, Kind) — so sorting an op stream is deterministic even
-// with coincident timestamps, and a same-instant create/delete pair of
-// one ID replays create-first.
-func (a Op) Before(b Op) bool {
-	if a.Day != b.Day {
-		return a.Day < b.Day
+// Compare orders ops by (Day, Sec, ID, Kind), returning -1, 0 or +1.
+// The order is total on distinct ops, so sorting an op stream is
+// deterministic even with coincident timestamps, and a same-instant
+// create/delete pair of one ID replays create-first. Sort streams with
+// slices.SortFunc(ops, trace.Op.Compare).
+func (a Op) Compare(b Op) int {
+	switch {
+	case a.Day != b.Day:
+		return order(a.Day < b.Day)
+	case a.Sec != b.Sec:
+		return order(a.Sec < b.Sec)
+	case a.ID != b.ID:
+		return order(a.ID < b.ID)
+	case a.Kind != b.Kind:
+		return order(a.Kind < b.Kind)
 	}
-	if a.Sec != b.Sec {
-		return a.Sec < b.Sec
+	return 0
+}
+
+// order maps "a sorts first" to Compare's -1 and its negation to +1;
+// Compare calls it only once it has found a field that differs.
+func order(less bool) int {
+	if less {
+		return -1
 	}
-	if a.ID != b.ID {
-		return a.ID < b.ID
-	}
-	return a.Kind < b.Kind
+	return 1
 }
 
 // FileMeta is one file's record in a nightly snapshot: what [Smith94]

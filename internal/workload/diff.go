@@ -3,7 +3,7 @@ package workload
 import (
 	"fmt"
 	"math/rand"
-	"sort"
+	"slices"
 
 	"ffsage/internal/trace"
 )
@@ -23,7 +23,9 @@ import (
 // The first snapshot's contents materialize as creations (the paper
 // starts from the year's utilization low point on an empty test file
 // system). ipg maps inode numbers to source cylinder groups. The rng
-// supplies the random deletion times only.
+// supplies the random deletion times only. Each snapshot must list its
+// entries in strictly increasing inode order, as Snapshot.Files
+// documents; Diff rejects one that does not.
 func Diff(snaps []trace.Snapshot, numCg, ipg int, rng *rand.Rand) (*trace.Workload, error) {
 	if len(snaps) == 0 {
 		return nil, fmt.Errorf("workload: no snapshots to diff")
@@ -34,16 +36,22 @@ func Diff(snaps []trace.Snapshot, numCg, ipg int, rng *rand.Rand) (*trace.Worklo
 	inoCg := func(ino int64) int { return int(ino/int64(ipg)) % numCg }
 
 	var ops []trace.Op
-	// Two snapshot-sized maps are reused across the whole series (the
-	// roles swap each interval; clear() keeps the grown buckets) instead
-	// of allocating a fresh map per snapshot.
-	prev := map[int64]trace.FileMeta{}
-	cur := map[int64]trace.FileMeta{}
+	// Snapshots list files in inode order, so one merge walk over the
+	// previous and current lists finds every creation, modification
+	// and deletion; deletions come out in inode order, the order their
+	// random times are drawn in. Directories are not files here: a
+	// directory entry is skipped on both sides.
+	var prev []trace.FileMeta
 	var dead []int64
 	lastDay := 0
 	for si, snap := range snaps {
 		if si > 0 && snap.Day <= snaps[si-1].Day {
 			return nil, fmt.Errorf("workload: snapshots out of order at day %d", snap.Day)
+		}
+		for i := 1; i < len(snap.Files); i++ {
+			if snap.Files[i].Ino <= snap.Files[i-1].Ino {
+				return nil, fmt.Errorf("workload: snapshot of day %d not sorted by inode at %d", snap.Day, snap.Files[i].Ino)
+			}
 		}
 		lastDay = snap.Day
 		// Track the time range of known operations this interval so
@@ -61,12 +69,26 @@ func Diff(snaps []trace.Snapshot, numCg, ipg int, rng *rand.Rand) (*trace.Worklo
 				hiSec = sec
 			}
 		}
+		dead = dead[:0]
+		j := 0 // next unmatched entry of prev
+		gone := func(below int64) {
+			for ; j < len(prev) && prev[j].Ino < below; j++ {
+				if !prev[j].IsDir {
+					dead = append(dead, prev[j].Ino)
+				}
+			}
+		}
 		for _, f := range snap.Files {
 			if f.IsDir {
 				continue
 			}
-			cur[f.Ino] = f
-			old, existed := prev[f.Ino]
+			gone(f.Ino)
+			var old trace.FileMeta
+			existed := false
+			if j < len(prev) && prev[j].Ino == f.Ino {
+				old, existed = prev[j], !prev[j].IsDir
+				j++
+			}
 			switch {
 			case !existed:
 				day, sec := splitCTime(f.CTime, snap.Day)
@@ -84,17 +106,11 @@ func Diff(snaps []trace.Snapshot, numCg, ipg int, rng *rand.Rand) (*trace.Worklo
 				})
 			}
 		}
-		// Collect the interval's deletions in sorted inode order before
-		// drawing their times: iterating the map directly would pair
-		// inodes with rng draws in map order, making the reconstructed
-		// stream differ from run to run.
-		dead = dead[:0]
-		for ino := range prev {
-			if _, still := cur[ino]; !still {
-				dead = append(dead, ino)
+		for ; j < len(prev); j++ {
+			if !prev[j].IsDir {
+				dead = append(dead, prev[j].Ino)
 			}
 		}
-		sort.Slice(dead, func(i, j int) bool { return dead[i] < dead[j] })
 		for _, ino := range dead {
 			sec := loSec + rng.Float64()*(hiSec-loSec)
 			ops = append(ops, trace.Op{
@@ -102,10 +118,9 @@ func Diff(snaps []trace.Snapshot, numCg, ipg int, rng *rand.Rand) (*trace.Worklo
 				ID: ino, Cg: inoCg(ino),
 			})
 		}
-		prev, cur = cur, prev
-		clear(cur)
+		prev = snap.Files
 	}
-	sort.Slice(ops, func(i, j int) bool { return ops[i].Before(ops[j]) })
+	slices.SortFunc(ops, trace.Op.Compare)
 	return &trace.Workload{Days: lastDay + 1, Ops: ops}, nil
 }
 

@@ -1,9 +1,10 @@
 package workload
 
 import (
+	"cmp"
 	"fmt"
 	"math/rand"
-	"sort"
+	"slices"
 
 	"ffsage/internal/trace"
 )
@@ -94,7 +95,7 @@ func Merge(base *trace.Workload, traceDays []trace.TraceDay, numCg int, rng *ran
 				acts[i].meanSec = 13 * 3600
 			}
 		}
-		sort.SliceStable(acts, func(i, j int) bool { return acts[i].ops > acts[j].ops })
+		slices.SortStableFunc(acts, func(a, b cgAct) int { return cmp.Compare(b.ops, a.ops) })
 
 		// Rank trace directories by their op counts and group their
 		// files. The map and rank slice are reused across days.
@@ -106,11 +107,11 @@ func Merge(base *trace.Workload, traceDays []trace.TraceDay, numCg int, rng *ran
 		for d := range dirFiles {
 			dirs = append(dirs, d)
 		}
-		sort.Slice(dirs, func(i, j int) bool {
-			if len(dirFiles[dirs[i]]) != len(dirFiles[dirs[j]]) {
-				return len(dirFiles[dirs[i]]) > len(dirFiles[dirs[j]])
+		slices.SortFunc(dirs, func(a, b int) int {
+			if c := cmp.Compare(len(dirFiles[b]), len(dirFiles[a])); c != 0 {
+				return c
 			}
-			return dirs[i] < dirs[j]
+			return cmp.Compare(a, b)
 		})
 
 		for rank, d := range dirs {
@@ -143,7 +144,7 @@ func Merge(base *trace.Workload, traceDays []trace.TraceDay, numCg int, rng *ran
 			}
 		}
 	}
-	sort.Slice(merged, func(i, j int) bool { return merged[i].Before(merged[j]) })
+	slices.SortFunc(merged, trace.Op.Compare)
 	return &trace.Workload{Days: base.Days, Ops: merged}, nil
 }
 

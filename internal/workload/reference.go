@@ -4,7 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"sort"
+	"slices"
 
 	"ffsage/internal/trace"
 )
@@ -118,6 +118,11 @@ type reference struct {
 
 	dirBase  []float64 // directory activity weights
 	dirPhase []float64
+	// dayWeight holds every directory's dirWeight for the day being
+	// simulated and dayTotal their sum, computed once per day by
+	// weighDirs instead of twice per pick.
+	dayWeight []float64
+	dayTotal  float64
 
 	usedBytes   int64
 	nextShortID int64
@@ -132,12 +137,29 @@ func GenerateReference(cfg Config) (*ReferenceResult, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
+	r := newReference(cfg)
+	for day := 0; day < cfg.Days; day++ {
+		r.simulateDay(day)
+		r.snapshot(day)
+	}
+	slices.SortFunc(r.ops, trace.Op.Compare)
+	return &ReferenceResult{
+		GroundTruth:  &trace.Workload{Days: cfg.Days, Ops: r.ops},
+		Snapshots:    r.snaps,
+		EndLiveFiles: len(r.liveList),
+		EndUsedBytes: r.usedBytes,
+	}, nil
+}
+
+// newReference returns the generator's day-0 state for a valid cfg.
+func newReference(cfg Config) *reference {
 	r := &reference{
 		cfg:         cfg,
 		rng:         rand.New(rand.NewSource(cfg.Seed)),
 		byIno:       make([]int32, cfg.NumCg*cfg.InodesPerGroup),
 		nextShortID: -1,
 		util:        cfg.CruiseUtil,
+		dayWeight:   make([]float64, cfg.NumDirs),
 	}
 	for i := range r.byIno {
 		r.byIno[i] = -1
@@ -149,17 +171,7 @@ func GenerateReference(cfg Config) (*ReferenceResult, error) {
 		r.dirBase = append(r.dirBase, 1/math.Pow(float64(d+1), 0.5))
 		r.dirPhase = append(r.dirPhase, r.rng.Float64())
 	}
-	for day := 0; day < cfg.Days; day++ {
-		r.simulateDay(day)
-		r.snapshot(day)
-	}
-	sort.Slice(r.ops, func(i, j int) bool { return r.ops[i].Before(r.ops[j]) })
-	return &ReferenceResult{
-		GroundTruth:  &trace.Workload{Days: cfg.Days, Ops: r.ops},
-		Snapshots:    r.snaps,
-		EndLiveFiles: len(r.liveList),
-		EndUsedBytes: r.usedBytes,
-	}, nil
+	return r
 }
 
 func fragRound(n int64) int64 { return (n + 1023) &^ 1023 }
@@ -170,19 +182,28 @@ func (r *reference) dirWeight(d, day int) float64 {
 	return r.dirBase[d] * (1 + 0.5*math.Sin(2*math.Pi*(float64(day)/90+r.dirPhase[d])))
 }
 
-func (r *reference) pickDir(day int) int {
-	total := 0.0
-	for d := range r.dirBase {
-		total += r.dirWeight(d, day)
+// weighDirs computes the day's directory weights and their total, in
+// directory order, so every pickDir of the day sees the same sums a
+// per-pick recomputation would.
+func (r *reference) weighDirs(day int) {
+	r.dayTotal = 0
+	for d := range r.dayWeight {
+		r.dayWeight[d] = r.dirWeight(d, day)
+		r.dayTotal += r.dayWeight[d]
 	}
-	x := r.rng.Float64() * total
-	for d := range r.dirBase {
-		x -= r.dirWeight(d, day)
+}
+
+// pickDir draws a directory in proportion to the day's weights
+// (weighDirs must have run for the day).
+func (r *reference) pickDir() int {
+	x := r.rng.Float64() * r.dayTotal
+	for d, w := range r.dayWeight {
+		x -= w
 		if x <= 0 {
 			return d
 		}
 	}
-	return len(r.dirBase) - 1
+	return len(r.dayWeight) - 1
 }
 
 func (r *reference) dirCg(d int) int { return d % r.cfg.NumCg }
@@ -327,6 +348,7 @@ func (r *reference) targetUtil(day int) float64 {
 
 func (r *reference) simulateDay(day int) {
 	c := r.cfg
+	r.weighDirs(day)
 	mult := lognormMul(r.rng, 0.5)
 	if r.rng.Float64() < c.BurstProb {
 		mult *= c.BurstMul
@@ -371,7 +393,7 @@ func (r *reference) simulateDay(day int) {
 
 	for written := int64(0); written < createBudget; {
 		size := c.LongSize.Sample(r.rng)
-		if err := r.createFile(day, workdaySec(r.rng), r.pickDir(day), size); err != nil {
+		if err := r.createFile(day, workdaySec(r.rng), r.pickDir(), size); err != nil {
 			break
 		}
 		written += size
@@ -417,7 +439,7 @@ func (r *reference) simulateDay(day int) {
 	// Short-lived files: created and gone before the nightly snapshot.
 	nShort := int(c.ShortPairsPerDay * math.Sqrt(mult) * (0.6 + 0.8*r.rng.Float64()))
 	for i := 0; i < nShort; i++ {
-		dir := r.pickDir(day)
+		dir := r.pickDir()
 		size := c.ShortSize.Sample(r.rng)
 		start := workdaySec(r.rng)
 		life := r.rng.ExpFloat64() * 2 * 3600
@@ -454,12 +476,20 @@ func (r *reference) secAfter(day int, ctime float64) float64 {
 	return sec
 }
 
+// snapshot records the live files in inode order. byIno is indexed by
+// inode number, so scanning it yields that order without a sort; each
+// group's scan stops at the pool's high-water slot, past which no
+// inode was ever allocated.
 func (r *reference) snapshot(day int) {
 	files := make([]trace.FileMeta, 0, len(r.liveList))
-	for _, idx := range r.liveList {
-		f := &r.files[idx]
-		files = append(files, trace.FileMeta{Ino: f.ino, Size: f.size, CTime: f.ctime})
+	for _, p := range r.pools {
+		base := int64(p.cg) * p.ipg
+		for _, idx := range r.byIno[base : base+p.nextSlot] {
+			if idx >= 0 {
+				f := &r.files[idx]
+				files = append(files, trace.FileMeta{Ino: f.ino, Size: f.size, CTime: f.ctime})
+			}
+		}
 	}
-	sort.Slice(files, func(i, j int) bool { return files[i].Ino < files[j].Ino })
 	r.snaps = append(r.snaps, trace.Snapshot{Day: day, Files: files})
 }

@@ -3,6 +3,8 @@ package workload
 import (
 	"math"
 	"math/rand"
+	"slices"
+	"sort"
 	"testing"
 	"testing/quick"
 
@@ -92,7 +94,7 @@ func TestReferenceInvariants(t *testing.T) {
 	live := map[int64]bool{}
 	var prev trace.Op
 	for i, op := range res.GroundTruth.Ops {
-		if i > 0 && op.Before(prev) {
+		if i > 0 && op.Compare(prev) < 0 {
 			t.Fatalf("ops out of order at %d", i)
 		}
 		prev = op
@@ -221,6 +223,12 @@ func TestDiffErrors(t *testing.T) {
 	}
 	if _, err := Diff([]trace.Snapshot{{Day: 0}}, 0, 4800, rng); err == nil {
 		t.Error("bad geometry accepted")
+	}
+	for _, inos := range [][]int64{{7, 3}, {3, 3}} {
+		files := []trace.FileMeta{{Ino: inos[0]}, {Ino: inos[1]}}
+		if _, err := Diff([]trace.Snapshot{{Day: 0, Files: files}}, 27, 4800, rng); err == nil {
+			t.Errorf("snapshot with inodes %v accepted", inos)
+		}
 	}
 }
 
@@ -412,5 +420,144 @@ func TestBuildPaperWorkloadSmall(t *testing.T) {
 	}
 	if b.Reconstructed.Days != cfg.Days {
 		t.Errorf("days = %d", b.Reconstructed.Days)
+	}
+}
+
+// pickDirPerPick is the generator's former directory pick, kept as the
+// reference model: it recomputes every directory's weight twice per
+// draw.
+func pickDirPerPick(r *reference, rng *rand.Rand, day int) int {
+	total := 0.0
+	for d := range r.dirBase {
+		total += r.dirWeight(d, day)
+	}
+	x := rng.Float64() * total
+	for d := range r.dirBase {
+		x -= r.dirWeight(d, day)
+		if x <= 0 {
+			return d
+		}
+	}
+	return len(r.dirBase) - 1
+}
+
+// TestPickDirMatchesPerPickLoop checks that weighing the directories
+// once per day picks exactly what the per-pick loop picked, draw for
+// draw, over a year of days and both directory counts in use.
+func TestPickDirMatchesPerPickLoop(t *testing.T) {
+	for _, numDirs := range []int{1, 7, DefaultConfig(1).NumDirs} {
+		cfg := DefaultConfig(int64(numDirs))
+		cfg.NumDirs = numDirs
+		r := newReference(cfg)
+		model := rand.New(rand.NewSource(99))
+		r.rng = rand.New(rand.NewSource(99))
+		for day := 0; day < 366; day++ {
+			r.weighDirs(day)
+			for draw := 0; draw < 200; draw++ {
+				if got, want := r.pickDir(), pickDirPerPick(r, model, day); got != want {
+					t.Fatalf("%d dirs, day %d, draw %d: pickDir = %d, per-pick loop = %d", numDirs, day, draw, got, want)
+				}
+			}
+		}
+	}
+}
+
+// diffMaps is Diff's former body, kept as the reference model for the
+// merge walk: two inode-keyed maps, deletions sorted before their times
+// are drawn.
+func diffMaps(snaps []trace.Snapshot, numCg, ipg int, rng *rand.Rand) []trace.Op {
+	inoCg := func(ino int64) int { return int(ino/int64(ipg)) % numCg }
+	var ops []trace.Op
+	prev := map[int64]trace.FileMeta{}
+	for _, snap := range snaps {
+		cur := map[int64]trace.FileMeta{}
+		loSec, hiSec := 9.0*3600, 18.0*3600
+		noteTime := func(ctime float64) {
+			sec := ctime - float64(snap.Day)*86400
+			if sec < 0 || sec >= 86400 {
+				return
+			}
+			if sec < loSec {
+				loSec = sec
+			}
+			if sec > hiSec {
+				hiSec = sec
+			}
+		}
+		for _, f := range snap.Files {
+			if f.IsDir {
+				continue
+			}
+			cur[f.Ino] = f
+			old, existed := prev[f.Ino]
+			kind := trace.OpCreate
+			if existed {
+				if old.CTime == f.CTime && old.Size == f.Size {
+					continue
+				}
+				kind = trace.OpRewrite
+			}
+			day, sec := splitCTime(f.CTime, snap.Day)
+			noteTime(f.CTime)
+			ops = append(ops, trace.Op{Day: day, Sec: sec, Kind: kind, ID: f.Ino, Cg: inoCg(f.Ino), Size: f.Size})
+		}
+		var dead []int64
+		for ino := range prev {
+			if _, still := cur[ino]; !still {
+				dead = append(dead, ino)
+			}
+		}
+		sort.Slice(dead, func(i, j int) bool { return dead[i] < dead[j] })
+		for _, ino := range dead {
+			sec := loSec + rng.Float64()*(hiSec-loSec)
+			ops = append(ops, trace.Op{Day: snap.Day, Sec: sec, Kind: trace.OpDelete, ID: ino, Cg: inoCg(ino)})
+		}
+		prev = cur
+	}
+	sort.Slice(ops, func(i, j int) bool { return ops[i].Compare(ops[j]) < 0 })
+	return ops
+}
+
+// TestDiffMatchesMapModel runs Diff and the map-based model on random
+// snapshot series — files appearing, changing, vanishing, and inodes
+// switching between file and directory — and requires equal streams.
+func TestDiffMatchesMapModel(t *testing.T) {
+	for seed := int64(1); seed <= 40; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		var snaps []trace.Snapshot
+		for day := 0; day < 12; day++ {
+			var files []trace.FileMeta
+			for ino := int64(0); ino < 60; ino++ {
+				if rng.Intn(3) == 0 {
+					continue
+				}
+				files = append(files, trace.FileMeta{
+					Ino:   ino,
+					Size:  int64(1 + rng.Intn(3)),
+					CTime: float64(rng.Intn(day+1))*86400 + float64(rng.Intn(4))*3600,
+					IsDir: rng.Intn(8) == 0,
+				})
+			}
+			snaps = append(snaps, trace.Snapshot{Day: day, Files: files})
+		}
+		got, err := Diff(snaps, 4, 16, rand.New(rand.NewSource(seed)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := diffMaps(snaps, 4, 16, rand.New(rand.NewSource(seed)))
+		if !slices.Equal(got.Ops, want) {
+			t.Fatalf("seed %d: Diff differs from the map model (%d vs %d ops)", seed, len(got.Ops), len(want))
+		}
+	}
+	res, err := GenerateReference(fastConfig(3))
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := Diff(res.Snapshots, 27, 4800, rand.New(rand.NewSource(5)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := diffMaps(res.Snapshots, 27, 4800, rand.New(rand.NewSource(5))); !slices.Equal(got.Ops, want) {
+		t.Fatal("Diff of generated snapshots differs from the map model")
 	}
 }
