@@ -43,7 +43,7 @@ func run() int {
 		resamples = flag.Int("resamples", 200, "bootstrap resample count")
 		jsonOut   = flag.String("json", "", "write the JSON report to this path")
 		memProf   = flag.String("memprofile", "", "write an allocation (pprof allocs) profile to this path after the run")
-		baseline  = flag.String("baseline", "BENCH_9.json", "baseline report path for -check / -update")
+		baseline  = flag.String("baseline", "BENCH_10.json", "baseline report path for -check / -update")
 		check     = flag.Bool("check", false, "compare against -baseline; exit 1 on confirmed regression or blown allocation budget")
 		update    = flag.Bool("update", false, "write this run's report to -baseline")
 		tol       = flag.Float64("tol", 25, "percent median movement tolerated before a difference counts")

@@ -11,11 +11,14 @@ type DirmapConfig struct {
 	Packages []string
 }
 
-// DefaultDirmapConfig guards internal/ffs, where directory tables are
-// kept as sorted entry slices: a map[string]*File there would reopen
-// both regressions the slice representation closed — per-insert heap
-// allocation in the zero-alloc replay loop, and randomized iteration
-// order leaking into anything that walks a directory.
+// DefaultDirmapConfig guards internal/ffs, where a directory table is
+// an entry slice in slot order plus a map[string]int32 name → slot
+// index: the slice is what anything walks, so iteration order is the
+// deterministic slot order, and it recycles with its File through the
+// arena. A map[string]*File there would reopen both regressions the
+// slice representation closed — randomized iteration order leaking
+// into anything that walks a directory, and a second home for the
+// entries that the zero-alloc replay loop would have to keep in step.
 func DefaultDirmapConfig() DirmapConfig {
 	return DirmapConfig{Packages: []string{"ffsage/internal/ffs"}}
 }
@@ -31,7 +34,7 @@ func Dirmap(cfg DirmapConfig) *Analyzer {
 	}
 	return &Analyzer{
 		Name: "dirmap",
-		Doc:  "forbid map[string]*File directory tables in packages using sorted entry slices",
+		Doc:  "forbid map[string]*File directory tables in packages using entry slices with a name → slot index",
 		Run: func(pass *Pass) {
 			if !guarded[PkgPathOf(pass.Pkg.Path())] {
 				return
@@ -44,7 +47,7 @@ func Dirmap(cfg DirmapConfig) *Analyzer {
 					switch n := n.(type) {
 					case *ast.MapType:
 						if tv, ok := pass.TypesInfo.Types[n]; ok && isDirMap(tv.Type) {
-							pass.Reportf(n.Pos(), "map[string]*File directory table: allocates on every insert and iterates in random order; use a sorted entries slice with binary search instead")
+							pass.Reportf(n.Pos(), "map[string]*File directory table: iterates in random order; keep entries in a slice with a map[string]int32 name → slot index instead")
 						}
 					case *ast.RangeStmt:
 						// Catches values of the forbidden shape that were
@@ -52,7 +55,7 @@ func Dirmap(cfg DirmapConfig) *Analyzer {
 						// type expression itself is not in this package.
 						if tv, ok := pass.TypesInfo.Types[n.X]; ok && isDirMap(tv.Type) {
 							if _, declaredHere := n.X.(*ast.MapType); !declaredHere {
-								pass.Reportf(n.Pos(), "range over a map[string]*File directory table: iteration order is randomized; use a sorted entries slice instead")
+								pass.Reportf(n.Pos(), "range over a map[string]*File directory table: iteration order is randomized; range the entries slice instead")
 							}
 						}
 					}

@@ -1,7 +1,7 @@
 // Package ffs is a dirmap fixture standing in for ffsage/internal/ffs:
-// directory tables here are sorted entry slices, so any
-// map[string]*File — declared, made, literal'd, or ranged over — is a
-// finding. Maps with other keys or elements are not.
+// directory tables here are entry slices with a name → slot index, so
+// any map[string]*File — declared, made, literal'd, or ranged over — is
+// a finding. Maps with other keys or elements are not.
 package ffs
 
 import "sort"
@@ -13,7 +13,7 @@ type File struct {
 }
 
 type badDir struct {
-	files map[string]*File // want `map\[string\]\*File directory table: allocates on every insert and iterates in random order; use a sorted entries slice with binary search instead`
+	files map[string]*File // want `map\[string\]\*File directory table: iterates in random order; keep entries in a slice with a map\[string\]int32 name → slot index instead`
 }
 
 func makeBad() map[string]*File { // want `map\[string\]\*File directory table`
@@ -25,7 +25,7 @@ type table = map[string]*File // want `map\[string\]\*File directory table`
 
 func walk(m map[string]*File) []string { // want `map\[string\]\*File directory table`
 	var names []string
-	for name := range m { // want `range over a map\[string\]\*File directory table: iteration order is randomized; use a sorted entries slice instead`
+	for name := range m { // want `range over a map\[string\]\*File directory table: iteration order is randomized; range the entries slice instead`
 		names = append(names, name)
 	}
 	sort.Strings(names)
@@ -35,7 +35,8 @@ func walk(m map[string]*File) []string { // want `map\[string\]\*File directory 
 // The sanctioned representation and unrelated maps pass untouched.
 type goodDir struct {
 	entries []dirEnt
-	byIno   map[int64]*File // int64 key: the live-file index, not a directory table
+	slots   map[string]int32 // name → slot: holds no *File
+	byIno   map[int64]*File  // int64 key: the live-file index, not a directory table
 	sizes   map[string]int64
 }
 
@@ -45,8 +46,7 @@ type dirEnt struct {
 }
 
 func (d *goodDir) lookup(name string) *File {
-	i := sort.Search(len(d.entries), func(i int) bool { return d.entries[i].name >= name })
-	if i < len(d.entries) && d.entries[i].name == name {
+	if i, ok := d.slots[name]; ok {
 		return d.entries[i].file
 	}
 	return nil

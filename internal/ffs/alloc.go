@@ -21,6 +21,18 @@ func (fs *FileSystem) isSectionStart(lbn int) bool {
 	return lbn%fs.P.MaxBpg == 0
 }
 
+// nextSectionStart returns the first section start after lbn ≥ 0, in
+// closed form: the earlier of the next indirect-block boundary and the
+// next fs_maxbpg multiple.
+func (fs *FileSystem) nextSectionStart(lbn int) int {
+	next := (lbn/fs.P.MaxBpg + 1) * fs.P.MaxBpg
+	if lbn < NDirect {
+		return min(next, NDirect)
+	}
+	ppi := fs.ptrsPerIndirect()
+	return min(next, NDirect+((lbn-NDirect)/ppi+1)*ppi)
+}
+
 // pickSectionCg implements the section-switch scan of ffs_blkpref:
 // starting just past the previous block's group, take the first group
 // with at least the file-system-average number of free blocks.
@@ -77,22 +89,37 @@ func (fs *FileSystem) blkpref(f *File, lbn int) (cgIdx int, pref Daddr) {
 	return fs.cgIndexOf(pref), pref
 }
 
-// allocBlockMech allocates one full block, preferring (cgIdx, pref) and
-// falling back across groups. Returns the block's fragment address.
-func (fs *FileSystem) allocBlockMech(cgIdx int, pref Daddr) (Daddr, error) {
+// allocBlocksMech allocates a run of 1 to max full blocks, preferring
+// (cgIdx, pref) and falling back across groups. The first block is
+// picked exactly as a one-block request picks it; the run then extends
+// over the free blocks physically after it, within the same group and
+// within the free space left after the reserve. Each extra block is the
+// ffs_blkpref preference of the one before it, so successive one-block
+// requests would have claimed the same run with the same statistics
+// (DESIGN §5.1). With a fault hook or a rotational delay the preference
+// is not the next block, and the run is one block. Returns the first
+// block's fragment address and the number of blocks claimed.
+func (fs *FileSystem) allocBlocksMech(cgIdx int, pref Daddr, max int) (Daddr, int, error) {
 	if fs.FaultHook != nil {
 		if err := fs.FaultHook.BeforeAlloc(fs.fpb); err != nil {
-			return 0, err
+			return 0, 0, err
 		}
+		max = 1
 	}
-	if fs.freespace() < int64(fs.fpb) {
+	if fs.rotDelayFrags > 0 {
+		max = 1
+	}
+	space := fs.freespace()
+	if space < int64(fs.fpb) {
 		fs.Stats.NoSpaceFailures++
-		return 0, ErrNoSpace
+		return 0, 0, ErrNoSpace
 	}
+	// A one-block request checks the reserve before every block.
+	max = int(min(int64(max), space/int64(fs.fpb)))
 	chosen := fs.hashalloc(cgIdx, func(c *CylGroup) bool { return c.nbfree > 0 })
 	if chosen < 0 {
 		fs.Stats.NoSpaceFailures++
-		return 0, ErrNoSpace
+		return 0, 0, ErrNoSpace
 	}
 	if chosen != cgIdx {
 		fs.Stats.CgFallbacks++
@@ -103,10 +130,10 @@ func (fs *FileSystem) allocBlockMech(cgIdx int, pref Daddr) (Daddr, error) {
 	if pref != NilDaddr && pref >= c.startFrag && pref < c.startFrag+Daddr(c.nfrags) {
 		prefRel = c.relFrag(pref)
 	}
-	// hashalloc chose a group with nbfree > 0, and allocBlockNear
+	// hashalloc chose a group with nbfree > 0, and allocBlocksNear
 	// reports a group whose map disagrees as corrupt.
-	b := c.allocBlockNear(prefRel)
-	fs.Stats.BlocksAllocated++
+	b, n := c.allocBlocksNear(prefRel, max)
+	fs.Stats.BlocksAllocated += int64(n)
 	got := c.absFrag(b * fs.fpb)
 	if prefRel >= 0 {
 		if got == pref {
@@ -115,7 +142,8 @@ func (fs *FileSystem) allocBlockMech(cgIdx int, pref Daddr) (Daddr, error) {
 			fs.Stats.SameCgFallbacks++
 		}
 	}
-	return got, nil
+	fs.Stats.PrefHits += int64(n - 1)
+	return got, n, nil
 }
 
 // allocFragsMech allocates a run of n fragments (1 ≤ n < fpb),

@@ -5,9 +5,10 @@ package ffs
 // slices hanging off it) the dominant source of garbage in long runs.
 // Instead of dropping deleted files to the GC, the file system keeps a
 // per-instance free list and hands the structures back out on the next
-// create, with their Blocks/Indirects/entries capacity retained. In the
-// steady state — the regime every aging experiment spends nearly all
-// its time in — create after delete touches the heap zero times.
+// create, with their Blocks/Indirects/entries capacity retained and a
+// directory's name index cleared, not dropped. In the steady state —
+// the regime every aging experiment spends nearly all its time in —
+// create after delete touches the heap zero times.
 //
 // The pool is an implementation detail of one FileSystem: Clone builds
 // fresh Files for the copy (never aliasing pooled memory across the
@@ -85,7 +86,8 @@ func (fs *FileSystem) recycleFile(f *File) {
 	inds := f.Indirects[:0]
 	ents := f.entries
 	clear(ents) // drop child pointers so the GC can collect them
-	*f = File{Blocks: blocks, Indirects: inds, entries: ents[:0]}
+	clear(f.entryIdx)
+	*f = File{Blocks: blocks, Indirects: inds, entries: ents[:0], entryIdx: f.entryIdx}
 	fs.pool.free = append(fs.pool.free, f)
 	fs.pool.recycles++
 }

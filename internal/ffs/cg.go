@@ -394,34 +394,43 @@ func (c *CylGroup) applyPatternDelta(b int, before, after *blockPattern) {
 	}
 }
 
-// allocBlockAt claims the fully free block b. It panics if b is not
-// fully free; callers test first.
-func (c *CylGroup) allocBlockAt(b int) {
+// allocBlocksAt claims the n fully free blocks [b, b+n) with one map
+// mutation and leaves the rotor on the last. It panics if b is not
+// fully free (callers test first); mutateFrags reports any other block
+// of the run that is not.
+func (c *CylGroup) allocBlocksAt(b, n int) {
 	if !c.blkfree.Test(b) {
 		throwCorrupt("allocBlockAt", c.Index, "block %d not free", b)
 	}
 	fpb := c.fs.fpb
-	c.mutateFrags(b*fpb, (b+1)*fpb, true)
-	c.rotor = b * fpb
+	c.mutateFrags(b*fpb, (b+n)*fpb, true)
+	c.rotor = (b + n - 1) * fpb
 }
 
-// allocBlockNear allocates a fully free block, preferring the block
+// allocBlocksNear allocates a fully free block, preferring the block
 // containing prefFrag (group-relative), then scanning forward with
 // wrap-around — the ffs_mapsearch discipline, which takes the first free
 // block it meets with no regard for the free run it sits in (the
 // original policy's defect the paper studies). prefFrag < 0 means "use
-// the group rotor". Returns the block index, or -1 when the group has
-// no free block.
-func (c *CylGroup) allocBlockNear(prefFrag int) int {
+// the group rotor". The claim then extends over the free blocks right
+// after the first, up to max blocks in all and never past the group's
+// end. Returns the first block's index and the run length, or -1 when
+// the group has no free block.
+func (c *CylGroup) allocBlocksNear(prefFrag, max int) (int, int) {
 	b := c.allocBlockNearFree(prefFrag)
-	if b >= 0 {
-		c.allocBlockAt(b)
+	if b < 0 {
+		return -1, 0
 	}
-	return b
+	n := 1
+	if max > 1 && b+1 < c.nblk {
+		n += c.blkfree.RunLengthAt(b+1, max-1)
+	}
+	c.allocBlocksAt(b, n)
+	return b, n
 }
 
-// allocBlockNearFree is allocBlockNear's search without the claim: it
-// returns the free block allocBlockNear would take, or -1 when the
+// allocBlockNearFree is allocBlocksNear's search without the claim: it
+// returns the first free block allocBlocksNear would take, or -1 when the
 // group has none. The split path of allocFrags uses it to claim only
 // part of the block.
 func (c *CylGroup) allocBlockNearFree(prefFrag int) int {

@@ -103,7 +103,7 @@ func TestCgClusterAccounting(t *testing.T) {
 	// Allocate a block in the middle of the free expanse and watch the
 	// summary split.
 	mid := start + 20
-	c.allocBlockAt(mid)
+	c.allocBlocksAt(mid, 1)
 	if err := fs.checkGroups(); err != nil {
 		t.Fatalf("after single block alloc: %v", err)
 	}
@@ -117,14 +117,14 @@ func TestAllocBlockNearPrefersExact(t *testing.T) {
 	fs := newSmallFs(t)
 	c := fs.Cg(2)
 	want := c.DataStart()/fs.fpb + 5
-	got := c.allocBlockNear(want * fs.fpb)
+	got, _ := c.allocBlocksNear(want*fs.fpb, 1)
 	if got != want {
-		t.Errorf("allocBlockNear = block %d, want %d", got, want)
+		t.Errorf("allocBlocksNear = block %d, want %d", got, want)
 	}
 	// Same preference again: taken, should give the next one forward.
-	got2 := c.allocBlockNear(want * fs.fpb)
+	got2, _ := c.allocBlocksNear(want*fs.fpb, 1)
 	if got2 != want+1 {
-		t.Errorf("second allocBlockNear = %d, want %d", got2, want+1)
+		t.Errorf("second allocBlocksNear = %d, want %d", got2, want+1)
 	}
 }
 
@@ -134,10 +134,10 @@ func TestAllocBlockNearWraps(t *testing.T) {
 	// Prefer the very last block; take it, then the next request with
 	// the same preference must wrap to the front data area.
 	last := c.nblk - 1
-	if got := c.allocBlockNear(last * fs.fpb); got != last {
-		t.Fatalf("got block %d, want %d", got, last)
+	if got, n := c.allocBlocksNear(last*fs.fpb, fs.P.MaxContig); got != last || n != 1 {
+		t.Fatalf("got blocks [%d,+%d), want [%d,+1): a run stops at the group's end", got, n, last)
 	}
-	got := c.allocBlockNear(last * fs.fpb)
+	got, _ := c.allocBlocksNear(last*fs.fpb, 1)
 	if got != c.DataStart()/fs.fpb {
 		t.Errorf("wrap allocation = %d, want first data block %d", got, c.DataStart()/fs.fpb)
 	}
@@ -234,7 +234,7 @@ func TestAllocClusterExhaustion(t *testing.T) {
 	// Chop the whole group into runs of ≤2 by allocating every third
 	// block.
 	for b := c.DataStart() / fs.fpb; b < c.nblk; b += 3 {
-		c.allocBlockAt(b)
+		c.allocBlocksAt(b, 1)
 	}
 	if c.HasCluster(3) {
 		t.Fatal("HasCluster(3) true after chopping")
@@ -319,8 +319,8 @@ func TestQuickCgAccountingConsistent(t *testing.T) {
 				live[k] = live[len(live)-1]
 				live = live[:len(live)-1]
 			case rng.Intn(2) == 0:
-				if b := c.allocBlockNear(rng.Intn(c.nfrags)); b >= 0 {
-					live = append(live, alloc{b * fs.fpb, fs.fpb})
+				if b, n := c.allocBlocksNear(rng.Intn(c.nfrags), 1+rng.Intn(fs.P.MaxContig+1)); b >= 0 {
+					live = append(live, alloc{b * fs.fpb, n * fs.fpb})
 				}
 			default:
 				n := 1 + rng.Intn(fs.fpb-1)
@@ -423,7 +423,7 @@ func TestAllocFragsMatchesLinearScan(t *testing.T) {
 						}
 					}
 				case r < 0.7:
-					if b := c.allocBlockNear(rng.Intn(c.nfrags)); b >= 0 {
+					if b, _ := c.allocBlocksNear(rng.Intn(c.nfrags), 1); b >= 0 {
 						live = append(live, alloc{b * fpb, fpb})
 					}
 				default:

@@ -22,7 +22,8 @@ import (
 //  3. every file's shape is legal: size vs. block count, tail fragment
 //     rules, indirect blocks present exactly where required;
 //  4. inode maps agree with the live file table;
-//  5. directory tree linkage is coherent.
+//  5. directory tree linkage is coherent, and each directory's name
+//     index agrees with its entry table.
 func (fs *FileSystem) Check() error {
 	if err := fs.checkGroups(); err != nil {
 		return err
@@ -281,6 +282,15 @@ func (fs *FileSystem) checkFiles() error {
 }
 
 func (fs *FileSystem) checkInodesAndDirs() error {
+	// The name indexes first: the linkage checks below look names up
+	// through them.
+	for _, f := range fs.files {
+		if f.IsDir {
+			if err := f.indexDrift(); err != nil {
+				return err
+			}
+		}
+	}
 	for ino, f := range fs.files {
 		cg := fs.cgs[fs.InoToCg(ino)]
 		if cg.inodes.Test(ino % fs.ipg) {
@@ -303,12 +313,9 @@ func (fs *FileSystem) checkInodesAndDirs() error {
 			ndir[fs.InoToCg(ino)]++
 		}
 		nAlloc[fs.InoToCg(ino)]++
-		for i, e := range f.entries {
+		for _, e := range f.entries {
 			if e.file.Parent != f || e.file.Name != e.name {
 				return fmt.Errorf("dir %s: entry %q badly linked", f.Path(), e.name)
-			}
-			if i > 0 && f.entries[i-1].name >= e.name {
-				return fmt.Errorf("dir %s: entry table out of order at %q", f.Path(), e.name)
 			}
 		}
 	}

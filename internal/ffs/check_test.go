@@ -143,7 +143,7 @@ func TestCheckDetectsMissingIndirect(t *testing.T) {
 
 func TestCheckDetectsOrphanIndirect(t *testing.T) {
 	fs, f := corruptibleFs(t)
-	addr, err := fs.allocBlockMech(0, NilDaddr)
+	addr, _, err := fs.allocBlocksMech(0, NilDaddr, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -177,4 +177,24 @@ func TestCheckDetectsRenamedEntry(t *testing.T) {
 	// Caught either as a missing canonical entry or as a badly linked
 	// alias, depending on which the checker reaches first.
 	wantCheckError(t, fs, "entry")
+}
+
+func TestCheckDetectsStaleIndexSlot(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		stale func(d *File, f *File)
+	}{
+		{"slot of another entry", func(d, f *File) {
+			i, _ := d.slot(f.Name)
+			d.entryIdx[f.Name] = int32((i + 1) % len(d.entries))
+		}},
+		{"slot past the table", func(d, f *File) { d.entryIdx[f.Name] = int32(len(d.entries)) }},
+		{"name with no entry", func(d, f *File) { d.entryIdx["ghost"] = 0 }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			fs, f := corruptibleFs(t)
+			tc.stale(f.Parent, f)
+			wantCheckError(t, fs, "index")
+		})
+	}
 }

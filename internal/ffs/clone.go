@@ -7,8 +7,9 @@ import "ffsage/internal/bitset"
 // harness clones each aged image so every benchmark run starts from
 // identical state, the way the paper reran its benchmarks on freshly
 // restored aged file systems. Every File in the copy is freshly
-// allocated — nothing aliases the source's recycling pool, so the
-// clone is safe to use from another goroutine.
+// allocated, from slabs private to the copy — nothing aliases the
+// source's recycling pool, so the clone is safe to use from another
+// goroutine.
 func (fs *FileSystem) Clone() *FileSystem {
 	c := &FileSystem{
 		P:           fs.P,
@@ -47,16 +48,31 @@ func (fs *FileSystem) Clone() *FileSystem {
 			rotor:      g.rotor,
 		})
 	}
-	// First pass: copy files; second pass: rebuild the tree links.
+	// The Files, block maps and indirect lists of the copy are carved
+	// out of one slab each. First pass: copy files; second pass:
+	// rebuild the tree links through an inode-indexed table.
+	var nblocks, ninds, maxIno int
 	for ino, f := range fs.files {
-		nf := &File{
+		nblocks += len(f.Blocks)
+		ninds += len(f.Indirects)
+		maxIno = max(maxIno, ino)
+	}
+	files := make([]File, len(fs.files))
+	blocks := make([]Daddr, nblocks)
+	inds := make([]Indirect, ninds)
+	byIno := make([]*File, maxIno+1)
+	i := 0
+	for ino, f := range fs.files {
+		nf := &files[i]
+		i++
+		*nf = File{
 			Ino:        f.Ino,
 			Name:       f.Name,
 			IsDir:      f.IsDir,
 			Size:       f.Size,
-			Blocks:     append([]Daddr(nil), f.Blocks...),
+			Blocks:     carve(&blocks, f.Blocks),
 			TailFrags:  f.TailFrags,
-			Indirects:  append([]Indirect(nil), f.Indirects...),
+			Indirects:  carve(&inds, f.Indirects),
 			CreateDay:  f.CreateDay,
 			ModDay:     f.ModDay,
 			sectionCg:  f.sectionCg,
@@ -66,16 +82,18 @@ func (fs *FileSystem) Clone() *FileSystem {
 		if f.IsDir && len(f.entries) > 0 {
 			nf.entries = make([]dirEnt, len(f.entries))
 		}
+		byIno[ino] = nf
 		c.files[ino] = nf
 	}
 	for ino, f := range fs.files {
-		nf := c.files[ino]
+		nf := byIno[ino]
 		if f.Parent != nil {
-			nf.Parent = c.files[f.Parent.Ino]
+			nf.Parent = byIno[f.Parent.Ino]
 		}
-		// The source table is sorted; copying positionally keeps it so.
+		// Entries keep their slots; the copy builds its name index on
+		// first use.
 		for i, e := range f.entries {
-			nf.entries[i] = dirEnt{name: e.name, file: c.files[e.file.Ino]}
+			nf.entries[i] = dirEnt{name: e.name, file: byIno[e.file.Ino]}
 		}
 	}
 	c.root = c.files[fs.root.Ino]
@@ -87,6 +105,21 @@ func (fs *FileSystem) Clone() *FileSystem {
 func (fs *FileSystem) WithPolicy(p Policy) *FileSystem {
 	fs.policy = p
 	return fs
+}
+
+// carve copies src into the front of *slab, advances *slab past it
+// and returns the copy. The copy's capacity is capped at its length, so
+// appending to it reallocates instead of overwriting the next file's
+// slots. An empty src yields nil, as a fresh copy would.
+func carve[T any](slab *[]T, src []T) []T {
+	n := len(src)
+	if n == 0 {
+		return nil
+	}
+	dst := (*slab)[:n:n]
+	copy(dst, src)
+	*slab = (*slab)[n:]
+	return dst
 }
 
 // cloneSets deep-copies a slice of bitsets, keeping nil slots nil.

@@ -1,10 +1,12 @@
 package ffs
 
 import (
+	"bytes"
 	"fmt"
 	"sort"
 	"sync"
 	"testing"
+	"unsafe"
 )
 
 // populate fills fs with n small files of varying shapes under a few
@@ -186,5 +188,65 @@ func TestCloneFileIndependence(t *testing.T) {
 	}
 	if err := fs.Check(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestCloneSlabAliasing grows a cloned file, its neighbour in the
+// clone's block-map slab, and the source file, then compares every
+// block map with a per-file deep copy — an image round trip that went
+// through the same operations. A copy whose capacity ran past its
+// length would let the first append overwrite the neighbour's blocks.
+func TestCloneSlabAliasing(t *testing.T) {
+	src := newSmallFs(t)
+	populate(t, src, 40)
+	roundTrip := func() *FileSystem {
+		fs, err := LoadImage(bytes.NewReader(imageBytes(t, src)), nopPolicy{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return fs
+	}
+	srcRef, cloneRef := roundTrip(), roundTrip()
+	clone := src.Clone()
+
+	// Find two plain files whose block maps sit back to back in the
+	// clone's slab.
+	var a, b *File
+	addr := func(f *File) uintptr { return uintptr(unsafe.Pointer(unsafe.SliceData(f.Blocks))) }
+	for _, f := range clone.files {
+		if f.IsDir || len(f.Blocks) == 0 {
+			continue
+		}
+		end := addr(f) + uintptr(len(f.Blocks))*unsafe.Sizeof(Daddr(0))
+		for _, g := range clone.files {
+			if !g.IsDir && len(g.Blocks) > 0 && addr(g) == end && (a == nil || f.Ino < a.Ino) {
+				a, b = f, g
+			}
+		}
+	}
+	if a == nil {
+		t.Fatal("no two plain files are slab neighbours")
+	}
+	bs := int64(src.P.BlockSize)
+	grow := func(fs *FileSystem, ino int, n int64) {
+		t.Helper()
+		if err := fs.Append(fs.files[ino], n, 1); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, fs := range []*FileSystem{clone, cloneRef} {
+		grow(fs, a.Ino, 3*bs)
+		grow(fs, b.Ino, 2*bs+bs/3)
+	}
+	for _, fs := range []*FileSystem{src, srcRef} {
+		grow(fs, a.Ino, 5*bs)
+	}
+	for _, pair := range [][2]*FileSystem{{clone, cloneRef}, {src, srcRef}} {
+		if err := sameFiles(pair[0], pair[1]); err != nil {
+			t.Fatal(err)
+		}
+		if err := pair[0].Check(); err != nil {
+			t.Fatal(err)
+		}
 	}
 }

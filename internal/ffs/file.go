@@ -22,9 +22,11 @@ type File struct {
 	Indirects []Indirect
 
 	Parent *File
-	// entries is the directory entry table, sorted by name; see
+	// entries is the directory entry table in slot order, and
+	// entryIdx maps each name to its slot, built on first use; see
 	// entries.go. Directories only.
-	entries []dirEnt
+	entries  []dirEnt
+	entryIdx map[string]int32
 
 	CreateDay int
 	ModDay    int
@@ -166,30 +168,33 @@ func (fs *FileSystem) Append(f *File, n int64, day int) (err error) {
 				break
 			}
 		}
-		// Full block.
+		// Full blocks, claimed a run at a time up to the next flush
+		// point, the next section start or the fragment tail.
 		if fs.isSectionStart(lbn) {
 			flush(lbn)
 			if err := fs.enterSection(f, lbn); err != nil {
 				return fail(err)
 			}
 		}
+		start := runStart
+		if start < 0 {
+			start = lbn
+		}
+		want := min(fs.fullBlocksAhead(lbn, bytesLeft), start+fs.P.MaxContig-lbn, fs.nextSectionStart(lbn)-lbn)
 		cgIdx, pref := fs.blkpref(f, lbn)
-		addr, err := fs.allocBlockMech(cgIdx, pref)
+		addr, k, err := fs.allocBlocksMech(cgIdx, pref, want)
 		if err != nil {
 			return fail(err)
 		}
-		f.Blocks = append(f.Blocks, addr)
+		for i := range k {
+			f.Blocks = append(f.Blocks, addr+Daddr(i*fpb))
+		}
 		f.TailFrags = fpb
-		if runStart < 0 {
-			runStart = lbn
+		runStart = start
+		if lbn+k-runStart == fs.P.MaxContig {
+			flush(lbn + k)
 		}
-		if lbn+1-runStart == fs.P.MaxContig {
-			flush(lbn + 1)
-		}
-		take := bs
-		if bytesLeft < bs {
-			take = bytesLeft
-		}
+		take := min(int64(k)*bs, bytesLeft)
 		appended += take
 		bytesLeft -= take
 	}
@@ -198,6 +203,18 @@ func (fs *FileSystem) Append(f *File, n int64, day int) (err error) {
 	fs.Stats.BytesWritten += appended
 	fs.relayout(f)
 	return nil
+}
+
+// fullBlocksAhead returns how many full blocks Append writes from lbn
+// on to hold bytesLeft more bytes: all of them, unless the last falls
+// in the direct range and fits in a fragment tail.
+func (fs *FileSystem) fullBlocksAhead(lbn int, bytesLeft int64) int {
+	bs := int64(fs.P.BlockSize)
+	n := int((bytesLeft + bs - 1) / bs)
+	if lbn+n-1 < NDirect && fs.fragsForBytes(bytesLeft-int64(n-1)*bs) < fs.fpb {
+		n--
+	}
+	return n
 }
 
 // growTail extends f's fragment tail to targetFrags fragments, in place
@@ -223,7 +240,7 @@ func (fs *FileSystem) growTail(f *File, targetFrags int) error {
 	var newAddr Daddr
 	var err error
 	if targetFrags == fpb {
-		newAddr, err = fs.allocBlockMech(cgIdx, pref)
+		newAddr, _, err = fs.allocBlocksMech(cgIdx, pref, 1)
 	} else {
 		newAddr, err = fs.allocFragsMech(cgIdx, pref, targetFrags)
 	}
@@ -259,13 +276,13 @@ func (fs *FileSystem) enterSection(f *File, lbn int) error {
 	}
 	if idx == 1 {
 		// First double-indirect child: the parent is allocated too.
-		addr, err := fs.allocBlockMech(f.sectionCg, fs.frontPref(f.sectionCg))
+		addr, _, err := fs.allocBlocksMech(f.sectionCg, fs.frontPref(f.sectionCg), 1)
 		if err != nil {
 			return err
 		}
 		f.Indirects = append(f.Indirects, Indirect{BeforeLbn: lbn, Addr: addr, Level: 2})
 	}
-	addr, err := fs.allocBlockMech(f.sectionCg, fs.frontPref(f.sectionCg))
+	addr, _, err := fs.allocBlocksMech(f.sectionCg, fs.frontPref(f.sectionCg), 1)
 	if err != nil {
 		return err
 	}

@@ -16,8 +16,8 @@ func TestFreeRunHistogram(t *testing.T) {
 	c := fs.Cg(1)
 	base := c.DataStart() / fs.fpb
 	for i := 0; i < 10; i++ {
-		c.allocBlockAt(base + 2*i)
-		c.allocBlockAt(base + 2*i + 1)
+		c.allocBlocksAt(base+2*i, 1)
+		c.allocBlocksAt(base+2*i+1, 1)
 	}
 	for i := 0; i < 10; i++ {
 		c.freeFrags((base+2*i)*fs.fpb, fs.fpb)
@@ -42,7 +42,7 @@ func TestCgUtilizations(t *testing.T) {
 	// Fill one group and watch its utilization rise above the others.
 	c := fs.Cg(2)
 	for c.NBFree() > 0 {
-		c.allocBlockNear(-1)
+		c.allocBlocksNear(-1, 1)
 	}
 	u2 := fs.CgUtilizations()
 	if u2[2] < 0.9 {

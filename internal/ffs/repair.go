@@ -179,9 +179,13 @@ func (fs *FileSystem) repairTree(inos []int, rep *RepairReport) {
 	}
 
 	// Count the entry-table damage the rebuild below will erase: stale
-	// or aliased entries, and canonical entries that are missing.
+	// or aliased entries, canonical entries that are missing, and name
+	// indexes that disagree with their tables.
 	for _, ino := range inos {
 		f := fs.files[ino]
+		if f.IsDir && f.indexDrift() != nil {
+			rep.RelinkedFiles++
+		}
 		for _, e := range f.entries {
 			if !f.IsDir || !live(e.file) || e.file.Parent != f || e.file.Name != e.name {
 				rep.RelinkedFiles++
@@ -199,6 +203,7 @@ func (fs *FileSystem) repairTree(inos []int, rep *RepairReport) {
 		f := fs.files[ino]
 		clear(f.entries)
 		f.entries = f.entries[:0]
+		clear(f.entryIdx)
 	}
 
 	// Reattach files whose parent is dead, not a directory, or itself.

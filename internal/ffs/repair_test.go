@@ -66,7 +66,7 @@ func TestRepairFixesEachCorruptionClass(t *testing.T) {
 			f.Indirects = nil
 		}},
 		{"orphan indirect", func(fs *FileSystem, f *File) {
-			addr, err := fs.allocBlockMech(0, NilDaddr)
+			addr, _, err := fs.allocBlocksMech(0, NilDaddr, 1)
 			if err != nil {
 				panic(err)
 			}
@@ -85,6 +85,14 @@ func TestRepairFixesEachCorruptionClass(t *testing.T) {
 			parent := f.Parent
 			parent.deleteEntry(f.Name)
 			parent.putEntry("sneaky", f)
+		}},
+		{"stale index slot", func(fs *FileSystem, f *File) {
+			d := f.Parent
+			i, _ := d.slot(f.Name)
+			d.entryIdx[f.Name] = int32((i + 1) % len(d.entries))
+		}},
+		{"index name with no entry", func(fs *FileSystem, f *File) {
+			f.Parent.entryIdx["ghost"] = 0
 		}},
 		{"layout counter drift", func(fs *FileSystem, f *File) {
 			fs.layoutOpt++
@@ -241,8 +249,8 @@ func TestImageRoundTripPreservesAllocatorState(t *testing.T) {
 	}
 	// Future allocations are identical: byte-identical resume depends on
 	// this.
-	a1, err1 := fs.allocBlockMech(1, NilDaddr)
-	a2, err2 := loaded.allocBlockMech(1, NilDaddr)
+	a1, _, err1 := fs.allocBlocksMech(1, NilDaddr, 1)
+	a2, _, err2 := loaded.allocBlocksMech(1, NilDaddr, 1)
 	if err1 != nil || err2 != nil {
 		t.Fatalf("alloc errors: %v, %v", err1, err2)
 	}
@@ -339,4 +347,36 @@ func TestRunDiagnosticsNameFirstFragment(t *testing.T) {
 			t.Fatal("the failed cluster claimed fragments")
 		}
 	})
+}
+
+// TestRepairRebuildsNameIndex swaps two names' slots in a directory's
+// index and adds a name with no entry: Repair must report the damage
+// and rebuild the index so every entry resolves to its own file again,
+// with the file tree unchanged.
+func TestRepairRebuildsNameIndex(t *testing.T) {
+	fs, f := corruptibleFs(t)
+	d := f.Parent
+	i, _ := d.slot("victim")
+	j, _ := d.slot("tail")
+	d.entryIdx["victim"], d.entryIdx["tail"] = int32(j), int32(i)
+	d.entryIdx["ghost"] = 0
+	wantCheckError(t, fs, "index")
+	rep := mustRepair(t, fs)
+	if rep.RelinkedFiles == 0 {
+		t.Fatalf("index damage not reported: %v", rep)
+	}
+	if rep.ReattachedOrphans != 0 || rep.RenamedFiles != 0 {
+		t.Fatalf("repair moved files for index damage: %v", rep)
+	}
+	if _, ok := d.entryIdx["ghost"]; ok {
+		t.Fatal("stale name survived the rebuild")
+	}
+	for _, e := range d.entries {
+		if got, ok := d.lookupEntry(e.name); !ok || got != e.file || e.file.Parent != d {
+			t.Fatalf("entry %q does not resolve to its file after repair", e.name)
+		}
+	}
+	if got, ok := fs.Lookup(d, "victim"); !ok || got != f {
+		t.Fatal("victim lost its entry")
+	}
 }

@@ -13,7 +13,7 @@
 // byte-identical across runs. cmd/perfbench drives this package from
 // the command line, the root bench_test.go drives the same registry
 // through `go test -bench`, and CI's bench-smoke job compares a fresh
-// quick-suite run against the committed BENCH_9.json baseline with the
+// quick-suite run against the committed BENCH_10.json baseline with the
 // noise-aware detector in compare.go.
 //
 // The package sits under ffsvet's detrand analyzer like every other
