@@ -18,11 +18,12 @@ var updateGolden = flag.Bool("update", false, "rewrite the golden files in testd
 // TestQuickGolden pins the quick-scale exhibits: it runs the equivalent
 // of
 //
-//	repro -quick -ablations -policies all -md … -metrics … -events … -spans-jsonl …
+//	repro -quick -ablations -profiles -busstudy -policies all -md … -metrics … -events … -spans-jsonl …
 //
 // and byte-compares the markdown report (which embeds the tournament
-// report) and the metrics snapshot against testdata. The event and span
-// streams are pinned by SHA-256 (the span stream is megabytes). Every
+// report and the profile and bus-bandwidth studies) and the metrics
+// snapshot against testdata. The event and span streams are pinned by
+// SHA-256 (the span stream is megabytes). Every
 // refactor of the allocator, the policies or the experiment drivers
 // must leave these bytes unchanged; if a change is meant to move them,
 // regenerate with:
@@ -34,7 +35,7 @@ func TestQuickGolden(t *testing.T) {
 	}
 	dir := t.TempDir()
 	out := func(name string) string { return filepath.Join(dir, name) }
-	o := options{seed: 1996, quick: true, ablations: true, policies: "all",
+	o := options{seed: 1996, quick: true, ablations: true, profiles: true, busStudy: true, policies: "all",
 		mdPath: out("report.md"), metrics: out("metrics.txt"),
 		events: out("events.jsonl"), spansJSONL: out("spans.jsonl")}
 
