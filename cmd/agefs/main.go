@@ -25,12 +25,11 @@ func main() {
 		imageOut = flag.String("image", "", "save the aged image here")
 		csvOut   = flag.String("csv", "", "write day,layout,utilization CSV here")
 		check    = flag.Int("check", 0, "run the consistency checker every N days (0 = off)")
-		arena    = flag.String("arena", "on", "File-recycling arena: on or off (off is a cross-check; results are identical)")
 		faultStr = flag.String("faults", "", "fault plan to inject, e.g. tear@op:5000 (see internal/faults)")
 		quiet    = flag.Bool("q", false, "suppress per-day progress")
 	)
 	flag.Parse()
-	err := run(*wlPath, *policy, *imageOut, *csvOut, *check, *arena, *faultStr, *quiet)
+	err := run(*wlPath, *policy, *imageOut, *csvOut, *check, *faultStr, *quiet)
 	var crash *faults.Crash
 	if errors.As(err, &crash) {
 		// The interrupted (possibly corrupt) image was still saved, for
@@ -48,15 +47,8 @@ func pickPolicy(name string) (ffs.Policy, error) {
 	return ffspolicy.Resolve(name)
 }
 
-func run(wlPath, policyName, imageOut, csvOut string, check int, arena, faultStr string, quiet bool) error {
+func run(wlPath, policyName, imageOut, csvOut string, check int, faultStr string, quiet bool) error {
 	opts := aging.Options{CheckEvery: check}
-	switch arena {
-	case "", "on":
-	case "off":
-		opts.NoArena = true
-	default:
-		return fmt.Errorf("-arena=%s: want on or off", arena)
-	}
 
 	f, err := os.Open(wlPath)
 	if err != nil {

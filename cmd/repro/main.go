@@ -6,7 +6,7 @@
 // Usage:
 //
 //	repro [-seed N] [-quick] [-days N] [-only fig2,table2,tournament] [-ablations]
-//	      [-busstudy] [-profiles] [-policies all|a,b] [-fragments dir] [-j N] [-slowscore]
+//	      [-busstudy] [-profiles] [-policies all|a,b] [-fragments dir] [-j N]
 //	      [-faults spec] [-checkpoint-every K] [-checkpoint-dir dir] [-resume]
 //	      [-md out.md] [-svg dir] [-metrics out.metrics] [-events out.jsonl]
 //	      [-spans out.trace.json] [-spans-jsonl out.spans.jsonl]
@@ -72,8 +72,6 @@ func main() {
 		fragDir    = flag.String("fragments", "", "also write each tournament policy's report fragment to <dir>/<slug>.frag")
 		assemble   = flag.String("assemble", "", "render only the tournament section, from the fragments in this directory, without simulating")
 		jobs       = flag.Int("j", 0, "max concurrent jobs (0 = GOMAXPROCS)")
-		slowScore  = flag.Bool("slowscore", false, "compute daily layout scores by full rescan (cross-check of the incremental counters)")
-		arena      = flag.String("arena", "on", "File-recycling arena for the aging replays: on or off (off is a cross-check; results are identical)")
 		faultSpec  = flag.String("faults", "", "fault plan for the aging replays, e.g. crash@day:30 or ioerr@alloc:5000 (see internal/faults)")
 		ckptEvery  = flag.Int("checkpoint-every", 0, "checkpoint the aging replays every K simulated days (needs -checkpoint-dir)")
 		ckptDir    = flag.String("checkpoint-dir", "", "directory holding aging checkpoints")
@@ -112,7 +110,6 @@ func main() {
 	}
 	err := run(options{seed: *seed, quick: *quick, days: *days, only: *only, ablations: *ablations,
 		profiles: *profiles, busStudy: *busStudy, policies: *policies, fragDir: *fragDir, assemble: *assemble,
-		slowScore: *slowScore, arena: *arena,
 		faults: *faultSpec, ckptEvery: *ckptEvery, ckptDir: *ckptDir, resume: *resume,
 		mdPath: *mdPath, svgDir: *svgDir, metrics: *metricsOut, events: *eventsOut,
 		spans: *spansOut, spansJSONL: *spansJSONL})
@@ -186,8 +183,6 @@ type options struct {
 	policies   string
 	fragDir    string
 	assemble   string
-	slowScore  bool
-	arena      string
 	faults     string
 	ckptEvery  int
 	ckptDir    string
@@ -321,19 +316,11 @@ func run(o options) error {
 		cfg = experiments.Quick(seed)
 		scale = "quick scale"
 	}
-	cfg.SlowScore = o.slowScore
 	if o.days > 0 {
 		cfg.WorkloadCfg.Days = o.days
 	}
 	if cfg.HotWindow >= cfg.WorkloadCfg.Days {
 		cfg.HotWindow = cfg.WorkloadCfg.Days / 2
-	}
-	switch o.arena {
-	case "", "on":
-	case "off":
-		cfg.NoArena = true
-	default:
-		return fmt.Errorf("-arena=%s: want on or off", o.arena)
 	}
 	rec, err := recoveryConfig(o)
 	if err != nil {

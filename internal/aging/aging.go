@@ -19,11 +19,9 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"strconv"
 
 	"ffsage/internal/faults"
 	"ffsage/internal/ffs"
-	"ffsage/internal/layout"
 	"ffsage/internal/obs"
 	"ffsage/internal/stats"
 	"ffsage/internal/trace"
@@ -36,12 +34,6 @@ type Options struct {
 	CheckEvery int
 	// Progress, when non-nil, receives a callback after each day.
 	Progress func(day int, score float64, util float64)
-	// SlowScore computes the daily layout score with the full
-	// O(files × blocks) rescan instead of the file system's
-	// incrementally maintained counters. The two are equal by
-	// construction (tests and Check() assert it); the rescan survives
-	// as a cross-check path behind cmd/repro's -slowscore flag.
-	SlowScore bool
 
 	// Faults, when non-nil and non-empty, is installed as the
 	// allocator's fault hook and polled for crashes at every operation
@@ -64,12 +56,6 @@ type Options struct {
 	// so they are intentionally outside the resume-determinism contract;
 	// the resume-safe summary lives in PublishResult.
 	Obs *obs.Scope
-
-	// NoArena disables the file system's File-recycling pool for this
-	// replay (the -arena=off escape hatch). Allocation decisions are
-	// identical either way; the differential tests assert byte-identical
-	// results.
-	NoArena bool
 
 	// Ctx, when non-nil, is polled at every operation and day boundary.
 	// Once it is cancelled the replay stops, emits a final checkpoint at
@@ -121,7 +107,7 @@ func ReplayOn(fsys *ffs.FileSystem, wl *trace.Workload, opts Options) (*Result, 
 	if len(wl.Ops) == 0 {
 		return nil, fmt.Errorf("aging: empty workload")
 	}
-	dirs, err := GroupDirectories(fsys)
+	st, err := NewStepper(fsys)
 	if err != nil {
 		return nil, err
 	}
@@ -130,11 +116,7 @@ func ReplayOn(fsys *ffs.FileSystem, wl *trace.Workload, opts Options) (*Result, 
 		LayoutByDay: make(stats.Series, 0, wl.Days),
 		UtilByDay:   make(stats.Series, 0, wl.Days),
 	}
-	if opts.NoArena {
-		fsys.SetPooling(false)
-	}
-	byID := make(map[int64]*ffs.File, 1024)
-	return replayFrom(fsys, wl, opts, dirs, byID, res, 0, wl.Ops[0].Day)
+	return replayFrom(st, wl, opts, res, 0, wl.Ops[0].Day)
 }
 
 // ResumeReplay continues a checkpointed replay to completion. The
@@ -167,20 +149,15 @@ func ResumeReplay(policy ffs.Policy, wl *trace.Workload, cp *trace.Checkpoint, o
 	if err != nil {
 		return nil, fmt.Errorf("aging: loading checkpoint image: %w", err)
 	}
-	if opts.NoArena {
-		fsys.SetPooling(false)
-	}
-	dirs, err := GroupDirectories(fsys)
+	st, err := NewStepper(fsys)
 	if err != nil {
 		return nil, err
 	}
+	st.Skipped, st.NoSpace, st.Faulted = int(cp.SkippedOps), int(cp.NoSpaceOps), int(cp.FaultedOps)
 	res := &Result{
 		Fs:          fsys,
 		LayoutByDay: make(stats.Series, 0, wl.Days),
 		UtilByDay:   make(stats.Series, 0, wl.Days),
-		SkippedOps:  int(cp.SkippedOps),
-		NoSpaceOps:  int(cp.NoSpaceOps),
-		FaultedOps:  int(cp.FaultedOps),
 	}
 	for k, v := range cp.LayoutByDay {
 		res.LayoutByDay = append(res.LayoutByDay, stats.TimePoint{Day: firstDay + k, Value: v})
@@ -188,30 +165,15 @@ func ResumeReplay(policy ffs.Policy, wl *trace.Workload, cp *trace.Checkpoint, o
 	for k, v := range cp.UtilByDay {
 		res.UtilByDay = append(res.UtilByDay, stats.TimePoint{Day: firstDay + k, Value: v})
 	}
-	// The replayer keys live files by workload ID, and every file it
-	// creates is named after its ID, so the index rebuilds from names.
-	byID := make(map[int64]*ffs.File, len(fsys.Files()))
-	for _, f := range fsys.Files() {
-		if f.IsDir {
-			continue
-		}
-		id, err := strconv.ParseInt(f.Name, 10, 64)
-		if err != nil {
-			return nil, fmt.Errorf("aging: checkpoint image has non-workload file %q", f.Name)
-		}
-		if byID[id] != nil {
-			return nil, fmt.Errorf("aging: checkpoint image has two files for id %d", id)
-		}
-		byID[id] = f
-	}
-	return replayFrom(fsys, wl, opts, dirs, byID, res, cp.NextOp, cp.Day+1)
+	return replayFrom(st, wl, opts, res, cp.NextOp, cp.Day+1)
 }
 
-// replayFrom is the replay core: it applies wl.Ops[startOp:] with the
-// day cursor starting at day, recording each completed day into res.
-func replayFrom(fsys *ffs.FileSystem, wl *trace.Workload, opts Options, dirs []*ffs.File,
-	byID map[int64]*ffs.File, res *Result, startOp, day int) (*Result, error) {
-
+// replayFrom is the replay core: it applies wl.Ops[startOp:] through
+// st with the day cursor starting at day, recording each completed day
+// into res. res's op counters are the stepper's, as of the return.
+func replayFrom(st *Stepper, wl *trace.Workload, opts Options, res *Result, startOp, day int) (*Result, error) {
+	fsys := st.fsys
+	defer func() { res.SkippedOps, res.NoSpaceOps, res.FaultedOps = st.Skipped, st.NoSpace, st.Faulted }()
 	if opts.CheckpointEvery > 0 && opts.Checkpoint == nil {
 		return nil, fmt.Errorf("aging: CheckpointEvery set without a Checkpoint sink")
 	}
@@ -239,9 +201,9 @@ func replayFrom(fsys *ffs.FileSystem, wl *trace.Workload, opts Options, dirs []*
 		cp := &trace.Checkpoint{
 			Day:          lastDay,
 			NextOp:       nextOp,
-			SkippedOps:   int64(res.SkippedOps),
-			NoSpaceOps:   int64(res.NoSpaceOps),
-			FaultedOps:   int64(res.FaultedOps),
+			SkippedOps:   int64(st.Skipped),
+			NoSpaceOps:   int64(st.NoSpace),
+			FaultedOps:   int64(st.Faulted),
 			LayoutByDay:  res.LayoutByDay.Values(),
 			UtilByDay:    res.UtilByDay.Values(),
 			WorkloadHash: wlHash,
@@ -278,12 +240,9 @@ func replayFrom(fsys *ffs.FileSystem, wl *trace.Workload, opts Options, dirs []*
 	// index of the first operation not yet applied, i.e. the resume
 	// cursor a checkpoint taken now must carry.
 	endDay := func(nextOp int) error {
-		// O(1) per day from the allocator's incremental counters; the
-		// SlowScore rescan is the equal-by-construction cross-check.
+		// O(1) per day from the allocator's incremental counters, which
+		// Check() and the tests compare against a full rescan.
 		score := fsys.LayoutScore()
-		if opts.SlowScore {
-			score = layout.FsAggregate(fsys)
-		}
 		util := fsys.Utilization()
 		res.LayoutByDay = append(res.LayoutByDay, stats.TimePoint{Day: day, Value: score})
 		res.UtilByDay = append(res.UtilByDay, stats.TimePoint{Day: day, Value: util})
@@ -303,25 +262,6 @@ func replayFrom(fsys *ffs.FileSystem, wl *trace.Workload, opts Options, dirs []*
 		return nil
 	}
 
-	// skippable reports whether a create/rewrite failure is one the
-	// replay absorbs (the op is lost, the run continues): allocation
-	// exhaustion, as in the paper's 90%-full runs, or an injected fault.
-	skippable := func(err error) bool {
-		if errors.Is(err, ffs.ErrNoSpace) || errors.Is(err, ffs.ErrNoInodes) {
-			res.NoSpaceOps++
-			return true
-		}
-		if errors.Is(err, faults.ErrInjected) {
-			res.FaultedOps++
-			if runTr != nil {
-				runTr.Emit(float64(day), "fault", obs.I("day", int64(day)))
-			}
-			return true
-		}
-		return false
-	}
-
-	st := newStepper(fsys, dirs, byID)
 	for i := startOp; i < len(wl.Ops); i++ {
 		if opts.Ctx != nil && opts.Ctx.Err() != nil {
 			return res, interrupted(i)
@@ -343,19 +283,12 @@ func replayFrom(fsys *ffs.FileSystem, wl *trace.Workload, opts Options, dirs []*
 			}
 			return res, fmt.Errorf("aging: %w", c)
 		}
-		if op.Cg < 0 || op.Cg >= len(dirs) {
-			return res, fmt.Errorf("aging: op cg %d outside [0,%d)", op.Cg, len(dirs))
-		}
-		applied, err := st.applyOp(op)
-		if err != nil {
-			if skippable(err) {
-				res.SkippedOps++
-				continue
-			}
+		faulted := st.Faulted
+		if err := st.Apply(op); err != nil {
 			return res, err
 		}
-		if !applied {
-			res.SkippedOps++
+		if st.Faulted != faulted && runTr != nil {
+			runTr.Emit(float64(day), "fault", obs.I("day", int64(day)))
 		}
 	}
 	// Record the in-progress day and pad out idle trailing days. A

@@ -198,33 +198,27 @@ func TestReplaySurvivesFullDisk(t *testing.T) {
 
 // TestIncrementalScoreEqualsRescan replays a workload under both
 // policies and asserts that the O(1) incremental layout score recorded
-// each day is bit-identical to the full O(files × blocks) rescan —
-// the equality the repro pipeline's -slowscore cross-check relies on.
+// each day is bit-identical to the full O(files × blocks) rescan of
+// that day's file system.
 func TestIncrementalScoreEqualsRescan(t *testing.T) {
 	wl := testWorkload(7, 15)
 	for _, pol := range []ffs.Policy{core.Original{}, core.Realloc{}} {
-		fast, err := Replay(testParams(), pol, wl, Options{})
+		fsys, err := ffs.NewFileSystem(testParams(), pol)
 		if err != nil {
-			t.Fatalf("%s fast: %v", pol.Name(), err)
+			t.Fatal(err)
 		}
-		slow, err := Replay(testParams(), pol, wl, Options{SlowScore: true})
-		if err != nil {
-			t.Fatalf("%s slow: %v", pol.Name(), err)
-		}
-		if len(fast.LayoutByDay) != len(slow.LayoutByDay) {
-			t.Fatalf("%s: series lengths %d vs %d", pol.Name(),
-				len(fast.LayoutByDay), len(slow.LayoutByDay))
-		}
-		for i := range fast.LayoutByDay {
-			f, s := fast.LayoutByDay[i], slow.LayoutByDay[i]
-			if f.Day != s.Day || f.Value != s.Value {
-				t.Fatalf("%s day %d: incremental %v, rescan %v",
-					pol.Name(), f.Day, f.Value, s.Value)
+		days := 0
+		res, err := ReplayOn(fsys, wl, Options{Progress: func(day int, score, _ float64) {
+			days++
+			if want := layout.FsAggregate(fsys); score != want {
+				t.Fatalf("%s day %d: incremental %v, rescan %v", pol.Name(), day, score, want)
 			}
+		}})
+		if err != nil {
+			t.Fatalf("%s: %v", pol.Name(), err)
 		}
-		// The end-state counters agree with the rescan too.
-		if got, want := fast.Fs.LayoutScore(), layout.FsAggregate(fast.Fs); got != want {
-			t.Fatalf("%s: final LayoutScore %v, FsAggregate %v", pol.Name(), got, want)
+		if days != wl.Days || len(res.LayoutByDay) != wl.Days {
+			t.Fatalf("%s: %d progress calls, %d recorded days, want %d", pol.Name(), days, len(res.LayoutByDay), wl.Days)
 		}
 	}
 }

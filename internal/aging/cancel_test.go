@@ -73,9 +73,9 @@ func TestCancelledReplayCheckpointsAndResumesByteIdentical(t *testing.T) {
 		}
 		sameSeries(t, "layout", resumed.LayoutByDay, ref.LayoutByDay)
 		sameSeries(t, "util", resumed.UtilByDay, ref.UtilByDay)
-		if resumed.SkippedOps != ref.SkippedOps || resumed.NoSpaceOps != ref.NoSpaceOps {
-			t.Fatalf("n=%d: resumed counters %d/%d, want %d/%d",
-				n, resumed.SkippedOps, resumed.NoSpaceOps, ref.SkippedOps, ref.NoSpaceOps)
+		if resumed.SkippedOps != ref.SkippedOps || resumed.NoSpaceOps != ref.NoSpaceOps || resumed.FaultedOps != ref.FaultedOps {
+			t.Fatalf("n=%d: resumed counters %d/%d/%d, want %d/%d/%d",
+				n, resumed.SkippedOps, resumed.NoSpaceOps, resumed.FaultedOps, ref.SkippedOps, ref.NoSpaceOps, ref.FaultedOps)
 		}
 		if got, want := resumed.Fs.LayoutScore(), ref.Fs.LayoutScore(); got != want {
 			t.Fatalf("n=%d: resumed layout %v, want %v", n, got, want)

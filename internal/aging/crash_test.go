@@ -120,9 +120,9 @@ func TestCrashRecoveryDifferential(t *testing.T) {
 			}
 			sameSeries(t, "layout", resumed.LayoutByDay, ref.LayoutByDay)
 			sameSeries(t, "util", resumed.UtilByDay, ref.UtilByDay)
-			if resumed.SkippedOps != ref.SkippedOps || resumed.NoSpaceOps != ref.NoSpaceOps {
-				t.Fatalf("resumed counters %d/%d, want %d/%d",
-					resumed.SkippedOps, resumed.NoSpaceOps, ref.SkippedOps, ref.NoSpaceOps)
+			if resumed.SkippedOps != ref.SkippedOps || resumed.NoSpaceOps != ref.NoSpaceOps || resumed.FaultedOps != ref.FaultedOps {
+				t.Fatalf("resumed counters %d/%d/%d, want %d/%d/%d",
+					resumed.SkippedOps, resumed.NoSpaceOps, resumed.FaultedOps, ref.SkippedOps, ref.NoSpaceOps, ref.FaultedOps)
 			}
 			if err := resumed.Fs.Check(); err != nil {
 				t.Fatalf("resumed fs: %v", err)
@@ -189,6 +189,39 @@ func TestInjectedAllocFaultIsAbsorbed(t *testing.T) {
 	}
 	if err := res.Fs.Check(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestResumeKeepsFaultedOps: an injected fault before a crash is
+// counted in the checkpoint, so a resumed replay ends with the
+// counters and series of an uninterrupted run under the same fault.
+func TestResumeKeepsFaultedOps(t *testing.T) {
+	wl := testWorkload(11, 8)
+	ref, err := Replay(testParams(), core.Original{}, wl, Options{Faults: faults.MustParse("ioerr@alloc:40")})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ref.FaultedOps != 1 {
+		t.Fatalf("reference FaultedOps %d, want 1", ref.FaultedOps)
+	}
+	var cps []*trace.Checkpoint
+	_, err = Replay(testParams(), core.Original{}, wl, Options{
+		Faults:          faults.MustParse("ioerr@alloc:40,crash@day:5"),
+		CheckpointEvery: 1,
+		Checkpoint:      collectCheckpoints(t, &cps),
+	})
+	var crash *faults.Crash
+	if !errors.As(err, &crash) || len(cps) == 0 {
+		t.Fatalf("replay ended with %v after %d checkpoints, want a crash after one", err, len(cps))
+	}
+	resumed, err := ResumeReplay(core.Original{}, wl, cps[len(cps)-1], Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sameSeries(t, "layout", resumed.LayoutByDay, ref.LayoutByDay)
+	if resumed.SkippedOps != ref.SkippedOps || resumed.NoSpaceOps != ref.NoSpaceOps || resumed.FaultedOps != ref.FaultedOps {
+		t.Fatalf("resumed counters %d/%d/%d, want %d/%d/%d",
+			resumed.SkippedOps, resumed.NoSpaceOps, resumed.FaultedOps, ref.SkippedOps, ref.NoSpaceOps, ref.FaultedOps)
 	}
 }
 

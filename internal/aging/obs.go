@@ -1,7 +1,6 @@
 package aging
 
 import (
-	"ffsage/internal/ffs"
 	"ffsage/internal/obs"
 	"ffsage/internal/trace"
 )
@@ -135,19 +134,4 @@ func publishSpans(sc *obs.Scope, res *Result, wl *trace.Workload) {
 	}
 	tr.End(float64(days[len(days)-1].Day),
 		obs.F("final.layout", days[len(days)-1].Value))
-}
-
-// PublishArenaStats publishes the file system's File-recycling pool
-// counters into the scope. These describe this process's execution,
-// not the simulated disk state — a resumed run starts with an empty
-// pool and legitimately reports different numbers — so they are kept
-// out of PublishResult and its resume-determinism contract; callers
-// that want them (cmd/repro's metrics dump) opt in explicitly.
-func PublishArenaStats(sc *obs.Scope, fsys *ffs.FileSystem) {
-	ps := fsys.PoolStats()
-	ar := sc.Scope("arena")
-	ar.Gauge("pooled").Set(float64(ps.Pooled))
-	ar.Counter("news").Add(ps.News)
-	ar.Counter("reuses").Add(ps.Reuses)
-	ar.Counter("recycles").Add(ps.Recycles)
 }

@@ -21,15 +21,21 @@ var updateGolden = flag.Bool("update", false, "rewrite golden files")
 // metrics, events, and span dumps.
 func snapshotRun(t *testing.T, wl *trace.Workload, cp *trace.Checkpoint, opts Options) (metrics, events, spans string) {
 	t.Helper()
+	return snapshotOf(t, wl, opts, func(opts Options) (*Result, error) {
+		if cp != nil {
+			return ResumeReplay(core.Realloc{}, wl, cp, opts)
+		}
+		return Replay(testParams(), core.Realloc{}, wl, opts)
+	})
+}
+
+// snapshotOf is snapshotRun for any replay of wl: replay runs with
+// opts plus the registry scope, and its result is published.
+func snapshotOf(t *testing.T, wl *trace.Workload, opts Options, replay func(Options) (*Result, error)) (metrics, events, spans string) {
+	t.Helper()
 	reg := obs.NewRegistry()
 	opts.Obs = reg.Scope("aging.test")
-	var res *Result
-	var err error
-	if cp != nil {
-		res, err = ResumeReplay(core.Realloc{}, wl, cp, opts)
-	} else {
-		res, err = Replay(testParams(), core.Realloc{}, wl, opts)
-	}
+	res, err := replay(opts)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -5,17 +5,20 @@ import (
 	"fmt"
 	"strconv"
 
+	"ffsage/internal/faults"
 	"ffsage/internal/ffs"
 	"ffsage/internal/trace"
 )
 
-// stepper is the replay cursor: the mutable state one operation stream
-// threads through replayFrom. Pulling it out of the loop lets the
-// steady-state benchmark drive the exact production op path (via the
-// exported Stepper) and keeps the per-op work allocation-free: file
-// names for recurring workload IDs are formatted once and cached, and
-// File objects come from the file system's recycling pool.
-type stepper struct {
+// Stepper is the replay cursor: the mutable state one operation stream
+// threads through a replay, and the one place that applies an
+// operation and classifies its failure. replayFrom drives it with the
+// day cursor, checkpoints and fault plan around it; benchmarks and
+// tests drive it directly to measure and pin down the steady-state
+// per-operation cost. The per-op work is allocation-free: file names
+// for recurring workload IDs are formatted once and cached, and File
+// objects come from the file system's recycling pool.
+type Stepper struct {
 	fsys *ffs.FileSystem
 	dirs []*ffs.File
 	byID map[int64]*ffs.File
@@ -29,103 +32,17 @@ type stepper struct {
 	// deleted: once recycled, the pointer may be handed to an unrelated
 	// create, and a stale reference would tear the wrong file.
 	lastWritten *ffs.File
-}
 
-func newStepper(fsys *ffs.FileSystem, dirs []*ffs.File, byID map[int64]*ffs.File) *stepper {
-	return &stepper{fsys: fsys, dirs: dirs, byID: byID, names: make(map[int64]string)}
-}
-
-func (st *stepper) name(id int64) string {
-	if id < 0 {
-		return strconv.FormatInt(id, 10)
-	}
-	s, ok := st.names[id]
-	if !ok {
-		s = strconv.FormatInt(id, 10)
-		st.names[id] = s
-	}
-	return s
-}
-
-// forget drops the tear-tracking reference if it points at f, which is
-// about to be deleted (and possibly recycled).
-func (st *stepper) forget(f *ffs.File) {
-	if st.lastWritten == f {
-		st.lastWritten = nil
-	}
-}
-
-// applyOp applies one workload operation. It returns applied=false for
-// the benign no-op case (delete or rewrite-delete of a file lost to an
-// earlier skip records a skip without error). Allocation failures come
-// back wrapped in the same messages Replay has always reported; the
-// caller classifies them with errors.Is.
-func (st *stepper) applyOp(op trace.Op) (applied bool, err error) {
-	dir := st.dirs[op.Cg]
-	switch op.Kind {
-	case trace.OpCreate:
-		if st.byID[op.ID] != nil {
-			return false, fmt.Errorf("aging: create of live id %d", op.ID)
-		}
-		f, err := st.fsys.CreateFile(dir, st.name(op.ID), op.Size, op.Day)
-		if err != nil {
-			return false, fmt.Errorf("aging: create %d: %w", op.ID, err)
-		}
-		st.byID[op.ID] = f
-		st.lastWritten = f
-		return true, nil
-	case trace.OpDelete:
-		f := st.byID[op.ID]
-		if f == nil {
-			return false, nil
-		}
-		st.forget(f)
-		if err := st.fsys.Delete(f); err != nil {
-			return false, fmt.Errorf("aging: delete %d: %w", op.ID, err)
-		}
-		delete(st.byID, op.ID)
-		return true, nil
-	case trace.OpRewrite:
-		// The paper's modify heuristic: remove (or truncate to zero) and
-		// rewrite. The dying file's name (the formatted ID) is reused
-		// rather than formatted again.
-		f := st.byID[op.ID]
-		name := ""
-		if f != nil {
-			name = f.Name
-			st.forget(f)
-			if err := st.fsys.Delete(f); err != nil {
-				return false, fmt.Errorf("aging: rewrite-delete %d: %w", op.ID, err)
-			}
-			delete(st.byID, op.ID)
-		} else {
-			name = st.name(op.ID)
-		}
-		f, err := st.fsys.CreateFile(dir, name, op.Size, op.Day)
-		if err != nil {
-			return false, fmt.Errorf("aging: rewrite %d: %w", op.ID, err)
-		}
-		st.byID[op.ID] = f
-		st.lastWritten = f
-		return true, nil
-	default:
-		return false, fmt.Errorf("aging: op kind %v", op.Kind)
-	}
-}
-
-// Stepper drives workload operations against a file system one at a
-// time through the same code path replayFrom uses, without the
-// day-cursor, checkpoint, or fault machinery. Benchmarks and tests use
-// it to measure and pin down the steady-state per-operation cost.
-type Stepper struct {
-	st      *stepper
-	Skipped int // ops absorbed without effect (lost deletes, ENOSPC)
+	Skipped int // ops absorbed without effect (lost deletes, ENOSPC, injected faults)
 	NoSpace int // the subset of Skipped that failed for space/inodes
+	Faulted int // the subset of Skipped lost to injected allocation faults
 }
 
-// NewStepper prepares fsys for direct op application: the per-group
-// directories are created (or found) and the live-file index is rebuilt
-// from file names, as ResumeReplay does.
+// NewStepper prepares fsys for op application: the per-group
+// directories are created (or found), and the live-file index is
+// rebuilt from file names — the replayer names every file it creates
+// after its workload ID, so an empty file system yields an empty index
+// and a checkpointed one its live files.
 func NewStepper(fsys *ffs.FileSystem) (*Stepper, error) {
 	dirs, err := GroupDirectories(fsys)
 	if err != nil {
@@ -145,36 +62,115 @@ func NewStepper(fsys *ffs.FileSystem) (*Stepper, error) {
 		}
 		byID[id] = f
 	}
-	return &Stepper{st: newStepper(fsys, dirs, byID)}, nil
+	return &Stepper{fsys: fsys, dirs: dirs, byID: byID, names: make(map[int64]string)}, nil
 }
 
 // Apply applies one operation, absorbing the failures a replay absorbs
-// (allocation exhaustion, deletes of missing files) into the Skipped
-// and NoSpace counters. Any other failure is returned.
+// — allocation exhaustion, as in the paper's 90%-full runs, injected
+// allocation faults, and deletes of files lost to earlier skips — into
+// the Skipped, NoSpace and Faulted counters. Any other failure is
+// returned.
 func (s *Stepper) Apply(op trace.Op) error {
-	if op.Cg < 0 || op.Cg >= len(s.st.dirs) {
-		return fmt.Errorf("aging: op cg %d outside [0,%d)", op.Cg, len(s.st.dirs))
+	if op.Cg < 0 || op.Cg >= len(s.dirs) {
+		return fmt.Errorf("aging: op cg %d outside [0,%d)", op.Cg, len(s.dirs))
 	}
-	applied, err := s.st.applyOp(op)
-	if err != nil {
-		if errors.Is(err, ffs.ErrNoSpace) || errors.Is(err, ffs.ErrNoInodes) {
-			s.NoSpace++
-			s.Skipped++
-			return nil
-		}
+	err := s.applyOp(op)
+	switch {
+	case err == nil:
+		return nil
+	case errors.Is(err, ffs.ErrNoSpace) || errors.Is(err, ffs.ErrNoInodes):
+		s.NoSpace++
+	case errors.Is(err, faults.ErrInjected):
+		s.Faulted++
+	default:
 		return err
 	}
-	if !applied {
-		s.Skipped++
-	}
+	s.Skipped++
 	return nil
 }
 
 // Fs returns the file system the stepper drives.
-func (s *Stepper) Fs() *ffs.FileSystem { return s.st.fsys }
+func (s *Stepper) Fs() *ffs.FileSystem { return s.fsys }
 
 // Live returns the file currently registered for a workload ID, if any.
 func (s *Stepper) Live(id int64) (*ffs.File, bool) {
-	f := s.st.byID[id]
+	f := s.byID[id]
 	return f, f != nil
+}
+
+func (s *Stepper) name(id int64) string {
+	if id < 0 {
+		return strconv.FormatInt(id, 10)
+	}
+	n, ok := s.names[id]
+	if !ok {
+		n = strconv.FormatInt(id, 10)
+		s.names[id] = n
+	}
+	return n
+}
+
+// forget drops the tear-tracking reference if it points at f, which is
+// about to be deleted (and possibly recycled).
+func (s *Stepper) forget(f *ffs.File) {
+	if s.lastWritten == f {
+		s.lastWritten = nil
+	}
+}
+
+// applyOp applies one workload operation. A delete of a file lost to
+// an earlier skip counts as a skip without error. Allocation failures
+// come back wrapped; Apply classifies them with errors.Is.
+func (s *Stepper) applyOp(op trace.Op) error {
+	dir := s.dirs[op.Cg]
+	switch op.Kind {
+	case trace.OpCreate:
+		if s.byID[op.ID] != nil {
+			return fmt.Errorf("aging: create of live id %d", op.ID)
+		}
+		f, err := s.fsys.CreateFile(dir, s.name(op.ID), op.Size, op.Day)
+		if err != nil {
+			return fmt.Errorf("aging: create %d: %w", op.ID, err)
+		}
+		s.byID[op.ID] = f
+		s.lastWritten = f
+		return nil
+	case trace.OpDelete:
+		f := s.byID[op.ID]
+		if f == nil {
+			s.Skipped++
+			return nil
+		}
+		s.forget(f)
+		if err := s.fsys.Delete(f); err != nil {
+			return fmt.Errorf("aging: delete %d: %w", op.ID, err)
+		}
+		delete(s.byID, op.ID)
+		return nil
+	case trace.OpRewrite:
+		// The paper's modify heuristic: remove (or truncate to zero) and
+		// rewrite. The dying file's name (the formatted ID) is reused
+		// rather than formatted again.
+		f := s.byID[op.ID]
+		name := ""
+		if f != nil {
+			name = f.Name
+			s.forget(f)
+			if err := s.fsys.Delete(f); err != nil {
+				return fmt.Errorf("aging: rewrite-delete %d: %w", op.ID, err)
+			}
+			delete(s.byID, op.ID)
+		} else {
+			name = s.name(op.ID)
+		}
+		f, err := s.fsys.CreateFile(dir, name, op.Size, op.Day)
+		if err != nil {
+			return fmt.Errorf("aging: rewrite %d: %w", op.ID, err)
+		}
+		s.byID[op.ID] = f
+		s.lastWritten = f
+		return nil
+	default:
+		return fmt.Errorf("aging: op kind %v", op.Kind)
+	}
 }

@@ -25,8 +25,7 @@ type SnapshotpureConfig struct {
 // checkpoint and artifact writers. (*FileSystem).PoolStats joins the
 // sink set because arena counters describe this process's execution —
 // a resumed run starts with an empty pool — which is exactly the kind
-// of state the contract excludes; PublishArenaStats stays a sanctioned
-// opt-in because it is not reachable from any root. obs.Ops is a sink
+// of state the contract excludes; only tests read them. obs.Ops is a sink
 // for the same reason: it hands out the process-wide wall-clock
 // operational registry (request latencies, queue gauges), which must
 // stay reachable only from serving paths, never from anything that

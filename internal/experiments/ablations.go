@@ -1,15 +1,14 @@
 package experiments
 
 import (
-	"context"
 	"fmt"
 	"math"
 
+	"ffsage/internal/aging"
 	"ffsage/internal/bench"
 	"ffsage/internal/core"
 	"ffsage/internal/ffs"
 	"ffsage/internal/layout"
-	"ffsage/internal/runner"
 	"ffsage/internal/stats"
 )
 
@@ -17,8 +16,8 @@ import (
 // out: the cluster size limit (A1), the two-block quirk (A2), the
 // cluster-search fit discipline (A4), and the cross-group cluster
 // search (A5). Each returns paper-style metrics so the benches can
-// print comparable rows. Arms are independent, so each study fans them
-// out on the runner; the workload build and any arm whose (params,
+// print comparable rows. Each study is one ageArms fan-out over file
+// system variants; the workload build and any arm whose (params,
 // policy) pair the Suite already aged — the maxcontig=7 point, the
 // chain-aware fit, the cross-group search and the quirk baseline are
 // all stock realloc aging — come straight from the cache.
@@ -37,55 +36,66 @@ type AblationResult struct {
 	ClusterMoves int64
 }
 
-// runAblation ages one file system variant and benches it at 96 KB.
-// Both the workload and the aged image are cached, so arms sharing a
-// configuration age once and bench on private clones.
-func runAblation(cfg Config, label string, fp ffs.Params, policy ffs.Policy) (AblationResult, error) {
-	b, err := CachedBuild(cfg.WorkloadCfg, cfg.NFSCfg)
+// ageStudyArms ages a side study's arms (the ablations and the profile
+// study). They run on a copy of cfg with Recovery and Obs cleared, so
+// they always age through the cache, unfaulted, and publish nothing.
+func ageStudyArms(cfg Config, arms []arm) error {
+	cfg.Recovery, cfg.Obs = nil, nil
+	_, err := ageArms(cfg, arms)
+	return err
+}
+
+// variant is one arm of an A1/A4/A5 study.
+type variant struct {
+	label  string
+	params ffs.Params
+	policy ffs.Policy
+}
+
+// runAblation ages each variant of the reconstructed workload and
+// benches it at 96 KB. Arms sharing a configuration age once and bench
+// on private clones.
+func runAblation(cfg Config, study string, vs []variant) ([]AblationResult, error) {
+	_, ref, err := reconstructed(cfg.WorkloadCfg, cfg.NFSCfg)
 	if err != nil {
-		return AblationResult{}, err
+		return nil, err
 	}
-	wlKey := workloadKey(cfg.WorkloadCfg, cfg.NFSCfg) + "|reconstructed"
-	res, err := CachedAgedImage(fp, policy, b.Reconstructed, wlKey, cfg.agingOpts())
-	if err != nil {
-		return AblationResult{}, fmt.Errorf("%s: %w", label, err)
+	out := make([]AblationResult, len(vs))
+	arms := make([]arm, len(vs))
+	for i, v := range vs {
+		arms[i] = arm{label: study + " " + v.label, params: v.params, policy: v.policy, wl: ref,
+			then: func(res *aging.Result) error {
+				seq, err := bench.SequentialIO(res.Fs, cfg.DiskParams, 96<<10, cfg.BenchTotal, cfg.WorkloadCfg.Days)
+				if err != nil {
+					return fmt.Errorf("%s bench: %w", v.label, err)
+				}
+				out[i] = AblationResult{
+					Label:         v.label,
+					FinalLayout:   res.LayoutByDay.FinalOr(math.NaN()),
+					BenchLayout96: seq.LayoutScore,
+					BenchRead96:   seq.ReadBps,
+					ClusterMoves:  res.Fs.Stats.ClusterMoves,
+				}
+				return nil
+			}}
 	}
-	seq, err := bench.SequentialIO(res.Fs, cfg.DiskParams, 96<<10, cfg.BenchTotal, cfg.WorkloadCfg.Days)
-	if err != nil {
-		return AblationResult{}, fmt.Errorf("%s bench: %w", label, err)
+	if err := ageStudyArms(cfg, arms); err != nil {
+		return nil, err
 	}
-	return AblationResult{
-		Label:         label,
-		FinalLayout:   res.LayoutByDay.FinalOr(math.NaN()),
-		BenchLayout96: seq.LayoutScore,
-		BenchRead96:   seq.ReadBps,
-		ClusterMoves:  res.Fs.Stats.ClusterMoves,
-	}, nil
+	return out, nil
 }
 
 // AblationMaxContig sweeps the cluster size limit (fs_maxcontig): the
 // paper fixes it at 7 blocks (56 KB, the disk's transfer size); this
 // measures what smaller and larger limits would have done.
 func AblationMaxContig(cfg Config, values []int) ([]AblationResult, error) {
-	out := make([]AblationResult, len(values))
-	g := runner.New(context.Background())
+	vs := make([]variant, len(values))
 	for i, mc := range values {
 		fp := cfg.FsParams
 		fp.MaxContig = mc
-		label := fmt.Sprintf("maxcontig=%d", mc)
-		g.Go("A1 "+label, func(context.Context) error {
-			r, err := runAblation(cfg, label, fp, core.Realloc{})
-			if err != nil {
-				return err
-			}
-			out[i] = r
-			return nil
-		})
+		vs[i] = variant{fmt.Sprintf("maxcontig=%d", mc), fp, core.Realloc{}}
 	}
-	if _, err := g.Wait(); err != nil {
-		return nil, err
-	}
-	return out, nil
+	return runAblation(cfg, "A1", vs)
 }
 
 // AblationQuirk compares the stock realloc policy against one that also
@@ -100,31 +110,27 @@ type QuirkResult struct {
 
 // AblationQuirk runs the quirk ablation.
 func AblationQuirk(cfg Config) ([]QuirkResult, error) {
-	b, err := CachedBuild(cfg.WorkloadCfg, cfg.NFSCfg)
+	_, ref, err := reconstructed(cfg.WorkloadCfg, cfg.NFSCfg)
 	if err != nil {
 		return nil, err
 	}
-	wlKey := workloadKey(cfg.WorkloadCfg, cfg.NFSCfg) + "|reconstructed"
 	pols := []core.Realloc{{}, {ReallocSingleBlocks: true}}
 	out := make([]QuirkResult, len(pols))
-	g := runner.New(context.Background())
+	arms := make([]arm, len(pols))
 	for i, pol := range pols {
-		g.Go("A2 "+pol.Name(), func(context.Context) error {
-			res, err := CachedAgedImage(cfg.FsParams, pol, b.Reconstructed, wlKey, cfg.agingOpts())
-			if err != nil {
-				return fmt.Errorf("%s: %w", pol.Name(), err)
-			}
-			buckets := layout.BySize(layout.AllFiles(res.Fs), cfg.FsParams.FragsPerBlock(),
-				stats.PowerOfTwoBuckets(16<<10, 16<<20))
-			out[i] = QuirkResult{
-				Label:         pol.Name(),
-				TwoBlockScore: buckets[0].Score,
-				FinalLayout:   res.LayoutByDay.FinalOr(math.NaN()),
-			}
-			return nil
-		})
+		arms[i] = arm{label: "A2 " + pol.Name(), params: cfg.FsParams, policy: pol, wl: ref,
+			then: func(res *aging.Result) error {
+				buckets := layout.BySize(layout.AllFiles(res.Fs), cfg.FsParams.FragsPerBlock(),
+					stats.PowerOfTwoBuckets(16<<10, 16<<20))
+				out[i] = QuirkResult{
+					Label:         pol.Name(),
+					TwoBlockScore: buckets[0].Score,
+					FinalLayout:   res.LayoutByDay.FinalOr(math.NaN()),
+				}
+				return nil
+			}}
 	}
-	if _, err := g.Wait(); err != nil {
+	if err := ageStudyArms(cfg, arms); err != nil {
 		return nil, err
 	}
 	return out, nil
@@ -133,53 +139,19 @@ func AblationQuirk(cfg Config) ([]QuirkResult, error) {
 // AblationClusterFit compares the default chain-aware cluster fit with
 // the literal 4.4BSD first-fit scan (A4).
 func AblationClusterFit(cfg Config) ([]AblationResult, error) {
-	fits := []bool{false, true}
-	out := make([]AblationResult, len(fits))
-	g := runner.New(context.Background())
-	for i, firstFit := range fits {
-		fp := cfg.FsParams
-		fp.FirstFitClusters = firstFit
-		label := "chain-aware fit"
-		if firstFit {
-			label = "first fit (4.4BSD literal)"
-		}
-		g.Go("A4 "+label, func(context.Context) error {
-			r, err := runAblation(cfg, label, fp, core.Realloc{})
-			if err != nil {
-				return err
-			}
-			out[i] = r
-			return nil
-		})
-	}
-	if _, err := g.Wait(); err != nil {
-		return nil, err
-	}
-	return out, nil
+	chain, first := cfg.FsParams, cfg.FsParams
+	chain.FirstFitClusters, first.FirstFitClusters = false, true
+	return runAblation(cfg, "A4", []variant{
+		{"chain-aware fit", chain, core.Realloc{}},
+		{"first fit (4.4BSD literal)", first, core.Realloc{}},
+	})
 }
 
 // AblationCrossCg compares the stock cross-group cluster search with a
 // variant restricted to the preferred group (A5).
 func AblationCrossCg(cfg Config) ([]AblationResult, error) {
-	scopes := []bool{false, true}
-	out := make([]AblationResult, len(scopes))
-	g := runner.New(context.Background())
-	for i, inCg := range scopes {
-		label := "cross-group search"
-		if inCg {
-			label = "in-group only"
-		}
-		g.Go("A5 "+label, func(context.Context) error {
-			r, err := runAblation(cfg, label, cfg.FsParams, core.Realloc{InGroupOnly: inCg})
-			if err != nil {
-				return err
-			}
-			out[i] = r
-			return nil
-		})
-	}
-	if _, err := g.Wait(); err != nil {
-		return nil, err
-	}
-	return out, nil
+	return runAblation(cfg, "A5", []variant{
+		{"cross-group search", cfg.FsParams, core.Realloc{}},
+		{"in-group only", cfg.FsParams, core.Realloc{InGroupOnly: true}},
+	})
 }

@@ -71,8 +71,8 @@ func workloadKey(wc workload.Config, nc workload.NFSTraceConfig) string {
 // The policy is keyed by its type and field values (policies are flat
 // structs of flags), never by its display name, so two policies share
 // an image exactly when they make the same decisions.
-func agedKey(params ffs.Params, policy ffs.Policy, wlKey string, opts aging.Options) string {
-	return fmt.Sprintf("%+v|%T%+v|%s|slow=%v", params, policy, policy, wlKey, opts.SlowScore)
+func agedKey(params ffs.Params, policy ffs.Policy, wlKey string) string {
+	return fmt.Sprintf("%+v|%T%+v|%s", params, policy, policy, wlKey)
 }
 
 // CachedBuild returns the (possibly shared) workload build for the
@@ -112,7 +112,7 @@ func CachedAgedImage(params ffs.Params, policy ffs.Policy, wl *trace.Workload, w
 		// Side effects must not be deduplicated away.
 		return aging.Replay(params, policy, wl, opts)
 	}
-	key := agedKey(params, policy, wlKey, opts)
+	key := agedKey(params, policy, wlKey)
 	cacheMu.Lock()
 	e := agedCache[key]
 	if e == nil {

@@ -38,16 +38,6 @@ type Config struct {
 	BenchSizes []int64
 	// HotWindow is the hot-set recency window in days (one month).
 	HotWindow int
-	// SlowScore switches every aging replay's daily layout score to
-	// the full O(files × blocks) rescan instead of the allocator's
-	// incremental counters — the cross-check path behind cmd/repro's
-	// -slowscore flag. The two are equal by construction.
-	SlowScore bool
-	// NoArena disables the file systems' File-recycling pools for the
-	// aging replays (cmd/repro's -arena=off escape hatch). Allocation
-	// decisions — and so every report, figure, and metric — are
-	// identical either way.
-	NoArena bool
 	// Recovery wires fault injection and checkpoint/resume into the
 	// three aging arms (cmd/repro's -faults / -checkpoint flags). A
 	// non-nil Recovery bypasses the process-wide aged-image cache:
@@ -77,11 +67,6 @@ type Recovery struct {
 	// Resume, when non-nil, is asked for each arm's starting
 	// checkpoint; returning (nil, nil) starts the arm fresh.
 	Resume func(arm string) (*trace.Checkpoint, error)
-}
-
-// agingOpts returns the replay options this configuration implies.
-func (c Config) agingOpts() aging.Options {
-	return aging.Options{SlowScore: c.SlowScore, NoArena: c.NoArena}
 }
 
 // Full returns the paper-scale configuration.
@@ -186,15 +171,14 @@ type Suite struct {
 // Suite (or an ablation arm with identical inputs) reuses them and
 // only pays for an ffs.Clone.
 func NewSuite(cfg Config) (*Suite, error) {
-	b, err := CachedBuild(cfg.WorkloadCfg, cfg.NFSCfg)
+	b, recon, err := reconstructed(cfg.WorkloadCfg, cfg.NFSCfg)
 	if err != nil {
 		return nil, err
 	}
-	wlKey := workloadKey(cfg.WorkloadCfg, cfg.NFSCfg)
-	recon := wlRef{b.Reconstructed, wlKey + "|reconstructed"}
-	truth := wlRef{b.Reference.GroundTruth, wlKey + "|ground-truth"}
+	truth := wlRef{b.Reference.GroundTruth, workloadKey(cfg.WorkloadCfg, cfg.NFSCfg) + "|ground-truth"}
 	suiteArm := func(name string, pol ffs.Policy, wl wlRef) arm {
-		return arm{label: "age " + name, slug: "age-" + name, scope: "aging.age-" + name, policy: pol, wl: wl}
+		return arm{label: "age " + name, slug: "age-" + name, scope: "aging.age-" + name,
+			params: cfg.FsParams, policy: pol, wl: wl}
 	}
 	res, err := ageArms(cfg, []arm{
 		suiteArm("ffs", core.Original{}, recon),
@@ -213,16 +197,27 @@ type wlRef struct {
 	key string
 }
 
-// arm is one aging replay of a fan-out: a policy over a workload, plus
-// the names the run is known by.
+// reconstructed returns the cached build for wc and nc and a reference
+// to its reconstructed stream, the workload every study ages.
+func reconstructed(wc workload.Config, nc workload.NFSTraceConfig) (*workload.Build, wlRef, error) {
+	b, err := CachedBuild(wc, nc)
+	if err != nil {
+		return nil, wlRef{}, err
+	}
+	return b, wlRef{b.Reconstructed, workloadKey(wc, nc) + "|reconstructed"}, nil
+}
+
+// arm is one aging replay of a fan-out: a file system variant and a
+// policy over a workload, plus the names the run is known by.
 type arm struct {
 	label  string // runner job label and error prefix
 	slug   string // checkpoint arm slug handed to Recovery.Sink/Resume
 	scope  string // obs scope the aged result is published under
+	params ffs.Params
 	policy ffs.Policy
 	wl     wlRef
 	// then, when non-nil, runs on the aged image inside the same runner
-	// job (the tournament's sweep and hot-file benchmarks).
+	// job (the studies' benchmarks and layout scoring).
 	then func(*aging.Result) error
 }
 
@@ -266,10 +261,10 @@ func ageArms(cfg Config, arms []arm) ([]*aging.Result, error) {
 
 // age runs the arm's replay (see ageArms).
 func (a arm) age(cfg Config) (*aging.Result, error) {
-	opts := cfg.agingOpts()
+	var opts aging.Options
 	rec := cfg.Recovery
 	if rec == nil {
-		return CachedAgedImage(cfg.FsParams, a.policy, a.wl.wl, a.wl.key, opts)
+		return CachedAgedImage(a.params, a.policy, a.wl.wl, a.wl.key, opts)
 	}
 	if cfg.Obs != nil {
 		// During-replay incident stream (checkpoints, faults, crashes).
@@ -293,7 +288,7 @@ func (a arm) age(cfg Config) (*aging.Result, error) {
 		}
 	}
 	opts.Faults = rec.Faults.Clone()
-	return aging.Replay(cfg.FsParams, a.policy, a.wl.wl, opts)
+	return aging.Replay(a.params, a.policy, a.wl.wl, opts)
 }
 
 // Days returns the simulated period length.

@@ -5,7 +5,6 @@ import (
 	"strings"
 	"testing"
 
-	"ffsage/internal/aging"
 	"ffsage/internal/core"
 	"ffsage/internal/ffs"
 	"ffsage/internal/obs"
@@ -165,14 +164,14 @@ func TestAgedKeyIdentifiesPolicy(t *testing.T) {
 			t.Fatal(err)
 		}
 		p2, _ := policy.New(name)
-		if k1, k2 := agedKey(params, p1, "wl", aging.Options{}), agedKey(params, p2, "wl", aging.Options{}); k1 != k2 {
+		if k1, k2 := agedKey(params, p1, "wl"), agedKey(params, p2, "wl"); k1 != k2 {
 			t.Errorf("%s: two instances key differently: %q vs %q", name, k1, k2)
 		}
 		variants = append(variants, variant{params, p1})
 	}
 	seen := map[string]string{}
 	for _, v := range variants {
-		k := agedKey(v.params, v.pol, "wl", aging.Options{})
+		k := agedKey(v.params, v.pol, "wl")
 		if prev, dup := seen[k]; dup {
 			t.Errorf("policies %s and %s share aged-image key %q", prev, v.pol.Name(), k)
 		}

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 
+	"ffsage/internal/aging"
 	"ffsage/internal/bench"
 	"ffsage/internal/core"
 	"ffsage/internal/ffs"
@@ -46,7 +47,7 @@ func RunProfile(cfg Config, p workload.Profile) (ProfileResult, error) {
 	scale := float64(cfg.WorkloadCfg.FsBytes) / float64(502<<20)
 	wc.ChurnBytesPerDay *= scale
 	wc.ShortPairsPerDay *= scale
-	b, err := CachedBuild(wc, cfg.NFSCfg)
+	b, ref, err := reconstructed(wc, cfg.NFSCfg)
 	if err != nil {
 		return ProfileResult{}, fmt.Errorf("profile %s: %w", p, err)
 	}
@@ -57,30 +58,22 @@ func RunProfile(cfg Config, p workload.Profile) (ProfileResult, error) {
 	res.EndFiles = b.Reference.EndLiveFiles
 
 	from := wc.Days - cfg.HotWindow
-	wlKey := workloadKey(wc, cfg.NFSCfg) + "|reconstructed"
-	g := runner.New(context.Background())
-	for _, pol := range []ffs.Policy{core.Original{}, core.Realloc{}} {
-		g.Go(fmt.Sprintf("profile %s %s", p, pol.Name()), func(context.Context) error {
-			aged, err := CachedAgedImage(cfg.FsParams, pol, b.Reconstructed, wlKey, cfg.agingOpts())
-			if err != nil {
-				return fmt.Errorf("profile %s under %s: %w", p, pol.Name(), err)
-			}
-			hot, err := bench.HotFiles(aged.Fs, cfg.DiskParams, from)
-			if err != nil {
-				return fmt.Errorf("profile %s hot bench: %w", p, err)
-			}
-			switch pol.(type) {
-			case core.Original:
-				res.LayoutFFS = aged.LayoutByDay.FinalOr(math.NaN())
-				res.HotReadFFS = hot.ReadBps
-			default:
-				res.LayoutRealloc = aged.LayoutByDay.FinalOr(math.NaN())
-				res.HotReadRealloc = hot.ReadBps
-			}
-			return nil
-		})
+	policyArm := func(pol ffs.Policy, layout, hotRead *float64) arm {
+		return arm{label: fmt.Sprintf("profile %s %s", p, pol.Name()), params: cfg.FsParams, policy: pol, wl: ref,
+			then: func(aged *aging.Result) error {
+				hot, err := bench.HotFiles(aged.Fs, cfg.DiskParams, from)
+				if err != nil {
+					return fmt.Errorf("profile %s hot bench: %w", p, err)
+				}
+				*layout = aged.LayoutByDay.FinalOr(math.NaN())
+				*hotRead = hot.ReadBps
+				return nil
+			}}
 	}
-	if _, err := g.Wait(); err != nil {
+	if err := ageStudyArms(cfg, []arm{
+		policyArm(core.Original{}, &res.LayoutFFS, &res.HotReadFFS),
+		policyArm(core.Realloc{}, &res.LayoutRealloc, &res.HotReadRealloc),
+	}); err != nil {
 		return ProfileResult{}, err
 	}
 	return res, nil

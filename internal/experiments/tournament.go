@@ -71,11 +71,10 @@ func Tournament(cfg Config, policies ...ffs.Policy) ([]TournamentEntry, error) {
 		}
 		seen[p.Name()] = true
 	}
-	b, err := CachedBuild(cfg.WorkloadCfg, cfg.NFSCfg)
+	_, ref, err := reconstructed(cfg.WorkloadCfg, cfg.NFSCfg)
 	if err != nil {
 		return nil, err
 	}
-	ref := wlRef{b.Reconstructed, workloadKey(cfg.WorkloadCfg, cfg.NFSCfg) + "|reconstructed"}
 	days := cfg.WorkloadCfg.Days
 	entries := make([]TournamentEntry, len(policies))
 	arms := make([]arm, len(policies))
@@ -83,7 +82,7 @@ func Tournament(cfg Config, policies ...ffs.Policy) ([]TournamentEntry, error) {
 		slug := policy.Slug(pol.Name())
 		arms[i] = arm{
 			label: "tournament " + slug, slug: "tournament-" + slug, scope: "tournament." + slug,
-			policy: pol, wl: ref,
+			params: cfg.FsParams, policy: pol, wl: ref,
 			then: func(res *aging.Result) error {
 				seq, err := bench.SequentialSweep(res.Fs, cfg.DiskParams, cfg.BenchSizes, cfg.BenchTotal, days)
 				if err != nil {

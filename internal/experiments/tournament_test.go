@@ -3,9 +3,11 @@ package experiments
 import (
 	"bytes"
 	"fmt"
+	"slices"
 	"strings"
 	"testing"
 
+	"ffsage/internal/aging"
 	"ffsage/internal/ffs"
 	"ffsage/internal/layout"
 	"ffsage/internal/obs"
@@ -60,7 +62,7 @@ func runTournament(t *testing.T, workers int) ([]TournamentEntry, string) {
 // TestTournamentProperty is the registry-wide property test: every
 // registered policy, aged 30 days at quick scale, must leave a clean
 // file system whose incremental layout score agrees with the full
-// -slowscore rescan, and the comparative report must be byte-identical
+// rescan after every simulated day, and the comparative report must be byte-identical
 // between a serial (-j1) and a parallel (-j8) run.
 func TestTournamentProperty(t *testing.T) {
 	_, report1 := runTournament(t, 1)
@@ -84,7 +86,7 @@ func TestTournamentProperty(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := CachedAgedImage(cfg.FsParams, pol, b.Reconstructed, key, cfg.agingOpts())
+		res, err := CachedAgedImage(cfg.FsParams, pol, b.Reconstructed, key, aging.Options{})
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
@@ -92,13 +94,28 @@ func TestTournamentProperty(t *testing.T) {
 			t.Errorf("%s: aged image fails Check: %v", name, err)
 		}
 		if got, want := res.Fs.LayoutScore(), layout.FsAggregate(res.Fs); got != want {
-			t.Errorf("%s: incremental layout score %v != -slowscore rescan %v", name, got, want)
+			t.Errorf("%s: incremental layout score %v != rescan %v", name, got, want)
 		}
 		if entries8[i].Name != name {
 			t.Errorf("entry %d is %q, want %q (input order must be preserved)", i, entries8[i].Name, name)
 		}
 		if got := entries8[i].LayoutByDay.FinalOr(-1); got != res.Fs.LayoutScore() {
 			t.Errorf("%s: entry final layout %v != aged image score %v", name, got, res.Fs.LayoutScore())
+		}
+		// The entry's daily series must be the rescan of each day's file
+		// system, not only agree with it at the end.
+		fsys, err := ffs.NewFileSystem(cfg.FsParams, pol)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var rescans []float64
+		if _, err := aging.ReplayOn(fsys, b.Reconstructed, aging.Options{Progress: func(int, float64, float64) {
+			rescans = append(rescans, layout.FsAggregate(fsys))
+		}}); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if got := entries8[i].LayoutByDay.Values(); !slices.Equal(got, rescans) {
+			t.Errorf("%s: daily layout %v != daily rescan %v", name, got, rescans)
 		}
 		if len(entries8[i].Seq) != len(cfg.BenchSizes) {
 			t.Errorf("%s: %d sweep points, want %d", name, len(entries8[i].Seq), len(cfg.BenchSizes))

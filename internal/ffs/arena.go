@@ -13,9 +13,10 @@ package ffs
 // The pool is an implementation detail of one FileSystem: Clone builds
 // fresh Files for the copy (never aliasing pooled memory across the
 // concurrency boundary), and SetPooling(false) restores the plain
-// allocate-and-drop behaviour for A/B comparison. Pooling never changes
-// allocation decisions, only where the Go objects come from; the
-// arena-on/off differential tests pin that down byte for byte.
+// allocate-and-drop behaviour, the reference the differential tests
+// replay against. Pooling never changes allocation decisions, only
+// where the Go objects come from; those tests pin that down byte for
+// byte.
 
 // filePool is a LIFO free list of recycled File structures.
 type filePool struct {
@@ -45,17 +46,15 @@ func (fs *FileSystem) PoolStats() PoolStats {
 	}
 }
 
-// SetPooling enables or disables File recycling (the -arena CLI flag).
-// Disabling drops any parked Files so later creates come from the heap.
+// SetPooling enables or disables File recycling. Disabling drops any
+// parked Files so later creates come from the heap; the unpooled file
+// system is the reference the arena differential tests compare against.
 func (fs *FileSystem) SetPooling(on bool) {
 	fs.pooling = on
 	if !on {
 		fs.pool.free = nil
 	}
 }
-
-// PoolingEnabled reports whether File recycling is active.
-func (fs *FileSystem) PoolingEnabled() bool { return fs.pooling }
 
 // newFile returns a zeroed File, from the pool when one is parked
 // there. Pooled Files keep their slice capacities, so a recycled File's

@@ -8,9 +8,8 @@ package ffs
 // operation that changes a file's block map refreshes that one file's
 // cached contribution (O(blocks of that file)), so the daily score is
 // an O(1) division. internal/layout.FsAggregate remains as the
-// independent rescan; Check() asserts the two agree, and cmd/repro
-// -slowscore routes the aging replayer through the rescan as a
-// cross-check path.
+// independent rescan: Check() asserts the two agree, and the aging
+// tests compare them after every simulated day.
 
 // fileLayoutCounts returns f's contribution to the aggregate layout
 // score: the number of optimally placed blocks (physically contiguous

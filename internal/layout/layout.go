@@ -75,7 +75,8 @@ func AllFiles(fsys *ffs.FileSystem) []*ffs.File {
 // hence no sort) is needed; the file system's incrementally maintained
 // LayoutScore returns the identical value in O(1), which is what the
 // aging replayer uses per day. This rescan remains the independent
-// cross-check (cmd/repro -slowscore, and Check()).
+// cross-check: the aging tests compare the two after every simulated
+// day, and Check() recounts the same totals.
 func FsAggregate(fsys *ffs.FileSystem) float64 {
 	fpb := fsys.FragsPerBlock()
 	optimal, total := 0, 0

@@ -370,7 +370,8 @@ func busiestDay(wl *trace.Workload) int {
 }
 
 // setupLayoutRescan measures the full O(files × blocks) layout rescan
-// over the aged image — the cross-check path behind -slowscore.
+// over the aged image — the independent cross-check of the
+// incremental layout score.
 func setupLayoutRescan(fx *Fixture) (*Instance, error) {
 	fsys := fx.AgedFFS.Fs
 	op := func() error {
