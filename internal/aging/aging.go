@@ -102,7 +102,8 @@ func Replay(p ffs.Params, policy ffs.Policy, wl *trace.Workload, opts Options) (
 }
 
 // ReplayOn applies the workload to an existing (normally empty) file
-// system.
+// system; any plain files on it must be named after workload IDs, as a
+// replay names the files it creates.
 func ReplayOn(fsys *ffs.FileSystem, wl *trace.Workload, opts Options) (*Result, error) {
 	if len(wl.Ops) == 0 {
 		return nil, fmt.Errorf("aging: empty workload")
