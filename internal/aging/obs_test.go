@@ -129,15 +129,15 @@ func TestPublishResultResumeIdentical(t *testing.T) {
 }
 
 // TestRunStreamRecordsIncidents checks the non-resume-safe side
-// channel: a crashed, checkpointing run logs its checkpoints and crash
-// on the "run" tracer.
+// channel: a crashed, checkpointing run logs its checkpoints, the
+// allocation fault it absorbed and its crash on the "run" tracer.
 func TestRunStreamRecordsIncidents(t *testing.T) {
 	wl := testWorkload(5, 14)
 	reg := obs.NewRegistry()
 	var cps []*trace.Checkpoint
 	_, err := Replay(testParams(), core.Realloc{}, wl, Options{
 		Obs:             reg.Scope("aging.test"),
-		Faults:          faults.MustParse("crash@day:9"),
+		Faults:          faults.MustParse("ioerr@alloc:40,crash@day:9"),
 		CheckpointEvery: 3,
 		Checkpoint:      collectCheckpoints(t, &cps),
 	})
@@ -146,14 +146,19 @@ func TestRunStreamRecordsIncidents(t *testing.T) {
 		t.Fatalf("expected planned crash, got %v", err)
 	}
 	tr := reg.Tracer("aging.test.run", obs.EventLines)
-	var checkpoints, crashes int
+	var checkpoints, faulted, crashes int
 	for _, ev := range tr.Spans() {
 		switch ev.Name {
 		case "checkpoint":
 			checkpoints++
+		case "fault":
+			faulted++
 		case "crash":
 			crashes++
 		}
+	}
+	if faulted != 1 {
+		t.Errorf("%d fault events, want 1", faulted)
 	}
 	if checkpoints != len(cps) {
 		t.Errorf("%d checkpoint events, want %d", checkpoints, len(cps))

@@ -89,15 +89,6 @@ func (s *Stepper) Apply(op trace.Op) error {
 	return nil
 }
 
-// Fs returns the file system the stepper drives.
-func (s *Stepper) Fs() *ffs.FileSystem { return s.fsys }
-
-// Live returns the file currently registered for a workload ID, if any.
-func (s *Stepper) Live(id int64) (*ffs.File, bool) {
-	f := s.byID[id]
-	return f, f != nil
-}
-
 func (s *Stepper) name(id int64) string {
 	if id < 0 {
 		return strconv.FormatInt(id, 10)

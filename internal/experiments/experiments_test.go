@@ -1,8 +1,14 @@
 package experiments
 
 import (
+	"bytes"
+	"reflect"
 	"sync"
 	"testing"
+
+	"ffsage/internal/faults"
+	"ffsage/internal/obs"
+	"ffsage/internal/workload"
 )
 
 var (
@@ -211,5 +217,46 @@ func TestSeekReductionHeadline(t *testing.T) {
 	}
 	if h.SeekReduction < 0.4 {
 		t.Errorf("seek reduction %.2f, want ≥ 0.4 (paper: >0.5)", h.SeekReduction)
+	}
+}
+
+// TestStudyArmsIgnoreRecoveryAndObs: the ablation and profile arms age
+// through the cache whatever the run's Recovery and Obs say — never
+// faulted, never checkpointed, never published — so a run with a
+// crash plan and a registry gets the same results and an empty
+// snapshot.
+func TestStudyArmsIgnoreRecoveryAndObs(t *testing.T) {
+	cfg := tinyCfg(31)
+	wantAbl, err := AblationCrossCg(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantProf, err := RunProfile(cfg, workload.Profiles()[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	reg := obs.NewRegistry()
+	cfg.Obs = reg
+	cfg.Recovery = &Recovery{Faults: faults.MustParse("crash@day:2")}
+	gotAbl, err := AblationCrossCg(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	gotProf, err := RunProfile(cfg, workload.Profiles()[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(gotAbl, wantAbl) || gotProf != wantProf {
+		t.Errorf("results moved under Recovery/Obs:\n%+v %+v\nwant\n%+v %+v", gotAbl, gotProf, wantAbl, wantProf)
+	}
+	var got, empty bytes.Buffer
+	if err := reg.WriteMetrics(&got); err != nil {
+		t.Fatal(err)
+	}
+	if err := obs.NewRegistry().WriteMetrics(&empty); err != nil {
+		t.Fatal(err)
+	}
+	if got.String() != empty.String() {
+		t.Errorf("study arms published metrics:\n%s", got.String())
 	}
 }
