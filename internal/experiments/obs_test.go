@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"bytes"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -111,6 +112,49 @@ func TestMetricsIdenticalAcrossWorkers(t *testing.T) {
 		if !strings.Contains(s1, want) {
 			t.Errorf("span dump missing %s", want)
 		}
+	}
+}
+
+// TestTable2PublishesOnce calls Table2 twice, as repro does with the
+// A9 cache study on: the second call must return the first run's
+// results and publish nothing more, so no disk.table2 metric or span
+// doubles.
+func TestTable2PublishesOnce(t *testing.T) {
+	ResetCaches()
+	reg := obs.NewRegistry()
+	cfg := tinyCfg(79)
+	cfg.Obs = reg
+	s, err := NewSuite(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dump := func() string {
+		var b bytes.Buffer
+		if err := reg.WriteMetrics(&b); err != nil {
+			t.Fatal(err)
+		}
+		if err := reg.WriteSpans(&b); err != nil {
+			t.Fatal(err)
+		}
+		return b.String()
+	}
+	o1, r1, err := s.Table2()
+	if err != nil {
+		t.Fatal(err)
+	}
+	once := dump()
+	o2, r2, err := s.Table2()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(o1, o2) || !reflect.DeepEqual(r1, r2) {
+		t.Error("second Table2 call returned a different run")
+	}
+	if twice := dump(); twice != once {
+		t.Errorf("second Table2 call published again\nonce:\n%s\ntwice:\n%s", once, twice)
+	}
+	if !strings.Contains(once, "disk.table2.ffs") {
+		t.Error("Table2 published no disk.table2 metrics")
 	}
 }
 
