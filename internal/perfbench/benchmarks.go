@@ -28,6 +28,7 @@ func All() []Benchmark {
 		{Name: "ffs.alloc.ffs", Quick: true, Setup: setupAlloc(core.Original{})},
 		{Name: "ffs.alloc.realloc", Quick: true, Setup: setupAlloc(core.Realloc{})},
 		{Name: "aging.day", Quick: true, Setup: setupAgingDay},
+		{Name: "aging.publish", Quick: true, Setup: setupAgingPublish},
 		{Name: "replay.steady", Quick: true, Setup: setupReplaySteady, CheckAllocs: true, MaxAllocsPerOp: 0},
 		{Name: "span.emit", Quick: true, Setup: setupSpanEmit, CheckAllocs: true, MaxAllocsPerOp: 0},
 		{Name: "layout.rescan", Quick: true, Setup: setupLayoutRescan},
@@ -207,6 +208,20 @@ func setupAgingDay(fx *Fixture) (*Instance, error) {
 		return map[string]float64{"mb_per_s": float64(written) / 1e6 / medianSec}
 	}
 	return inst, nil
+}
+
+// setupAgingPublish measures aging.PublishResult on the micro image's
+// ffs+realloc replay: the counters, the per-day event stream and the
+// span stream one aging arm publishes after the runner's barrier. Each
+// repetition publishes into a fresh registry, so every one does the
+// same work; a unit is one op of the workload.
+func setupAgingPublish(fx *Fixture) (*Instance, error) {
+	wl := fx.Build.Reconstructed
+	op := func() error {
+		aging.PublishResult(obs.NewRegistry().Scope("aging.publish"), fx.AgedRealloc, wl)
+		return nil
+	}
+	return &Instance{Op: op, Units: int64(len(wl.Ops))}, nil
 }
 
 // setupReplaySteady measures the steady-state replay loop with a
