@@ -468,7 +468,8 @@ func TestAllocFragsMatchesLinearScan(t *testing.T) {
 // kept as the differential oracle: every block of [lo, hi) changes
 // through its fragment pattern, and each block that turns fully free
 // or fully allocated updates the cluster summary on its own, one
-// ffs_clusteracct call per block.
+// ffs_clusteracct call per block. The clusterRuns index, which came
+// later, is rebuilt from a rescan of the block map after the range.
 func perBlockMutate(c *CylGroup, lo, hi int, alloc bool) {
 	fpb, maxContig := c.fs.fpb, c.fs.P.MaxContig
 	for b := lo / fpb; b <= (hi-1)/fpb; b++ {
@@ -522,6 +523,7 @@ func perBlockMutate(c *CylGroup, lo, hi int, alloc bool) {
 			}
 		}
 	}
+	c.clusterRuns = c.recomputeSummary().clusterRuns
 }
 
 // sameState reports the first difference between fs and the oracle

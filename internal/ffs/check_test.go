@@ -100,6 +100,20 @@ func TestCheckDetectsClusterSumDrift(t *testing.T) {
 	wantCheckError(t, fs, "clusterSum")
 }
 
+// driftClusterRuns flips one clusterRuns bit of group 2: a run of one
+// block now seems to start at an allocated block. clusterSum keeps the
+// right counts, so only the index cross-check can see the damage.
+func driftClusterRuns(fs *FileSystem) {
+	c := fs.Cg(2)
+	c.clusterRuns[1].Set(c.blkfree.NextClear(0))
+}
+
+func TestCheckDetectsClusterRunsDrift(t *testing.T) {
+	fs, _ := corruptibleFs(t)
+	driftClusterRuns(fs)
+	wantCheckError(t, fs, "clusterRuns")
+}
+
 func TestCheckDetectsBlockMapDrift(t *testing.T) {
 	fs, _ := corruptibleFs(t)
 	c := fs.Cg(2)

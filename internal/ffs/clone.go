@@ -29,23 +29,24 @@ func (fs *FileSystem) Clone() *FileSystem {
 	c.IgnoreReserve = fs.IgnoreReserve
 	for _, g := range fs.cgs {
 		c.cgs = append(c.cgs, &CylGroup{
-			fs:         c,
-			Index:      g.Index,
-			startFrag:  g.startFrag,
-			nfrags:     g.nfrags,
-			nblk:       g.nblk,
-			metaFrags:  g.metaFrags,
-			free:       g.free.Clone(),
-			blkfree:    g.blkfree.Clone(),
-			nffree:     g.nffree,
-			nbfree:     g.nbfree,
-			frsum:      append([]int(nil), g.frsum...),
-			fragRuns:   cloneSets(g.fragRuns),
-			clusterSum: append([]int(nil), g.clusterSum...),
-			inodes:     g.inodes.Clone(),
-			nifree:     g.nifree,
-			ndir:       g.ndir,
-			rotor:      g.rotor,
+			fs:          c,
+			Index:       g.Index,
+			startFrag:   g.startFrag,
+			nfrags:      g.nfrags,
+			nblk:        g.nblk,
+			metaFrags:   g.metaFrags,
+			free:        g.free.Clone(),
+			blkfree:     g.blkfree.Clone(),
+			nffree:      g.nffree,
+			nbfree:      g.nbfree,
+			frsum:       append([]int(nil), g.frsum...),
+			fragRuns:    cloneSets(g.fragRuns),
+			clusterSum:  append([]int(nil), g.clusterSum...),
+			clusterRuns: cloneSets(g.clusterRuns),
+			inodes:      g.inodes.Clone(),
+			nifree:      g.nifree,
+			ndir:        g.ndir,
+			rotor:       g.rotor,
 		})
 	}
 	// The Files, block maps and indirect lists of the copy are carved

@@ -36,8 +36,8 @@ func populate(t *testing.T, fs *FileSystem, n int) []*File {
 
 // cgEqual reports whether the structural state of group i is identical
 // in both file systems: fragment bitmap, block bitmap, cluster
-// summaries, fragment-size summaries and their fragRuns index, inode
-// map and counters.
+// summaries and their clusterRuns index, fragment-size summaries and
+// their fragRuns index, inode map and counters.
 func cgEqual(a, b *FileSystem, i int) bool {
 	ca, cb := a.cgs[i], b.cgs[i]
 	if !ca.free.Equal(cb.free) || !ca.blkfree.Equal(cb.blkfree) || !ca.inodes.Equal(cb.inodes) {
@@ -58,6 +58,11 @@ func cgEqual(a, b *FileSystem, i int) bool {
 	}
 	for k := range ca.clusterSum {
 		if ca.clusterSum[k] != cb.clusterSum[k] {
+			return false
+		}
+	}
+	for k := 1; k < len(ca.clusterRuns); k++ {
+		if !ca.clusterRuns[k].Equal(cb.clusterRuns[k]) {
 			return false
 		}
 	}

@@ -1,6 +1,12 @@
 package ffs
 
-import "testing"
+import (
+	"fmt"
+	"math/rand"
+	"testing"
+
+	"ffsage/internal/bitset"
+)
 
 // carveRuns allocates every data block of group cg and then frees the
 // given (start, len) block runs, leaving a free map whose runs are
@@ -128,4 +134,232 @@ func TestBlockAddrAndFreeRunAfter(t *testing.T) {
 	if got := fs.FreeRunAfter(addr, 1); got != 1 {
 		t.Errorf("FreeRunAfter(capped) = %d, want 1", got)
 	}
+}
+
+// linearFindFreeRun is FindFreeRun as it was before the clusterRuns
+// index, kept as the differential oracle: walk every free run of the
+// group from block 0 and pick by discipline. It reads only the block
+// free map, never a summary, and returns -1 when no run has n blocks.
+func linearFindFreeRun(c *CylGroup, n int, fit RunFit) int {
+	if fit == FirstFit {
+		return c.blkfree.FindRun(0, c.nblk, n)
+	}
+	best, bestLen := -1, 0
+	for b := 0; ; {
+		start := c.blkfree.NextSet(b)
+		if start < 0 {
+			break
+		}
+		length := c.blkfree.RunLengthAt(start, 0)
+		b = start + length
+		if length < n {
+			continue
+		}
+		switch fit {
+		case ChainFit:
+			if length > n {
+				return start
+			}
+			if best < 0 {
+				best = start
+			}
+		case BestFit:
+			if best < 0 || length < bestLen {
+				best, bestLen = start, length
+			}
+		case LargestFit:
+			if length > bestLen {
+				best, bestLen = start, length
+			}
+		}
+	}
+	return best
+}
+
+// freeRunsAgree compares every discipline and every n in [1, maxcontig]
+// against the linear walk, then checks the group's summaries (the
+// clusterRuns index included) against a rescan.
+func freeRunsAgree(c *CylGroup) error {
+	for _, fit := range []RunFit{ChainFit, FirstFit, BestFit, LargestFit} {
+		for n := 1; n <= c.fs.P.MaxContig; n++ {
+			if got, want := c.FindFreeRun(n, fit), linearFindFreeRun(c, n, fit); got != want {
+				return fmt.Errorf("cg %d: FindFreeRun(%d, %v) = %d, linear walk %d", c.Index, n, fit, got, want)
+			}
+		}
+	}
+	return c.summaryDrift(c.recomputeSummary())
+}
+
+// longRunTies reports whether the group holds two runs longer than
+// maxcontig of the same length, the case where BestFit and LargestFit
+// must measure and break a tie.
+func longRunTies(c *CylGroup) bool {
+	seen := map[int]bool{}
+	runs := c.clusterRuns[c.fs.P.MaxContig+1]
+	for b := runs.NextSet(0); b >= 0; {
+		n := c.blkfree.RunLengthAt(b, 0)
+		if seen[n] {
+			return true
+		}
+		seen[n] = true
+		b = runs.NextSet(b + n)
+	}
+	return false
+}
+
+// TestFindFreeRunMatchesLinearScan drives random block-run allocations
+// and frees, plus fragment allocations that split blocks, through small
+// groups at several maxcontig values. Runs are longer than maxcontig,
+// start at the first data block, end at the group's last block, and tie
+// in length. After every step each discipline and cluster size must
+// pick what the old linear walk picks, and Check must pass, so the
+// clusterRuns index changes the cost of the search and nothing else.
+func TestFindFreeRunMatchesLinearScan(t *testing.T) {
+	for _, maxContig := range []int{1, 3, 7} {
+		p := smallParams()
+		p.SizeBytes = 4 << 20
+		p.MaxContig = maxContig
+		var longRuns, firstRuns, endRuns, ties, fragSplits int
+		for seed := int64(1); seed <= 12; seed++ {
+			rng := rand.New(rand.NewSource(seed))
+			fs, err := NewFileSystem(p, nopPolicy{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			c := fs.cgs[rng.Intn(len(fs.cgs))]
+			fpb, first := fs.fpb, c.DataStart()/fs.fpb
+			type alloc struct{ lo, hi int } // fragment range
+			var live []alloc
+			for step := 0; step < 400; step++ {
+				full := 1 - float64(c.FreeFrags())/float64(c.nfrags)
+				switch r := rng.Float64(); {
+				case len(live) > 0 && r < 0.55*full:
+					// Free a whole allocation or a block-aligned piece.
+					k := rng.Intn(len(live))
+					a := live[k]
+					lo, hi := a.lo, a.hi
+					if nb := (hi - lo) / fpb; nb > 1 && rng.Intn(2) == 0 {
+						lo += rng.Intn(nb) * fpb
+						hi = lo + (1+rng.Intn((a.hi-lo)/fpb))*fpb
+					}
+					c.freeFrags(lo, hi-lo)
+					live[k] = live[len(live)-1]
+					live = live[:len(live)-1]
+					if a.lo < lo {
+						live = append(live, alloc{a.lo, lo})
+					}
+					if hi < a.hi {
+						live = append(live, alloc{hi, a.hi})
+					}
+				case r < 0.85:
+					want := 1 + rng.Intn(3*maxContig)
+					var b0, n int
+					switch rng.Intn(4) {
+					case 0:
+						b0 = first
+						n = c.blkfree.RunLengthAt(b0, want)
+					case 1:
+						n = c.blkfree.RunLengthBefore(c.nblk, want)
+						b0 = c.nblk - n
+					default:
+						b0 = first + rng.Intn(c.nblk-first)
+						n = c.blkfree.RunLengthAt(b0, want)
+					}
+					if n == 0 {
+						continue
+					}
+					c.mutateFrags(b0*fpb, (b0+n)*fpb, true)
+					live = append(live, alloc{b0 * fpb, (b0 + n) * fpb})
+					if n > maxContig {
+						longRuns++
+					}
+					if b0 == first {
+						firstRuns++
+					}
+					if b0+n == c.nblk {
+						endRuns++
+					}
+				default:
+					// A fragment allocation may split a free block,
+					// shortening a run through the pattern path.
+					before, n := c.nbfree, 1+rng.Intn(fpb-1)
+					if idx := c.allocFrags(n, rng.Intn(c.nfrags)); idx >= 0 {
+						live = append(live, alloc{idx, idx + n})
+						if c.nbfree < before {
+							fragSplits++
+						}
+					}
+				}
+				if longRunTies(c) {
+					ties++
+				}
+				if err := freeRunsAgree(c); err != nil {
+					t.Fatalf("maxcontig %d seed %d step %d: %v", maxContig, seed, step, err)
+				}
+			}
+			// The raw allocations belong to no file; with them released
+			// the whole image must be Check-clean.
+			for _, a := range live {
+				c.freeFrags(a.lo, a.hi-a.lo)
+			}
+			if err := fs.Check(); err != nil {
+				t.Fatalf("maxcontig %d seed %d: %v", maxContig, seed, err)
+			}
+		}
+		if longRuns == 0 || firstRuns == 0 || endRuns == 0 || ties == 0 || fragSplits == 0 {
+			t.Errorf("maxcontig %d: coverage long=%d first=%d end=%d ties=%d splits=%d, want all > 0",
+				maxContig, longRuns, firstRuns, endRuns, ties, fragSplits)
+		}
+	}
+}
+
+// FuzzFreeRunIndex decodes the input into block-range allocations and
+// frees on a tiny two-group file system. After each one the clusterRuns
+// index must answer every search as the linear walk does, and the
+// group's summaries must equal a rescan.
+func FuzzFreeRunIndex(f *testing.F) {
+	f.Add([]byte{0, 3, 9, 1, 5, 2, 0, 40, 20, 1, 3, 9})
+	f.Add([]byte{2, 0, 255, 3, 63, 1, 2, 10, 30, 1, 12, 4, 1, 0, 255})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		p := smallParams()
+		p.SizeBytes = 1 << 20
+		p.NumCg = 2
+		p.MaxContig = 4
+		fs, err := NewFileSystem(p, nopPolicy{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		fpb := fs.fpb
+		// ours marks the blocks the input allocated, so a free never
+		// touches the metadata area.
+		ours := []*bitset.Set{bitset.New(fs.cgs[0].nblk), bitset.New(fs.cgs[1].nblk)}
+		for i := 0; i+2 < len(data); i += 3 {
+			g := int(data[i]>>1) % len(fs.cgs)
+			c := fs.cgs[g]
+			b0 := int(data[i+1]) % c.nblk
+			want := 1 + int(data[i+2])%(3*p.MaxContig)
+			if data[i]&1 == 0 {
+				if n := c.blkfree.RunLengthAt(b0, want); n > 0 {
+					c.mutateFrags(b0*fpb, (b0+n)*fpb, true)
+					ours[g].SetRange(b0, b0+n)
+				}
+			} else if n := ours[g].RunLengthAt(b0, want); n > 0 {
+				c.freeFrags(b0*fpb, n*fpb)
+				ours[g].ClearRange(b0, b0+n)
+			}
+			if err := freeRunsAgree(c); err != nil {
+				t.Fatal(err)
+			}
+		}
+		// The raw allocations belong to no file; with them released the
+		// whole image must be Check-clean.
+		for g, c := range fs.cgs {
+			for b := ours[g].NextSet(0); b >= 0; b = ours[g].NextSet(b + 1) {
+				c.freeFrags(b*fpb, fpb)
+			}
+		}
+		if err := fs.Check(); err != nil {
+			t.Fatal(err)
+		}
+	})
 }

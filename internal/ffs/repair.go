@@ -25,8 +25,9 @@ import (
 //  4. allocation maps — rebuild each group's fragment bitmap as the
 //     complement of the claimed set, then recompute the block map,
 //     nffree/nbfree, frsum and its fragRuns index, and the cluster
-//     summary from it (recomputeSummary, the same pass Check runs), freeing
-//     leaked fragments and reclaiming phantoms as a side effect;
+//     summary and its clusterRuns index from it (recomputeSummary, the
+//     same pass Check runs), freeing leaked fragments and reclaiming
+//     phantoms as a side effect;
 //  5. inode maps — rebuild each group's inode bitmap, nifree, and ndir
 //     from the file table;
 //  6. layout counters — recompute the incremental layout-score caches.
@@ -438,8 +439,8 @@ func (fs *FileSystem) rebuildGroups(claimed *bitset.Set, rep *RepairReport) {
 
 		sum := c.recomputeSummary()
 		changed = changed || c.summaryDrift(sum) != nil
-		c.nffree, c.nbfree, c.frsum, c.fragRuns, c.blkfree, c.clusterSum =
-			sum.nffree, sum.nbfree, sum.frsum, sum.fragRuns, sum.blkfree, sum.clusterSum
+		c.nffree, c.nbfree, c.frsum, c.fragRuns, c.blkfree, c.clusterSum, c.clusterRuns =
+			sum.nffree, sum.nbfree, sum.frsum, sum.fragRuns, sum.blkfree, sum.clusterSum, sum.clusterRuns
 		if c.rotor < 0 || c.rotor >= c.nfrags {
 			c.rotor = c.DataStart()
 			changed = true

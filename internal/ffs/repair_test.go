@@ -54,6 +54,9 @@ func TestRepairFixesEachCorruptionClass(t *testing.T) {
 			c.clusterSum[fs.P.MaxContig]--
 			c.clusterSum[1]++
 		}},
+		{"clusterRuns drift", func(fs *FileSystem, f *File) {
+			driftClusterRuns(fs)
+		}},
 		{"block map drift", func(fs *FileSystem, f *File) {
 			c := fs.Cg(2)
 			c.blkfree.Clear(c.blkfree.NextSet(0))
