@@ -69,6 +69,69 @@ func TestSpanRingWraparoundAndDropped(t *testing.T) {
 	}
 }
 
+// TestElideMatchesEmission elides records that at least Cap() later
+// records evict, on span and event streams with an empty, a partly
+// filled and a wrapped ring, and requires the retained IDs, Dropped
+// and the whole dump (header line included) to equal a stream that
+// emitted every record.
+func TestElideMatchesEmission(t *testing.T) {
+	const ringCap = 4
+	for _, f := range []Format{SpanLines, EventLines} {
+		for _, before := range []int{0, 2, 7} {
+			for _, elided := range []int{0, 1, 9} {
+				emit := func(tr *Tracer, i int) {
+					if f == EventLines {
+						tr.Emit(float64(i), "e", I("i", int64(i)))
+						return
+					}
+					tr.Start(float64(i), "s", I("i", int64(i)))
+					tr.End(float64(i) + 0.5)
+				}
+				dump := func(elide bool) (string, *Tracer) {
+					r := NewRegistry()
+					tr := r.TracerCap("s", f, ringCap)
+					i := 0
+					for ; i < before; i++ {
+						emit(tr, i)
+					}
+					if elide {
+						tr.Elide(int64(elided))
+						i += elided
+					} else {
+						for end := i + elided; i < end; i++ {
+							emit(tr, i)
+						}
+					}
+					for end := i + tr.Cap(); i < end; i++ {
+						emit(tr, i)
+					}
+					var buf bytes.Buffer
+					if err := r.writeJSONL(&buf, f); err != nil {
+						t.Fatal(err)
+					}
+					return buf.String(), tr
+				}
+				want, full := dump(false)
+				got, el := dump(true)
+				if got != want {
+					t.Errorf("%s before=%d elided=%d: dump\n%s\nwant\n%s", f.label(), before, elided, got, want)
+				}
+				if el.Dropped() != full.Dropped() || el.Len() != ringCap {
+					t.Errorf("%s before=%d elided=%d: dropped %d len %d, want %d %d",
+						f.label(), before, elided, el.Dropped(), el.Len(), full.Dropped(), ringCap)
+				}
+				if a, b := el.Spans(), full.Spans(); a[0].ID != b[0].ID || a[ringCap-1].ID != b[ringCap-1].ID {
+					t.Errorf("%s before=%d elided=%d: IDs %d..%d, want %d..%d",
+						f.label(), before, elided, a[0].ID, a[ringCap-1].ID, b[0].ID, b[ringCap-1].ID)
+				}
+			}
+		}
+	}
+	if got := NewRegistry().TracerCap("c", SpanLines, 17).Cap(); got != 17 {
+		t.Errorf("Cap() = %d, want 17", got)
+	}
+}
+
 func TestStrayEndIsNoOp(t *testing.T) {
 	r := NewRegistry()
 	tr := r.Tracer("s", SpanLines)

@@ -213,6 +213,28 @@ func (t *Tracer) slot() *Span {
 	return dst
 }
 
+// Cap returns the ring's record capacity.
+func (t *Tracer) Cap() int {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	return t.cap
+}
+
+// Elide accounts for n records the ring would evict before anyone could
+// read them: it consumes n span IDs and counts n records as dropped,
+// and stores nothing. Precondition: at least Cap() more records follow
+// before the stream is read, so every elided record would have been
+// evicted by them. Then the retained records, their IDs, Dropped and
+// the dump's header are exactly those of emitting the n records. A
+// publisher that knows how many records precede its tail (PublishResult
+// counts them per day) skips rendering what the ring cannot keep.
+func (t *Tracer) Elide(n int64) {
+	t.mu.Lock()
+	t.nextID += n
+	t.dropped += n
+	t.mu.Unlock()
+}
+
 // Len returns the number of buffered records.
 func (t *Tracer) Len() int {
 	t.mu.Lock()
