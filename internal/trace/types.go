@@ -38,7 +38,8 @@ func (k OpKind) String() string {
 }
 
 // Op is one operation in the aging workload. Time is expressed as a day
-// number plus seconds within the day; ordering is (Day, Sec, ID).
+// number plus seconds within the day; ordering is (Day, Sec, ID, Kind),
+// as Compare defines it.
 type Op struct {
 	Day  int
 	Sec  float64
@@ -60,10 +61,11 @@ type Op struct {
 }
 
 // Compare orders ops by (Day, Sec, ID, Kind), returning -1, 0 or +1.
-// The order is total on distinct ops, so sorting an op stream is
-// deterministic even with coincident timestamps, and a same-instant
-// create/delete pair of one ID replays create-first. Sort streams with
-// slices.SortFunc(ops, trace.Op.Compare).
+// ID and Kind break ties between coincident timestamps, so a
+// same-instant create/delete pair of one ID replays create-first. The
+// order is total on those four keys, not on ops: two ops equal on all
+// four compare 0 even when Size, Cg or ShortLived differ. Sort streams
+// with slices.SortFunc(ops, trace.Op.Compare).
 func (a Op) Compare(b Op) int {
 	switch {
 	case a.Day != b.Day:
@@ -120,7 +122,7 @@ type TraceDay struct {
 // Workload is a complete replayable aging workload.
 type Workload struct {
 	Days int
-	Ops  []Op // sorted by (Day, Sec, ID)
+	Ops  []Op // sorted by (Day, Sec, ID, Kind)
 }
 
 // Stats summarizes a workload the way the paper reports it (Section
