@@ -197,6 +197,36 @@ func (s *Set) NextSet(i int) int {
 	}
 }
 
+// NextSetAny returns the first index at or after i set in any of sets,
+// or -1 if there is none. The sets must all have the same length. Their
+// words are ORed together one word index at a time, so finding the
+// earliest member of a union costs one pass that stops at the first
+// word holding one, not one scan per set.
+func NextSetAny(sets []*Set, i int) int {
+	if len(sets) == 0 {
+		return -1
+	}
+	if i < 0 {
+		i = 0
+	}
+	if i >= sets[0].n {
+		return -1
+	}
+	w := i / wordBits
+	mask := ^uint64(0) << uint(i%wordBits) // bits below i in the first word
+	for ; w < len(sets[0].words); w++ {
+		var word uint64
+		for _, s := range sets {
+			word |= s.words[w]
+		}
+		if word &= mask; word != 0 {
+			return w*wordBits + bits.TrailingZeros64(word)
+		}
+		mask = ^uint64(0)
+	}
+	return -1
+}
+
 // NextClear returns the index of the first clear bit at or after i, or -1
 // if there is none.
 func (s *Set) NextClear(i int) int {

@@ -394,6 +394,36 @@ func TestQuickNextMatchesNaive(t *testing.T) {
 	}
 }
 
+// TestQuickNextSetAnyMatchesMin checks NextSetAny against the smallest
+// NextSet of its sets: sparse sets of lengths across word boundaries,
+// from every kind of start, with empty sets and no sets mixed in.
+func TestQuickNextSetAnyMatchesMin(t *testing.T) {
+	f := func(seed int64) bool {
+		rng := rand.New(rand.NewSource(seed))
+		n := 1 + rng.Intn(300)
+		sets := make([]*Set, rng.Intn(5))
+		for k := range sets {
+			sets[k] = New(n)
+			for i := 0; i < n; i++ {
+				if rng.Intn(40) == 0 {
+					sets[k].Set(i)
+				}
+			}
+		}
+		from := rng.Intn(n+3) - 1
+		want := -1
+		for _, s := range sets {
+			if i := s.NextSet(from); i >= 0 && (want < 0 || i < want) {
+				want = i
+			}
+		}
+		return NextSetAny(sets, from) == want
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // bitwiseFindRun is the pre-optimization bit-by-bit reference: NextSet
 // to a candidate, then one Test per bit of the run. The benchmarks
 // below compare it against the word-wise FindRun on the allocator's
