@@ -7,10 +7,13 @@ import (
 	"encoding/hex"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"ffsage/internal/repro"
 )
 
 var updateGolden = flag.Bool("update", false, "rewrite the golden files in testdata")
@@ -35,11 +38,11 @@ func TestQuickGolden(t *testing.T) {
 	}
 	dir := t.TempDir()
 	out := func(name string) string { return filepath.Join(dir, name) }
-	o := options{seed: 1996, quick: true, ablations: true, profiles: true, busStudy: true, policies: "all",
-		mdPath: out("report.md"), metrics: out("metrics.txt"),
-		events: out("events.jsonl"), spansJSONL: out("spans.jsonl")}
+	o := repro.Options{Seed: 1996, Quick: true, Ablations: true, Profiles: true, BusStudy: true, Policies: "all",
+		MDPath: out("report.md"), Metrics: out("metrics.txt"),
+		Events: out("events.jsonl"), SpansJSONL: out("spans.jsonl")}
 
-	if err := runQuiet(o); err != nil {
+	if err := repro.Run(o, io.Discard); err != nil {
 		t.Fatal(err)
 	}
 
@@ -52,8 +55,8 @@ func TestQuickGolden(t *testing.T) {
 		return b
 	}
 	exact := map[string][]byte{
-		"quick_report.md":   read(o.mdPath),
-		"quick_metrics.txt": read(o.metrics),
+		"quick_report.md":   read(o.MDPath),
+		"quick_metrics.txt": read(o.Metrics),
 	}
 	var sums strings.Builder
 	for _, name := range []string{"events.jsonl", "spans.jsonl"} {

@@ -2,38 +2,25 @@ package main
 
 import (
 	"bytes"
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 
 	"ffsage/internal/experiments"
+	"ffsage/internal/repro"
 )
-
-// runQuiet calls run with stdout sent to /dev/null: run prints the
-// report and the timing footer there; keep the test log readable.
-func runQuiet(o options) error {
-	devnull, err := os.OpenFile(os.DevNull, os.O_WRONLY, 0)
-	if err != nil {
-		return err
-	}
-	stdout := os.Stdout
-	os.Stdout = devnull
-	err = run(o)
-	os.Stdout = stdout
-	devnull.Close()
-	return err
-}
 
 // TestOnlyRejectsUnknownKey: a mistyped -only key used to select
 // nothing and still age every arm. It must fail up front and list the
 // valid keys.
 func TestOnlyRejectsUnknownKey(t *testing.T) {
-	err := runQuiet(options{seed: 1996, quick: true, only: "fig2,fgi2"})
+	err := repro.Run(repro.Options{Seed: 1996, Quick: true, Only: "fig2,fgi2"}, io.Discard)
 	if err == nil {
 		t.Fatal("-only fgi2 accepted")
 	}
-	for _, k := range append([]string{"fgi2"}, exhibitKeys...) {
+	for _, k := range append([]string{"fgi2"}, repro.Keys()...) {
 		if !strings.Contains(err.Error(), k) {
 			t.Errorf("error %q does not mention %q", err, k)
 		}
@@ -46,29 +33,29 @@ func TestOnlyRejectsUnknownKey(t *testing.T) {
 func TestAssembleMatchesSingleProcess(t *testing.T) {
 	dir := t.TempDir()
 	frags := filepath.Join(dir, "frags")
-	base := options{seed: 1996, quick: true, days: 8, only: "tournament"}
+	base := repro.Options{Seed: 1996, Quick: true, Days: 8, Only: "tournament"}
 	for _, p := range []string{"ffs", "ssd"} {
 		leg := base
-		leg.policies, leg.fragDir = p, frags
-		if err := runQuiet(leg); err != nil {
+		leg.Policies, leg.FragDir = p, frags
+		if err := repro.Run(leg, io.Discard); err != nil {
 			t.Fatal(err)
 		}
 	}
 	full := base
-	full.policies, full.mdPath = "ffs,ssd", filepath.Join(dir, "full.md")
-	fanin := options{seed: 1996, quick: true, days: 8, policies: "ffs,ssd",
-		assemble: frags, mdPath: filepath.Join(dir, "assembled.md")}
+	full.Policies, full.MDPath = "ffs,ssd", filepath.Join(dir, "full.md")
+	fanin := repro.Options{Seed: 1996, Quick: true, Days: 8, Policies: "ffs,ssd",
+		Assemble: frags, MDPath: filepath.Join(dir, "assembled.md")}
 	experiments.ResetCaches() // the single-process run ages afresh
-	for _, o := range []options{full, fanin} {
-		if err := runQuiet(o); err != nil {
+	for _, o := range []repro.Options{full, fanin} {
+		if err := repro.Run(o, io.Discard); err != nil {
 			t.Fatal(err)
 		}
 	}
-	want, err := os.ReadFile(full.mdPath)
+	want, err := os.ReadFile(full.MDPath)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := os.ReadFile(fanin.mdPath)
+	got, err := os.ReadFile(fanin.MDPath)
 	if err != nil {
 		t.Fatal(err)
 	}
