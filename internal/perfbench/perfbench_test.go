@@ -170,7 +170,13 @@ func TestCheckCatchesInjectedSlowdown(t *testing.T) {
 		t.Skip("ages the micro fixture")
 	}
 	fx := testFixture(t)
-	opts := Options{Reps: 3, Warmup: 0, Seed: 1996, Run: regexp.MustCompile(`^layout\.`)}
+	// Each rep is one ~20 µs op, so a preempted rep reads 10x slow or
+	// worse. The median's 95% bootstrap interval must not reach such
+	// outliers, or the injected 10x overlaps and reads as noise: with
+	// three reps the interval spans about [min, max] and one outlier
+	// did it; seven still failed ~3% of runs beside a loaded go test.
+	// Twenty-one need several preempted reps in one run.
+	opts := Options{Reps: 21, Warmup: 0, Seed: 1996, Run: regexp.MustCompile(`^layout\.`)}
 	base, err := RunSuite(fx, opts)
 	if err != nil {
 		t.Fatal(err)
