@@ -119,14 +119,20 @@ func TestTextParserErrors(t *testing.T) {
 	}
 }
 
+// TestOpOrdering pins Compare as a total order: (Day, Sec, ID, Kind)
+// first, then Size, Cg and ShortLived, so only identical ops compare
+// equal.
 func TestOpOrdering(t *testing.T) {
 	a := Op{Day: 1, Sec: 5, ID: 10}
 	b := Op{Day: 1, Sec: 5, ID: 11}
 	c := Op{Day: 1, Sec: 6, ID: 1}
 	d := Op{Day: 2, Sec: 0, ID: 0}
 	create := Op{Day: 2, Sec: 0, ID: 0, Kind: OpCreate}
-	del := Op{Day: 2, Sec: 0, ID: 0, Kind: OpDelete, Size: 9}
-	chain := []Op{a, b, c, d, create, del}
+	del := Op{Day: 2, Sec: 0, ID: 0, Kind: OpDelete}
+	sized := Op{Day: 2, Sec: 0, ID: 0, Kind: OpDelete, Size: 9}
+	grouped := Op{Day: 2, Sec: 0, ID: 0, Kind: OpDelete, Size: 9, Cg: 1}
+	short := Op{Day: 2, Sec: 0, ID: 0, Kind: OpDelete, Size: 9, Cg: 1, ShortLived: true}
+	chain := []Op{a, b, c, d, create, del, sized, grouped, short}
 	for i := range chain {
 		for j := range chain {
 			if got, want := chain[i].Compare(chain[j]), cmpInt(i, j); got != want {
@@ -134,9 +140,9 @@ func TestOpOrdering(t *testing.T) {
 			}
 		}
 	}
-	// Kind breaks the last tie; fields outside the key do not order.
-	if got := del.Compare(Op{Day: 2, Sec: 0, ID: 0, Kind: OpDelete}); got != 0 {
-		t.Errorf("ops equal on (Day, Sec, ID, Kind) compare %d, want 0", got)
+	// Size outranks Cg: the later keys only break ties.
+	if got := (Op{Size: 1}).Compare(Op{Cg: 5}); got != 1 {
+		t.Errorf("Size 1 vs Cg 5 compares %d, want 1", got)
 	}
 }
 

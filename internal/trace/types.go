@@ -39,7 +39,7 @@ func (k OpKind) String() string {
 
 // Op is one operation in the aging workload. Time is expressed as a day
 // number plus seconds within the day; ordering is (Day, Sec, ID, Kind),
-// as Compare defines it.
+// then the remaining fields, as Compare defines it.
 type Op struct {
 	Day  int
 	Sec  float64
@@ -62,10 +62,11 @@ type Op struct {
 
 // Compare orders ops by (Day, Sec, ID, Kind), returning -1, 0 or +1.
 // ID and Kind break ties between coincident timestamps, so a
-// same-instant create/delete pair of one ID replays create-first. The
-// order is total on those four keys, not on ops: two ops equal on all
-// four compare 0 even when Size, Cg or ShortLived differ. Sort streams
-// with slices.SortFunc(ops, trace.Op.Compare).
+// same-instant create/delete pair of one ID replays create-first.
+// Size, Cg and ShortLived (false first) break any tie left, so the
+// order is total: Compare returns 0 only for identical ops, and a
+// sorted stream is the same whichever sort algorithm produced it.
+// Sort streams with slices.SortFunc(ops, trace.Op.Compare).
 func (a Op) Compare(b Op) int {
 	switch {
 	case a.Day != b.Day:
@@ -76,6 +77,12 @@ func (a Op) Compare(b Op) int {
 		return order(a.ID < b.ID)
 	case a.Kind != b.Kind:
 		return order(a.Kind < b.Kind)
+	case a.Size != b.Size:
+		return order(a.Size < b.Size)
+	case a.Cg != b.Cg:
+		return order(a.Cg < b.Cg)
+	case a.ShortLived != b.ShortLived:
+		return order(b.ShortLived)
 	}
 	return 0
 }
