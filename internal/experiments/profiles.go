@@ -47,16 +47,8 @@ func RunProfile(cfg Config, p workload.Profile) (ProfileResult, error) {
 	scale := float64(cfg.WorkloadCfg.FsBytes) / float64(502<<20)
 	wc.ChurnBytesPerDay *= scale
 	wc.ShortPairsPerDay *= scale
-	b, ref, err := reconstructed(wc, cfg.NFSCfg)
-	if err != nil {
-		return ProfileResult{}, fmt.Errorf("profile %s: %w", p, err)
-	}
+	e, ref := reconstructed(wc, cfg.NFSCfg)
 	res := ProfileResult{Profile: p}
-	sum := b.Reconstructed.Summarize()
-	res.Ops = sum.Ops
-	res.BytesWritten = sum.BytesWritten
-	res.EndFiles = b.Reference.EndLiveFiles
-
 	from := wc.Days - cfg.HotWindow
 	policyArm := func(pol ffs.Policy, layout, hotRead *float64) arm {
 		return arm{label: fmt.Sprintf("profile %s %s", p, pol.Name()), params: cfg.FsParams, policy: pol, wl: ref,
@@ -76,6 +68,14 @@ func RunProfile(cfg Config, p workload.Profile) (ProfileResult, error) {
 	}); err != nil {
 		return ProfileResult{}, err
 	}
+	b, err := e.wait()
+	if err != nil {
+		return ProfileResult{}, fmt.Errorf("profile %s: %w", p, err)
+	}
+	sum := b.Reconstructed.Summarize()
+	res.Ops = sum.Ops
+	res.BytesWritten = sum.BytesWritten
+	res.EndFiles = b.Reference.EndLiveFiles
 	return res, nil
 }
 

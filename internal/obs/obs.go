@@ -338,7 +338,7 @@ func (r *Registry) CaptureJobs(on bool) {
 	r.jobs, r.stages = nil, nil
 }
 
-// AppendStage logs one serial stage: timed work that ran outside any
+// AppendStage logs one stage: timed work that ran outside any
 // runner group, such as a workload build. Stages sit beside the jobs in
 // the timing footer but are never counted among them.
 func (r *Registry) AppendStage(st JobStat) {

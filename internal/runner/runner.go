@@ -141,9 +141,9 @@ func measure(label string, fn func() error) Stat {
 	return Stat{Label: label, Wall: wall, AllocBytes: m1.TotalAlloc - m0.TotalAlloc, Err: err}
 }
 
-// Time runs fn on the calling goroutine as a serial stage — work the
-// caller waits for outside any Group, such as a workload build — and,
-// while telemetry capture is on, logs its stats for the timing footer.
+// Time runs fn on the calling goroutine as a stage — work outside any
+// Group, such as a workload build — and, while telemetry capture is
+// on, logs its stats for the timing footer.
 // Stages are not jobs: Telemetry and the runner_jobs metrics never see
 // them.
 func Time(label string, fn func() error) error {

@@ -139,16 +139,30 @@ func GenerateReference(cfg Config) (*ReferenceResult, error) {
 	}
 	r := newReference(cfg)
 	for day := 0; day < cfg.Days; day++ {
-		r.simulateDay(day)
-		r.snapshot(day)
+		r.advance(day)
 	}
-	slices.SortFunc(r.ops, trace.Op.Compare)
+	return r.result(), nil
+}
+
+// advance simulates one day, puts the day's ops in stream order and
+// takes the nightly snapshot. Every op simulateDay emits is on that
+// day, so sorting each day's slice as it finishes keeps the whole
+// stream sorted.
+func (r *reference) advance(day int) {
+	start := len(r.ops)
+	r.simulateDay(day)
+	slices.SortFunc(r.ops[start:], trace.Op.Compare)
+	r.snapshot(day)
+}
+
+// result wraps the generator's state after its last day.
+func (r *reference) result() *ReferenceResult {
 	return &ReferenceResult{
-		GroundTruth:  &trace.Workload{Days: cfg.Days, Ops: r.ops},
+		GroundTruth:  &trace.Workload{Days: r.cfg.Days, Ops: r.ops},
 		Snapshots:    r.snaps,
 		EndLiveFiles: len(r.liveList),
 		EndUsedBytes: r.usedBytes,
-	}, nil
+	}
 }
 
 // newReference returns the generator's day-0 state for a valid cfg.
