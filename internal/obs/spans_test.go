@@ -299,6 +299,24 @@ func TestSpanEmitSteadyStateAllocs(t *testing.T) {
 	}
 }
 
+// TestFreshRingFillAllocs: filling a fresh ring carves record
+// attributes from a shared slab, so it costs a few allocations per
+// slab chunk and ring growth, not one per slot.
+func TestFreshRingFillAllocs(t *testing.T) {
+	const records = 4096
+	n := testing.AllocsPerRun(5, func() {
+		tr := NewRegistry().TracerCap("s", SpanLines, records)
+		for i := 0; i < records/2; i++ {
+			tr.Start(float64(i), "day", I("day", int64(i)))
+			tr.Emit(float64(i), "op", I("id", int64(i)), F("sec", 1.5))
+			tr.End(float64(i+1), I("ops", 3))
+		}
+	})
+	if n > 64 {
+		t.Errorf("filling a %d-record ring took %v allocations, want a few per slab chunk", records, n)
+	}
+}
+
 func TestWritePrometheus(t *testing.T) {
 	r := NewRegistry()
 	r.Counter(`agesrv_http_requests_total{path="/jobs",code="200"}`).Add(3)
