@@ -170,12 +170,13 @@ func TestCheckCatchesInjectedSlowdown(t *testing.T) {
 		t.Skip("ages the micro fixture")
 	}
 	fx := testFixture(t)
-	// Each rep is one ~20 µs op, so a preempted rep reads 10x slow or
-	// worse. The median's 95% bootstrap interval must not reach such
-	// outliers, or the injected 10x overlaps and reads as noise: with
-	// three reps the interval spans about [min, max] and one outlier
-	// did it; seven still failed ~3% of runs beside a loaded go test.
-	// Twenty-one need several preempted reps in one run.
+	// The median's 95% bootstrap interval must not reach 10x, or the
+	// injected 10x overlaps and reads as noise. When each rep timed one
+	// ~20 µs op, a preempted rep read 10x slow or worse: with three reps
+	// the interval spanned about [min, max] and one outlier did it, and
+	// seven still failed ~3% of runs beside a loaded go test. A rep's
+	// sample is now the median of a millisecond's batch of calls, which
+	// one preemption does not move; twenty-one reps stay as margin.
 	opts := Options{Reps: 21, Warmup: 0, Seed: 1996, Run: regexp.MustCompile(`^layout\.`)}
 	base, err := RunSuite(fx, opts)
 	if err != nil {
