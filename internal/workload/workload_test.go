@@ -221,6 +221,9 @@ func TestDiffErrors(t *testing.T) {
 	if _, err := Diff(snaps, 27, 4800, rng); err == nil {
 		t.Error("out-of-order snapshots accepted")
 	}
+	if _, err := Diff([]trace.Snapshot{{Day: -1}}, 27, 4800, rng); err == nil {
+		t.Error("snapshot of a negative day accepted")
+	}
 	if _, err := Diff([]trace.Snapshot{{Day: 0}}, 0, 4800, rng); err == nil {
 		t.Error("bad geometry accepted")
 	}
