@@ -71,7 +71,7 @@ func defineFlags(fs *flag.FlagSet, c *cli) {
 	fs.StringVar(&c.Policies, "policies", "", "also run the N-way policy tournament: all, or comma-separated registered names")
 	fs.StringVar(&c.FragDir, "fragments", "", "also write each tournament policy's report fragment to <dir>/<slug>.frag")
 	fs.StringVar(&c.Assemble, "assemble", "", "render only the tournament section, from the fragments in this directory, without simulating")
-	fs.IntVar(&c.jobs, "j", 0, "max concurrent jobs (0 = GOMAXPROCS)")
+	fs.IntVar(&c.jobs, "j", 0, "max concurrent jobs (0 = GOMAXPROCS); a workload build runs beside them")
 	fs.StringVar(&c.Faults, "faults", "", "fault plan for the aging replays, e.g. crash@day:30 or ioerr@alloc:5000 (see internal/faults)")
 	fs.IntVar(&c.CkptEvery, "checkpoint-every", 0, "checkpoint the aging replays every K simulated days (needs -checkpoint-dir)")
 	fs.StringVar(&c.CkptDir, "checkpoint-dir", "", "directory holding aging checkpoints")
