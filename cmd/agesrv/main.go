@@ -69,7 +69,7 @@ func run(addr, dir string, workers, maxPending int, pprofOn bool) error {
 		Logf:       logf,
 		// A fault-plan crash simulates sudden process death, so die for
 		// real: skip every drain path, leaving the queue record Running
-		// and the checkpoint as-is. Exit 3 mirrors cmd/agefs's crash
+		// and the checkpoint as-is. Exit 3 mirrors fsimg age's crash
 		// status so harnesses can tell a planned crash from a failure.
 		OnCrash: func(id string, c *faults.Crash) {
 			logf("%s: %v; dying as planned", id, c)

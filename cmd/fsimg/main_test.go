@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
@@ -13,15 +14,13 @@ import (
 	"ffsage/internal/core"
 	"ffsage/internal/disk"
 	"ffsage/internal/ffs"
+	"ffsage/internal/trace"
 )
 
 var updateGolden = flag.Bool("update", false, "rewrite the golden files in testdata")
 
-// The images in testdata were aged 12 days from a seed-1996 workload:
-//
-//	mkworkload -days 12 -out wl.ffw
-//	agefs -workload wl.ffw -policy ffs -q -image testdata/ffs.img
-//	agefs -workload wl.ffw -policy realloc -q -image testdata/realloc.img
+// The images in testdata were aged 12 days from a seed-1996 workload;
+// TestRebuildTestdataImages rebuilds them.
 
 // TestGolden pins every subcommand's stdout on the testdata images.
 // If a change is meant to move a report, regenerate with:
@@ -105,4 +104,126 @@ func TestSeqUsesRecordedPolicy(t *testing.T) {
 		t.Errorf("seq rows on an ffs image:\n%s\nwant (swept under ffs):\n%s",
 			strings.Join(got, "\n"), strings.Join(want, "\n"))
 	}
+}
+
+// TestRebuildTestdataImages runs the pipeline that made the testdata
+// images, fsimg workload then fsimg age under each policy, and
+// requires it to rebuild them byte for byte.
+func TestRebuildTestdataImages(t *testing.T) {
+	dir := t.TempDir()
+	wl := filepath.Join(dir, "wl.ffw")
+	mustRun(t, "workload", "-days", "12", "-out", wl)
+	for _, pol := range []string{"ffs", "realloc"} {
+		img := filepath.Join(dir, pol+".img")
+		mustRun(t, "age", "-workload", wl, "-policy", pol, "-q", "-image", img)
+		got, err := os.ReadFile(img)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := os.ReadFile(filepath.Join("testdata", pol+".img"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, want) {
+			t.Errorf("fsimg age -policy %s rebuilt an image that differs from testdata/%s.img", pol, pol)
+		}
+	}
+}
+
+// TestCheckKeepsRecordedPolicy is the regression test for checking an
+// image under a -policy flag that defaulted to realloc: check -o on an
+// image aged under ffs must save an image that records ffs and sweeps
+// as the original does, with and without -repair, and from a
+// checkpoint that holds the image.
+func TestCheckKeepsRecordedPolicy(t *testing.T) {
+	const in = "testdata/ffs.img"
+	img, err := os.ReadFile(in)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ckpt := filepath.Join(t.TempDir(), "ffs.ckpt")
+	if err := writeFile(ckpt, func(f io.Writer) error {
+		return trace.WriteCheckpoint(f, &trace.Checkpoint{Day: 11, Image: img})
+	}); err != nil {
+		t.Fatal(err)
+	}
+	seq := func(img string) string {
+		return mustRun(t, "seq", "-image", img, "-sizes", "64,96", "-total", "4194304")
+	}
+	want := seq(in)
+	for _, args := range [][]string{{"-image", in}, {"-image", in, "-repair"}, {"-image", ckpt}} {
+		out := filepath.Join(t.TempDir(), "out.img")
+		mustRun(t, append([]string{"check", "-o", out}, args...)...)
+		if name := recordedPolicy(t, out); name != "ffs" {
+			t.Errorf("check %v -o: output records policy %q, want ffs", args, name)
+		}
+		if got := seq(out); got != want {
+			t.Errorf("check %v -o: seq on the output:\n%s\nwant (on the input):\n%s", args, got, want)
+		}
+	}
+}
+
+// TestCrashRecovery tears a write partway through a 20-day aging under
+// ffs, then checks the saved image, repairs it and checks the repair,
+// requiring each step's exit status.
+func TestCrashRecovery(t *testing.T) {
+	dir := t.TempDir()
+	wl, torn, repaired := filepath.Join(dir, "wl.ffw"), filepath.Join(dir, "torn.img"), filepath.Join(dir, "repaired.img")
+	metrics := filepath.Join(dir, "metrics.txt")
+	mustRun(t, "workload", "-days", "20", "-out", wl)
+	steps := []struct {
+		args []string
+		code int
+	}{
+		{[]string{"age", "-workload", wl, "-policy", "ffs", "-q", "-faults", "tear@op:30000", "-image", torn}, 3},
+		{[]string{"check", "-image", torn}, 1},
+		{[]string{"check", "-image", torn, "-repair", "-o", repaired, "-metrics", metrics}, 0},
+		{[]string{"check", "-image", repaired}, 0},
+	}
+	for _, s := range steps {
+		if code := exitCode(run(s.args, io.Discard)); code != s.code {
+			t.Fatalf("fsimg %s: exit %d, want %d", strings.Join(s.args, " "), code, s.code)
+		}
+	}
+	// The lenient loader the repair used resolves the recorded policy too.
+	if name := recordedPolicy(t, repaired); name != "ffs" {
+		t.Errorf("repaired image records policy %q, want ffs", name)
+	}
+	m, err := os.ReadFile(metrics)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, line := range []string{"counter fsck.inconsistent 1\n", "counter fsck.repair.shapes_fixed 1\n"} {
+		if !bytes.Contains(m, []byte(line)) {
+			t.Errorf("metrics snapshot lacks %q:\n%s", line, m)
+		}
+	}
+}
+
+// mustRun runs fsimg with args and returns its output.
+func mustRun(t *testing.T, args ...string) string {
+	t.Helper()
+	var out bytes.Buffer
+	if err := run(args, &out); err != nil {
+		t.Fatalf("fsimg %s: %v", strings.Join(args, " "), err)
+	}
+	return out.String()
+}
+
+// recordedPolicy returns the policy name the image at path records.
+func recordedPolicy(t *testing.T, path string) string {
+	t.Helper()
+	f, err := os.Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	var name string
+	if _, err := ffs.LoadSavedImage(f, func(n string) (ffs.Policy, error) {
+		name = n
+		return core.Original{}, nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	return name
 }

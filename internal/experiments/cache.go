@@ -114,6 +114,11 @@ func startBuild(wc workload.Config, nc workload.NFSTraceConfig) *buildEntry {
 			})
 			return err
 		})
+		if e.b != nil {
+			// No cache consumer reads the nightly snapshots (61.6 MB at
+			// Full scale); BuildWorkload's callers still get them.
+			e.b.Reference.Snapshots = nil
+		}
 		if e.err != nil {
 			e.truth.Fail(e.err)
 			e.recon.Fail(e.err)

@@ -38,6 +38,9 @@ func TestStreamedSuiteMatchesFinishedBuild(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		if n := len(s.Build.Reference.Snapshots); n != 0 {
+			t.Errorf("-j %d: the cached build keeps %d nightly snapshots, which no consumer reads", workers, n)
+		}
 		arms := []struct {
 			name string
 			got  *aging.Result

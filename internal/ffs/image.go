@@ -94,10 +94,12 @@ func LoadSavedImage(r io.Reader, resolve func(name string) (Policy, error)) (*Fi
 // LoadImageLenient reconstructs as much of an image as possible without
 // validating it: extents are not claimed in the allocation maps, orphans
 // and duplicate inodes are tolerated, and no consistency check runs.
-// The result is NOT usable until Repair() has rebuilt the maps and
-// counters from the file table; cmd/fsck is the intended caller.
-func LoadImageLenient(r io.Reader, policy Policy) (*FileSystem, error) {
-	return loadImage(r, func(string) (Policy, error) { return policy, nil }, true)
+// Like LoadSavedImage, it loads under the policy the image records,
+// which resolve maps to a Policy. The result is NOT usable until
+// Repair() has rebuilt the maps and counters from the file table;
+// fsimg check -repair is the intended caller.
+func LoadImageLenient(r io.Reader, resolve func(name string) (Policy, error)) (*FileSystem, error) {
+	return loadImage(r, resolve, true)
 }
 
 // claimLenient marks [addr, addr+n) allocated where possible: fragments

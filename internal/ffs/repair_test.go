@@ -217,7 +217,15 @@ func TestLoadImageLenientThenRepair(t *testing.T) {
 	if _, err := LoadImage(bytes.NewReader(buf.Bytes()), nopPolicy{}); err == nil {
 		t.Fatal("strict LoadImage accepted a torn image")
 	}
-	loaded, err := LoadImageLenient(bytes.NewReader(buf.Bytes()), nopPolicy{})
+	// The lenient loader resolves the policy name the image records.
+	var recorded string
+	loaded, err := LoadImageLenient(bytes.NewReader(buf.Bytes()), func(name string) (Policy, error) {
+		recorded = name
+		return nopPolicy{}, nil
+	})
+	if recorded != (nopPolicy{}).Name() {
+		t.Errorf("lenient load resolved policy %q, want the recorded %q", recorded, (nopPolicy{}).Name())
+	}
 	if err != nil {
 		t.Fatalf("LoadImageLenient: %v", err)
 	}
