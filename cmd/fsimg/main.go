@@ -308,20 +308,17 @@ func check(w io.Writer, reg *obs.Registry, path string, repair bool, out string)
 	if err != nil {
 		return err
 	}
-	var fsys *ffs.FileSystem
-	summary := func(state string) {
+	summary := func(fsys *ffs.FileSystem, state string) {
 		fmt.Fprintf(w, "%s: %s: %d files, utilization %.1f%%, layout %.3f\n",
 			path, state, fsys.FileCount(), 100*fsys.Utilization(), fsys.LayoutScore())
 	}
-	// First try the strict loader: it validates as it builds, so a
-	// clean load plus a clean Check is a consistent image.
-	fsys, err = ffs.LoadSavedImage(bytes.NewReader(raw), policy.Resolve)
+	// First try the strict loader: it validates as it builds and runs
+	// Check on the result, so a clean load is a consistent image.
+	fsys, err := ffs.LoadSavedImage(bytes.NewReader(raw), policy.Resolve)
 	if err == nil {
-		if err = fsys.Check(); err == nil {
-			reg.Counter("fsck.clean").Inc()
-			summary("clean")
-			return saveImage(w, fsys, out)
-		}
+		reg.Counter("fsck.clean").Inc()
+		summary(fsys, "clean")
+		return saveImage(w, fsys, out)
 	}
 	reg.Counter("fsck.inconsistent").Inc()
 	fmt.Fprintf(w, "%s: inconsistent: %v\n", path, err)
@@ -342,7 +339,7 @@ func check(w io.Writer, reg *obs.Registry, path string, repair bool, out string)
 	if err := fsys.Check(); err != nil {
 		return fmt.Errorf("still inconsistent after repair: %w", err)
 	}
-	summary("now clean")
+	summary(fsys, "now clean")
 	return saveImage(w, fsys, out)
 }
 
