@@ -21,7 +21,12 @@ import (
 type Stepper struct {
 	fsys *ffs.FileSystem
 	dirs []*ffs.File
-	byID map[int64]*ffs.File
+	// snap and short map workload IDs to their live files' inode
+	// numbers + 1, 0 marking no live file: snap[id] for the
+	// snapshot-derived IDs (source inode numbers, ≥ 0) and short[-1-id]
+	// for the short-lived ones, which count down from -1. Both are
+	// dense, and hold no pointers for the GC to scan.
+	snap, short []int32
 	// names caches the decimal form of snapshot-derived (non-negative)
 	// workload IDs, which recur across delete/recreate and rewrite
 	// cycles. Short-lived files carry unique negative IDs that are never
@@ -48,21 +53,59 @@ func NewStepper(fsys *ffs.FileSystem) (*Stepper, error) {
 	if err != nil {
 		return nil, err
 	}
-	byID := make(map[int64]*ffs.File, len(fsys.Files()))
+	s := &Stepper{fsys: fsys, dirs: dirs, names: make(map[int64]string)}
 	for _, f := range fsys.Files() {
 		if f.IsDir {
 			continue
 		}
 		id, err := strconv.ParseInt(f.Name, 10, 64)
-		if err != nil {
+		if err != nil || !inReach(id) {
 			return nil, fmt.Errorf("aging: file %q is not a workload file", f.Name)
 		}
-		if byID[id] != nil {
+		if s.lookup(id) != nil {
 			return nil, fmt.Errorf("aging: two files for id %d", id)
 		}
-		byID[id] = f
+		s.record(id, f)
 	}
-	return &Stepper{fsys: fsys, dirs: dirs, byID: byID, names: make(map[int64]string)}, nil
+	return s, nil
+}
+
+// maxID bounds workload IDs to (-maxID, maxID), so that a stray ID
+// cannot grow the ID tables past 64 MiB each.
+const maxID = 1 << 24
+
+func inReach(id int64) bool { return id > -maxID && id < maxID }
+
+// table returns the ID table that holds id, and id's index in it.
+func (s *Stepper) table(id int64) (*[]int32, int) {
+	if id < 0 {
+		return &s.short, int(-1 - id)
+	}
+	return &s.snap, int(id)
+}
+
+// lookup returns id's live file, or nil.
+func (s *Stepper) lookup(id int64) *ffs.File {
+	t, i := s.table(id)
+	if i >= len(*t) || (*t)[i] == 0 {
+		return nil
+	}
+	return s.fsys.FileByIno(int((*t)[i]) - 1)
+}
+
+// record makes f id's live file, or clears id's entry when f is nil.
+func (s *Stepper) record(id int64, f *ffs.File) {
+	t, i := s.table(id)
+	if i >= len(*t) {
+		if f == nil {
+			return
+		}
+		*t = append(*t, make([]int32, i+1-len(*t))...)
+	}
+	(*t)[i] = 0
+	if f != nil {
+		(*t)[i] = int32(f.Ino + 1)
+	}
 }
 
 // Apply applies one operation, absorbing the failures a replay absorbs
@@ -73,6 +116,9 @@ func NewStepper(fsys *ffs.FileSystem) (*Stepper, error) {
 func (s *Stepper) Apply(op trace.Op) error {
 	if op.Cg < 0 || op.Cg >= len(s.dirs) {
 		return fmt.Errorf("aging: op cg %d outside [0,%d)", op.Cg, len(s.dirs))
+	}
+	if !inReach(op.ID) {
+		return fmt.Errorf("aging: op id %d outside (-%d,%d)", op.ID, maxID, maxID)
 	}
 	err := s.applyOp(op)
 	switch {
@@ -116,18 +162,18 @@ func (s *Stepper) applyOp(op trace.Op) error {
 	dir := s.dirs[op.Cg]
 	switch op.Kind {
 	case trace.OpCreate:
-		if s.byID[op.ID] != nil {
+		if s.lookup(op.ID) != nil {
 			return fmt.Errorf("aging: create of live id %d", op.ID)
 		}
 		f, err := s.fsys.CreateFile(dir, s.name(op.ID), op.Size, op.Day)
 		if err != nil {
 			return fmt.Errorf("aging: create %d: %w", op.ID, err)
 		}
-		s.byID[op.ID] = f
+		s.record(op.ID, f)
 		s.lastWritten = f
 		return nil
 	case trace.OpDelete:
-		f := s.byID[op.ID]
+		f := s.lookup(op.ID)
 		if f == nil {
 			s.Skipped++
 			return nil
@@ -136,13 +182,13 @@ func (s *Stepper) applyOp(op trace.Op) error {
 		if err := s.fsys.Delete(f); err != nil {
 			return fmt.Errorf("aging: delete %d: %w", op.ID, err)
 		}
-		delete(s.byID, op.ID)
+		s.record(op.ID, nil)
 		return nil
 	case trace.OpRewrite:
 		// The paper's modify heuristic: remove (or truncate to zero) and
 		// rewrite. The dying file's name (the formatted ID) is reused
 		// rather than formatted again.
-		f := s.byID[op.ID]
+		f := s.lookup(op.ID)
 		name := ""
 		if f != nil {
 			name = f.Name
@@ -150,7 +196,7 @@ func (s *Stepper) applyOp(op trace.Op) error {
 			if err := s.fsys.Delete(f); err != nil {
 				return fmt.Errorf("aging: rewrite-delete %d: %w", op.ID, err)
 			}
-			delete(s.byID, op.ID)
+			s.record(op.ID, nil)
 		} else {
 			name = s.name(op.ID)
 		}
@@ -158,7 +204,7 @@ func (s *Stepper) applyOp(op trace.Op) error {
 		if err != nil {
 			return fmt.Errorf("aging: rewrite %d: %w", op.ID, err)
 		}
-		s.byID[op.ID] = f
+		s.record(op.ID, f)
 		s.lastWritten = f
 		return nil
 	default:

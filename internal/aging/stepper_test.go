@@ -28,14 +28,14 @@ func TestStepperCountsInjectedFault(t *testing.T) {
 	if st.Skipped != 1 || st.Faulted != 1 || st.NoSpace != 0 {
 		t.Errorf("Skipped %d Faulted %d NoSpace %d, want 1 1 0", st.Skipped, st.Faulted, st.NoSpace)
 	}
-	if st.byID[7] != nil {
+	if st.lookup(7) != nil {
 		t.Error("the faulted create left a live file")
 	}
 	if err := st.Apply(trace.Op{Kind: trace.OpCreate, ID: 7, Cg: 1, Size: 64 << 10}); err != nil {
 		t.Fatal(err)
 	}
-	if st.byID[7] == nil || st.Skipped != 1 {
-		t.Errorf("retried create: live %v, Skipped %d", st.byID[7] != nil, st.Skipped)
+	if st.lookup(7) == nil || st.Skipped != 1 {
+		t.Errorf("retried create: live %v, Skipped %d", st.lookup(7) != nil, st.Skipped)
 	}
 	if err := fsys.Check(); err != nil {
 		t.Fatal(err)

@@ -45,7 +45,8 @@ func (fs *FileSystem) Check() error {
 // rescan of every plain file's block map.
 func (fs *FileSystem) checkLayoutCounts() error {
 	var opt, total int64
-	for ino, f := range fs.files {
+	for _, f := range fs.Files() {
+		ino := f.Ino
 		if f.IsDir {
 			if f.scoreOpt != 0 || f.scoreTotal != 0 {
 				return fmt.Errorf("dir ino %d carries layout cache %d/%d", ino, f.scoreOpt, f.scoreTotal)
@@ -198,7 +199,8 @@ func (fs *FileSystem) checkExtents() error {
 			}
 		}
 	}
-	for ino, f := range fs.files {
+	for _, f := range fs.Files() {
+		ino := f.Ino
 		for i, addr := range f.Blocks {
 			n := fs.fpb
 			if i == len(f.Blocks)-1 {
@@ -229,10 +231,23 @@ func (fs *FileSystem) checkExtents() error {
 
 func (fs *FileSystem) checkFiles() error {
 	bs := int64(fs.P.BlockSize)
-	for ino, f := range fs.files {
-		if f.Ino != ino {
-			return fmt.Errorf("ino %d: table key disagrees with File.Ino %d", ino, f.Ino)
+	nfiles := 0
+	for cg, t := range fs.files {
+		for slot, f := range t {
+			if f == nil {
+				continue
+			}
+			nfiles++
+			if ino := fs.inoNumber(cg, slot); f.Ino != ino {
+				return fmt.Errorf("ino %d: table slot disagrees with File.Ino %d", ino, f.Ino)
+			}
 		}
+	}
+	if nfiles != fs.nfiles {
+		return fmt.Errorf("file table holds %d files, count says %d", nfiles, fs.nfiles)
+	}
+	for _, f := range fs.Files() {
+		ino := f.Ino
 		wantBlocks := 0
 		if f.Size > 0 {
 			wantBlocks = int((f.Size + bs - 1) / bs)
@@ -293,14 +308,16 @@ func (fs *FileSystem) checkFiles() error {
 func (fs *FileSystem) checkInodesAndDirs() error {
 	// The name indexes first: the linkage checks below look names up
 	// through them.
-	for _, f := range fs.files {
+	files := fs.Files()
+	for _, f := range files {
 		if f.IsDir {
 			if err := f.indexDrift(); err != nil {
 				return err
 			}
 		}
 	}
-	for ino, f := range fs.files {
+	for _, f := range files {
+		ino := f.Ino
 		cg := fs.cgs[fs.InoToCg(ino)]
 		if cg.inodes.Test(ino % fs.ipg) {
 			return fmt.Errorf("ino %d live but marked free", ino)
@@ -317,11 +334,11 @@ func (fs *FileSystem) checkInodesAndDirs() error {
 	}
 	ndir := make([]int, len(fs.cgs))
 	nAlloc := make([]int, len(fs.cgs))
-	for ino, f := range fs.files {
+	for _, f := range files {
 		if f.IsDir {
-			ndir[fs.InoToCg(ino)]++
+			ndir[fs.InoToCg(f.Ino)]++
 		}
-		nAlloc[fs.InoToCg(ino)]++
+		nAlloc[fs.InoToCg(f.Ino)]++
 		for _, e := range f.entries {
 			if e.file.Parent != f || e.file.Name != e.name {
 				return fmt.Errorf("dir %s: entry %q badly linked", f.Path(), e.name)

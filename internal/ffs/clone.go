@@ -15,7 +15,6 @@ func (fs *FileSystem) Clone() *FileSystem {
 		P:           fs.P,
 		fpb:         fs.fpb,
 		ipg:         fs.ipg,
-		files:       make(map[int]*File, len(fs.files)),
 		policy:      fs.policy,
 		Stats:       fs.Stats,
 		layoutOpt:   fs.layoutOpt,
@@ -49,55 +48,73 @@ func (fs *FileSystem) Clone() *FileSystem {
 			rotor:       g.rotor,
 		})
 	}
-	// The Files, block maps and indirect lists of the copy are carved
-	// out of one slab each. First pass: copy files; second pass:
-	// rebuild the tree links through an inode-indexed table.
-	var nblocks, ninds, maxIno int
-	for ino, f := range fs.files {
-		nblocks += len(f.Blocks)
-		ninds += len(f.Indirects)
-		maxIno = max(maxIno, ino)
+	// The Files, block maps, indirect lists and group tables of the
+	// copy are carved out of one slab each. First pass: copy files;
+	// second pass: rebuild the tree links through the copy's table.
+	var nblocks, ninds, nslots int
+	for _, t := range fs.files {
+		nslots += len(t)
+		for _, f := range t {
+			if f != nil {
+				nblocks += len(f.Blocks)
+				ninds += len(f.Indirects)
+			}
+		}
 	}
-	files := make([]File, len(fs.files))
+	files := make([]File, fs.nfiles)
+	slots := make([]*File, nslots)
 	blocks := make([]Daddr, nblocks)
 	inds := make([]Indirect, ninds)
-	byIno := make([]*File, maxIno+1)
+	c.files = make([][]*File, len(fs.files))
+	c.nfiles = fs.nfiles
 	i := 0
-	for ino, f := range fs.files {
-		nf := &files[i]
-		i++
-		*nf = File{
-			Ino:        f.Ino,
-			Name:       f.Name,
-			IsDir:      f.IsDir,
-			Size:       f.Size,
-			Blocks:     carve(&blocks, f.Blocks),
-			TailFrags:  f.TailFrags,
-			Indirects:  carve(&inds, f.Indirects),
-			CreateDay:  f.CreateDay,
-			ModDay:     f.ModDay,
-			sectionCg:  f.sectionCg,
-			scoreOpt:   f.scoreOpt,
-			scoreTotal: f.scoreTotal,
-		}
-		if f.IsDir && len(f.entries) > 0 {
-			nf.entries = make([]dirEnt, len(f.entries))
-		}
-		byIno[ino] = nf
-		c.files[ino] = nf
-	}
-	for ino, f := range fs.files {
-		nf := byIno[ino]
-		if f.Parent != nil {
-			nf.Parent = byIno[f.Parent.Ino]
-		}
-		// Entries keep their slots; the copy builds its name index on
-		// first use.
-		for i, e := range f.entries {
-			nf.entries[i] = dirEnt{name: e.name, file: byIno[e.file.Ino]}
+	for g, t := range fs.files {
+		ct := slots[:len(t):len(t)]
+		slots = slots[len(t):]
+		c.files[g] = ct
+		for s, f := range t {
+			if f == nil {
+				continue
+			}
+			nf := &files[i]
+			i++
+			*nf = File{
+				Ino:        f.Ino,
+				Name:       f.Name,
+				IsDir:      f.IsDir,
+				Size:       f.Size,
+				Blocks:     carve(&blocks, f.Blocks),
+				TailFrags:  f.TailFrags,
+				Indirects:  carve(&inds, f.Indirects),
+				CreateDay:  f.CreateDay,
+				ModDay:     f.ModDay,
+				sectionCg:  f.sectionCg,
+				scoreOpt:   f.scoreOpt,
+				scoreTotal: f.scoreTotal,
+			}
+			if f.IsDir && len(f.entries) > 0 {
+				nf.entries = make([]dirEnt, len(f.entries))
+			}
+			ct[s] = nf
 		}
 	}
-	c.root = c.files[fs.root.Ino]
+	for g, t := range fs.files {
+		for s, f := range t {
+			if f == nil {
+				continue
+			}
+			nf := c.files[g][s]
+			if f.Parent != nil {
+				nf.Parent = c.FileByIno(f.Parent.Ino)
+			}
+			// Entries keep their slots; the copy builds its name index
+			// on first use.
+			for i, e := range f.entries {
+				nf.entries[i] = dirEnt{name: e.name, file: c.FileByIno(e.file.Ino)}
+			}
+		}
+	}
+	c.root = c.FileByIno(fs.root.Ino)
 	return c
 }
 

@@ -3,7 +3,6 @@ package ffs
 import (
 	"bytes"
 	"fmt"
-	"sort"
 	"sync"
 	"testing"
 	"unsafe"
@@ -101,13 +100,11 @@ func TestCloneSharesNothing(t *testing.T) {
 	bs := int64(p.BlockSize)
 	mutate := func(fs *FileSystem, tag string, createN int, deleteStride int) error {
 		var victims []*File
-		for _, f := range fs.files {
+		for _, f := range fs.Files() {
 			if !f.IsDir {
 				victims = append(victims, f)
 			}
 		}
-		// Map order would vary the victim set run to run; pick by inode.
-		sort.Slice(victims, func(i, j int) bool { return victims[i].Ino < victims[j].Ino })
 		for i := 0; i < len(victims); i += deleteStride {
 			if err := fs.Delete(victims[i]); err != nil {
 				return err
@@ -153,8 +150,8 @@ func TestCloneSharesNothing(t *testing.T) {
 	if diverged == 0 {
 		t.Fatal("no cylinder group diverged after divergent mutation")
 	}
-	if len(orig.files) == len(clone.files) {
-		t.Fatalf("file tables did not diverge (%d files each)", len(orig.files))
+	if orig.nfiles == clone.nfiles {
+		t.Fatalf("file tables did not diverge (%d files each)", orig.nfiles)
 	}
 	if o, c := orig.LayoutScore(), clone.LayoutScore(); o == c {
 		t.Logf("layout scores coincide (%v); acceptable but unexpected", o)
@@ -173,7 +170,7 @@ func TestCloneFileIndependence(t *testing.T) {
 	before := append([]Daddr(nil), f.Blocks...)
 
 	clone := fs.Clone()
-	cf := clone.files[f.Ino]
+	cf := clone.FileByIno(f.Ino)
 	if cf == f {
 		t.Fatal("clone shares *File pointers")
 	}
@@ -218,12 +215,12 @@ func TestCloneSlabAliasing(t *testing.T) {
 	// clone's slab.
 	var a, b *File
 	addr := func(f *File) uintptr { return uintptr(unsafe.Pointer(unsafe.SliceData(f.Blocks))) }
-	for _, f := range clone.files {
+	for _, f := range clone.Files() {
 		if f.IsDir || len(f.Blocks) == 0 {
 			continue
 		}
 		end := addr(f) + uintptr(len(f.Blocks))*unsafe.Sizeof(Daddr(0))
-		for _, g := range clone.files {
+		for _, g := range clone.Files() {
 			if !g.IsDir && len(g.Blocks) > 0 && addr(g) == end && (a == nil || f.Ino < a.Ino) {
 				a, b = f, g
 			}
@@ -235,7 +232,7 @@ func TestCloneSlabAliasing(t *testing.T) {
 	bs := int64(src.P.BlockSize)
 	grow := func(fs *FileSystem, ino int, n int64) {
 		t.Helper()
-		if err := fs.Append(fs.files[ino], n, 1); err != nil {
+		if err := fs.Append(fs.FileByIno(ino), n, 1); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -63,13 +63,13 @@ func (fs *FileSystem) makeDirectory(parent *File, name string, day int) (*File, 
 	d.CreateDay = day
 	d.ModDay = day
 	d.sectionCg = fs.InoToCg(ino)
-	fs.files[ino] = d
+	fs.setFile(ino, d)
 	fs.cgs[fs.InoToCg(ino)].ndir++
 	if parent != nil {
 		if err := fs.addEntry(parent, d, day); err != nil {
 			fs.cgs[fs.InoToCg(ino)].ndir--
 			fs.ifree(ino)
-			delete(fs.files, ino)
+			fs.dropFile(ino)
 			return nil, err
 		}
 	}

@@ -101,7 +101,7 @@ func TestDirTableMatchesSortedModel(t *testing.T) {
 			}
 			return fmt.Sprintf("n%d", rng.Intn(40))
 		}
-		file := func(ino int) *File { return fs.Files()[ino] }
+		file := func(ino int) *File { return fs.FileByIno(ino) }
 		clones := 0
 		for op := range 3000 {
 			dir := dirs[rng.Intn(len(dirs))]

@@ -313,10 +313,10 @@ func (fs *FileSystem) CreateFile(dir *File, name string, size int64, day int) (f
 	f.CreateDay = day
 	f.ModDay = day
 	f.sectionCg = fs.InoToCg(ino)
-	fs.files[ino] = f
+	fs.setFile(ino, f)
 	if err := fs.addEntry(dir, f, day); err != nil {
 		fs.ifree(ino)
-		delete(fs.files, ino)
+		fs.dropFile(ino)
 		fs.recycleFile(f)
 		return nil, err
 	}
@@ -352,7 +352,7 @@ func (fs *FileSystem) removeFile(f *File) {
 		f.Parent.deleteEntry(f.Name)
 	}
 	fs.ifree(f.Ino)
-	delete(fs.files, f.Ino)
+	fs.dropFile(f.Ino)
 	fs.recycleFile(f)
 }
 

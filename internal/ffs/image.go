@@ -4,7 +4,6 @@ import (
 	"encoding/gob"
 	"fmt"
 	"io"
-	"sort"
 )
 
 // Image serialization: an aged file system is fully reconstructible
@@ -22,7 +21,7 @@ type imageFile struct {
 	Blocks    []Daddr
 	TailFrags int
 	Indirects []Indirect
-	ParentIno int // -1 for root
+	ParentIno int // -1 for root; any other value outside the inodes is an orphan
 	CreateDay int
 	ModDay    int
 	SectionCg int
@@ -53,7 +52,7 @@ func (fs *FileSystem) SaveImage(w io.Writer) error {
 	for _, c := range fs.cgs {
 		img.Rotors = append(img.Rotors, c.rotor)
 	}
-	for _, f := range fs.files {
+	for _, f := range fs.Files() {
 		parent := -1
 		if f.Parent != nil {
 			parent = f.Parent.Ino
@@ -72,7 +71,6 @@ func (fs *FileSystem) SaveImage(w io.Writer) error {
 			SectionCg: f.sectionCg,
 		})
 	}
-	sort.Slice(img.Files, func(i, j int) bool { return img.Files[i].Ino < img.Files[j].Ino })
 	return gob.NewEncoder(w).Encode(&img)
 }
 
@@ -150,6 +148,12 @@ func loadImage(r io.Reader, resolve func(string) (Policy, error), lenient bool) 
 
 	// First pass: claim inodes and extents, build File objects.
 	for _, inf := range img.Files {
+		if inf.Ino < 0 || inf.Ino >= fs.numInodes() {
+			if lenient {
+				continue
+			}
+			return nil, fmt.Errorf("ffs: image inode %d outside [0,%d)", inf.Ino, fs.numInodes())
+		}
 		cg := fs.cgs[fs.InoToCg(inf.Ino)]
 		slot := inf.Ino % fs.ipg
 		if !cg.inodes.Test(slot) {
@@ -206,15 +210,15 @@ func loadImage(r io.Reader, resolve func(string) (Policy, error), lenient bool) 
 				fs.claimLenient(ind.Addr, fs.fpb)
 			}
 		}
-		fs.files[f.Ino] = f
+		fs.setFile(f.Ino, f)
 	}
 	// Second pass: tree linkage.
 	for _, inf := range img.Files {
-		f, ok := fs.files[inf.Ino]
-		if !ok {
-			continue // skipped duplicate (lenient only)
+		f := fs.FileByIno(inf.Ino)
+		if f == nil {
+			continue // skipped out-of-range inode (lenient only)
 		}
-		if inf.ParentIno < 0 {
+		if inf.ParentIno == -1 {
 			if fs.root != nil {
 				if lenient {
 					continue // extra root becomes an orphan for Repair
@@ -224,8 +228,8 @@ func loadImage(r io.Reader, resolve func(string) (Policy, error), lenient bool) 
 			fs.root = f
 			continue
 		}
-		parent, ok := fs.files[inf.ParentIno]
-		if !ok || !parent.IsDir {
+		parent := fs.FileByIno(inf.ParentIno)
+		if parent == nil || !parent.IsDir {
 			if lenient {
 				continue // orphan; Repair reattaches it
 			}
@@ -238,17 +242,17 @@ func loadImage(r io.Reader, resolve func(string) (Policy, error), lenient bool) 
 		if !lenient {
 			return nil, fmt.Errorf("ffs: image has no root")
 		}
-		// Salvage: adopt the lowest-numbered directory as the root.
-		rootIno := -1
-		for ino, f := range fs.files {
-			if f.IsDir && f.Parent == nil && (rootIno < 0 || ino < rootIno) {
-				rootIno = ino
+		// Salvage: adopt the lowest-numbered parentless directory as
+		// the root.
+		for _, f := range fs.Files() {
+			if f.IsDir && f.Parent == nil {
+				fs.root = f
+				break
 			}
 		}
-		if rootIno < 0 {
+		if fs.root == nil {
 			return nil, fmt.Errorf("ffs: image has no directory usable as root")
 		}
-		fs.root = fs.files[rootIno]
 	}
 	for i, rot := range img.Rotors {
 		if i < len(fs.cgs) {

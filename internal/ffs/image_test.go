@@ -38,9 +38,10 @@ func TestImageRoundTrip(t *testing.T) {
 		t.Errorf("Params cache %+v vs %+v", a, b)
 	}
 	// Every file's layout survives bit-exactly.
-	for ino, f := range fs.Files() {
-		g, ok := got.Files()[ino]
-		if !ok {
+	for _, f := range fs.Files() {
+		ino := f.Ino
+		g := got.FileByIno(ino)
+		if g == nil {
 			t.Fatalf("ino %d missing", ino)
 		}
 		if g.Size != f.Size || g.TailFrags != f.TailFrags || len(g.Blocks) != len(f.Blocks) {

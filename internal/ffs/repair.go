@@ -2,7 +2,6 @@ package ffs
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 
 	"ffsage/internal/bitset"
@@ -37,9 +36,7 @@ import (
 // property of the input).
 func (fs *FileSystem) Repair() (*RepairReport, error) {
 	rep := &RepairReport{}
-	inos := fs.sortedInos()
-	fs.repairTree(inos, rep)
-	inos = fs.sortedInos() // repairTree may synthesize a root
+	fs.repairTree(rep)
 
 	claimed := bitset.New(int(fs.P.TotalFrags()))
 	for _, c := range fs.cgs {
@@ -47,8 +44,8 @@ func (fs *FileSystem) Repair() (*RepairReport, error) {
 			claimed.SetRange(int(c.startFrag), int(c.startFrag)+c.metaFrags)
 		}
 	}
-	for _, ino := range inos {
-		fs.repairFile(fs.files[ino], claimed, rep)
+	for _, f := range fs.Files() { // after repairTree: it may synthesize a root
+		fs.repairFile(f, claimed, rep)
 	}
 	fs.rebuildGroups(claimed, rep)
 	fs.rebuildInodes(rep)
@@ -106,26 +103,20 @@ func (r *RepairReport) String() string {
 	return strings.Join(parts, ", ")
 }
 
-func (fs *FileSystem) sortedInos() []int {
-	inos := make([]int, 0, len(fs.files))
-	for ino := range fs.files {
-		inos = append(inos, ino)
-	}
-	sort.Ints(inos)
-	return inos
-}
-
 // repairTree fixes pass 1: root identity, orphans, cycles, and entry
 // maps. Files are processed in ascending inode order so repair is
 // deterministic.
-func (fs *FileSystem) repairTree(inos []int, rep *RepairReport) {
-	for _, ino := range inos {
-		if f := fs.files[ino]; f.Ino != ino {
-			f.Ino = ino
-			rep.ShapeFixes++
+func (fs *FileSystem) repairTree(rep *RepairReport) {
+	for cg, t := range fs.files {
+		for slot, f := range t {
+			if ino := fs.inoNumber(cg, slot); f != nil && f.Ino != ino {
+				f.Ino = ino
+				rep.ShapeFixes++
+			}
 		}
 	}
-	live := func(f *File) bool { return f != nil && fs.files[f.Ino] == f }
+	live := func(f *File) bool { return f != nil && fs.FileByIno(f.Ino) == f }
+	files := fs.Files()
 
 	// Choose the root: the recorded one if it is a live directory, else
 	// the lowest-numbered parentless directory, else the lowest-numbered
@@ -135,8 +126,7 @@ func (fs *FileSystem) repairTree(inos []int, rep *RepairReport) {
 		root = nil
 	}
 	if root == nil {
-		for _, ino := range inos {
-			f := fs.files[ino]
+		for _, f := range files {
 			if f.IsDir && !live(f.Parent) {
 				root = f
 				break
@@ -144,8 +134,8 @@ func (fs *FileSystem) repairTree(inos []int, rep *RepairReport) {
 		}
 	}
 	if root == nil {
-		for _, ino := range inos {
-			if f := fs.files[ino]; f.IsDir {
+		for _, f := range files {
+			if f.IsDir {
 				root = f
 				break
 			}
@@ -153,11 +143,11 @@ func (fs *FileSystem) repairTree(inos []int, rep *RepairReport) {
 	}
 	if root == nil {
 		ino := 0
-		for fs.files[ino] != nil {
+		for fs.FileByIno(ino) != nil {
 			ino++
 		}
 		root = &File{Ino: ino, Name: "/", IsDir: true}
-		fs.files[ino] = root
+		fs.setFile(ino, root)
 		rep.ReattachedOrphans++ // counts the synthesized root
 	}
 	if root != fs.root || root.Parent != nil {
@@ -169,21 +159,19 @@ func (fs *FileSystem) repairTree(inos []int, rep *RepairReport) {
 		parent int
 		name   string
 	}
-	old := make(map[int]link, len(fs.files))
-	for _, ino := range inos {
-		f := fs.files[ino]
+	old := make([]link, len(files))
+	for i, f := range files {
 		p := -1
 		if f.Parent != nil {
 			p = f.Parent.Ino
 		}
-		old[ino] = link{p, f.Name}
+		old[i] = link{p, f.Name}
 	}
 
 	// Count the entry-table damage the rebuild below will erase: stale
 	// or aliased entries, canonical entries that are missing, and name
 	// indexes that disagree with their tables.
-	for _, ino := range inos {
-		f := fs.files[ino]
+	for _, f := range files {
 		if f.IsDir && f.indexDrift() != nil {
 			rep.RelinkedFiles++
 		}
@@ -200,16 +188,14 @@ func (fs *FileSystem) repairTree(inos []int, rep *RepairReport) {
 	}
 
 	// Entry tables are rebuilt from scratch below.
-	for _, ino := range inos {
-		f := fs.files[ino]
+	for _, f := range files {
 		clear(f.entries)
 		f.entries = f.entries[:0]
 		clear(f.entryIdx)
 	}
 
 	// Reattach files whose parent is dead, not a directory, or itself.
-	for _, ino := range inos {
-		f := fs.files[ino]
+	for _, f := range files {
 		if f == root {
 			continue
 		}
@@ -220,7 +206,7 @@ func (fs *FileSystem) repairTree(inos []int, rep *RepairReport) {
 	}
 	// Break parent-pointer cycles that never reach the root.
 	const unknown, visiting, settled = 0, 1, 2
-	state := make(map[*File]int, len(fs.files))
+	state := make(map[*File]int, len(files))
 	var reach func(f *File)
 	reach = func(f *File) {
 		if f == root || state[f] == settled {
@@ -236,33 +222,31 @@ func (fs *FileSystem) repairTree(inos []int, rep *RepairReport) {
 		reach(f.Parent)
 		state[f] = settled
 	}
-	for _, ino := range inos {
-		reach(fs.files[ino])
+	for _, f := range files {
+		reach(f)
 	}
 	// Rebuild the entry tables, renaming on collision.
-	for _, ino := range inos {
-		f := fs.files[ino]
+	for _, f := range files {
 		if f == root {
 			continue
 		}
 		name := f.Name
 		if name == "" {
-			name = fmt.Sprintf("ino%d", ino)
+			name = fmt.Sprintf("ino%d", f.Ino)
 		}
 		if _, taken := f.Parent.lookupEntry(name); taken {
-			name = fmt.Sprintf("%s~%d", name, ino)
+			name = fmt.Sprintf("%s~%d", name, f.Ino)
 			rep.RenamedFiles++
 		}
 		f.Name = name
 		f.Parent.putEntry(name, f)
 	}
-	for _, ino := range inos {
-		f := fs.files[ino]
+	for i, f := range files {
 		p := -1
 		if f.Parent != nil {
 			p = f.Parent.Ino
 		}
-		if ol := old[ino]; ol.parent != p || ol.name != f.Name {
+		if ol := old[i]; ol.parent != p || ol.name != f.Name {
 			rep.RelinkedFiles++
 		}
 	}
@@ -463,11 +447,15 @@ func (fs *FileSystem) rebuildInodes(rep *RepairReport) {
 		maps[i] = bitset.New(fs.ipg)
 		maps[i].SetRange(0, fs.ipg)
 	}
-	for ino, f := range fs.files {
-		cg := fs.InoToCg(ino)
-		maps[cg].Clear(ino % fs.ipg)
-		if f.IsDir {
-			ndir[cg]++
+	for cg, t := range fs.files {
+		for slot, f := range t {
+			if f == nil {
+				continue
+			}
+			maps[cg].Clear(slot)
+			if f.IsDir {
+				ndir[cg]++
+			}
 		}
 	}
 	for _, c := range fs.cgs {
@@ -484,7 +472,7 @@ func (fs *FileSystem) rebuildInodes(rep *RepairReport) {
 // rebuildLayout recomputes the incremental layout-score caches.
 func (fs *FileSystem) rebuildLayout(rep *RepairReport) {
 	var opt, total int64
-	for _, f := range fs.files {
+	for _, f := range fs.Files() {
 		if f.IsDir {
 			if f.scoreOpt != 0 || f.scoreTotal != 0 {
 				f.scoreOpt, f.scoreTotal = 0, 0

@@ -278,11 +278,12 @@ func runClaimStream(t *testing.T, p Params, seed int64, move bool, faultEvery in
 
 // sameFiles reports the first file whose shape or block map differs.
 func sameFiles(got, want *FileSystem) error {
-	if len(got.files) != len(want.files) {
-		return fmt.Errorf("%d files, oracle %d", len(got.files), len(want.files))
+	if got.nfiles != want.nfiles {
+		return fmt.Errorf("%d files, oracle %d", got.nfiles, want.nfiles)
 	}
-	for ino, w := range want.files {
-		g := got.files[ino]
+	for _, w := range want.Files() {
+		ino := w.Ino
+		g := got.FileByIno(ino)
 		switch {
 		case g == nil:
 			return fmt.Errorf("ino %d missing", ino)

@@ -1,6 +1,9 @@
 package ffs
 
-import "fmt"
+import (
+	"fmt"
+	"slices"
+)
 
 // inodeBytes is the on-disk inode size (struct dinode).
 const inodeBytes = 128
@@ -25,8 +28,12 @@ type FileSystem struct {
 	fpb int // fragments per block
 	ipg int // inodes per group
 
-	cgs    []*CylGroup
-	files  map[int]*File // by inode number; includes directories
+	cgs []*CylGroup
+	// files is the live inode table, directories included: files[cg]
+	// holds group cg's files by inode slot, and is only as long as the
+	// group's highest live slot + 1. nfiles counts the live entries.
+	files  [][]*File
+	nfiles int
 	root   *File
 	policy Policy
 
@@ -121,7 +128,7 @@ func NewFileSystem(p Params, policy Policy) (*FileSystem, error) {
 	fs := &FileSystem{
 		P:       p,
 		fpb:     p.FragsPerBlock(),
-		files:   make(map[int]*File),
+		files:   make([][]*File, p.NumCg),
 		policy:  policy,
 		pooling: true,
 	}
@@ -271,19 +278,80 @@ func (fs *FileSystem) freespace() int64 {
 	return fs.FreeFrags() - fs.reserveFrags
 }
 
-// Files returns the live file table, keyed by inode number. Callers
-// must not mutate it; directories are included.
-func (fs *FileSystem) Files() map[int]*File { return fs.files }
+// Files returns the live files and directories in inode order, in a
+// fresh slice the caller may keep.
+func (fs *FileSystem) Files() []*File {
+	out := make([]*File, 0, fs.nfiles)
+	for _, t := range fs.files {
+		for _, f := range t {
+			if f != nil {
+				out = append(out, f)
+			}
+		}
+	}
+	return out
+}
+
+// FileByIno returns the live file or directory with inode number ino,
+// or nil.
+func (fs *FileSystem) FileByIno(ino int) *File {
+	if ino < 0 || ino >= fs.numInodes() {
+		return nil
+	}
+	if t, slot := fs.files[ino/fs.ipg], ino%fs.ipg; slot < len(t) {
+		return t[slot]
+	}
+	return nil
+}
 
 // FileCount returns the number of live files, excluding directories.
 func (fs *FileSystem) FileCount() int {
 	n := 0
-	for _, f := range fs.files {
-		if !f.IsDir {
-			n++
+	for _, t := range fs.files {
+		for _, f := range t {
+			if f != nil && !f.IsDir {
+				n++
+			}
 		}
 	}
 	return n
+}
+
+// numInodes returns the number of inodes: inode numbers run from 0 to
+// one below it.
+func (fs *FileSystem) numInodes() int { return len(fs.cgs) * fs.ipg }
+
+// setFile installs f as inode ino, growing its group's table to reach
+// the slot. Slots past a table's length are always nil, so growing
+// within capacity needs no clearing.
+func (fs *FileSystem) setFile(ino int, f *File) {
+	cg, slot := ino/fs.ipg, ino%fs.ipg
+	t := fs.files[cg]
+	if slot >= len(t) {
+		t = slices.Grow(t, slot+1-len(t))[:slot+1]
+		fs.files[cg] = t
+	}
+	if t[slot] == nil {
+		fs.nfiles++
+	}
+	t[slot] = f
+}
+
+// dropFile removes inode ino from the table, trimming its group's
+// table back to the highest live slot.
+func (fs *FileSystem) dropFile(ino int) {
+	cg, slot := ino/fs.ipg, ino%fs.ipg
+	t := fs.files[cg]
+	if slot >= len(t) || t[slot] == nil {
+		return
+	}
+	t[slot] = nil
+	fs.nfiles--
+	n := len(t)
+	for n > 0 && t[n-1] == nil {
+		n--
+	}
+	fs.files[cg] = t[:n]
 }
 
 // ialloc allocates an inode, preferring prefCg (the directory's group

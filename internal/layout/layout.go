@@ -8,7 +8,8 @@
 package layout
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 
 	"ffsage/internal/ffs"
 	"ffsage/internal/stats"
@@ -57,15 +58,15 @@ func Aggregate(files []*ffs.File, fpb int) float64 {
 }
 
 // AllFiles returns the file system's plain files (directories
-// excluded), in inode order for determinism.
+// excluded), in inode order.
 func AllFiles(fsys *ffs.FileSystem) []*ffs.File {
-	out := make([]*ffs.File, 0, len(fsys.Files()))
-	for _, f := range fsys.Files() {
+	all := fsys.Files()
+	out := all[:0]
+	for _, f := range all {
 		if !f.IsDir {
 			out = append(out, f)
 		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Ino < out[j].Ino })
 	return out
 }
 
@@ -139,26 +140,25 @@ func BySize(files []*ffs.File, fpb int, buckets []stats.SizeBucket) []stats.Size
 // sorted by directory then inode so that reads visit one cylinder
 // group's files together, as the paper's benchmark did.
 func HotFiles(fsys *ffs.FileSystem, fromDay int) []*ffs.File {
-	out := make([]*ffs.File, 0, len(fsys.Files())/4)
-	for _, f := range fsys.Files() {
+	all := fsys.Files()
+	out := all[:0]
+	for _, f := range all {
 		if !f.IsDir && f.ModDay >= fromDay {
 			out = append(out, f)
 		}
 	}
-	sort.Slice(out, func(i, j int) bool {
-		di, dj := 0, 0
-		if out[i].Parent != nil {
-			di = out[i].Parent.Ino
-		}
-		if out[j].Parent != nil {
-			dj = out[j].Parent.Ino
-		}
-		if di != dj {
-			return di < dj
-		}
-		return out[i].Ino < out[j].Ino
-	})
+	// Files() is in inode order, so a stable sort by directory leaves
+	// each directory's files in inode order.
+	slices.SortStableFunc(out, func(a, b *ffs.File) int { return cmp.Compare(parentIno(a), parentIno(b)) })
 	return out
+}
+
+// parentIno returns the inode number of f's directory, 0 for the root.
+func parentIno(f *ffs.File) int {
+	if f.Parent == nil {
+		return 0
+	}
+	return f.Parent.Ino
 }
 
 // TotalBytes sums the sizes of the given files.
