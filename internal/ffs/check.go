@@ -331,6 +331,9 @@ func (fs *FileSystem) checkInodesAndDirs() error {
 		if got, ok := f.Parent.lookupEntry(f.Name); !ok || got != f {
 			return fmt.Errorf("ino %d (%s): parent entry missing or wrong", ino, f.Path())
 		}
+		if i := int(f.entSlot); i >= len(f.Parent.entries) || f.Parent.entries[i].file != f {
+			return fmt.Errorf("ino %d (%s): recorded entry slot %d holds another file", ino, f.Path(), f.entSlot)
+		}
 	}
 	ndir := make([]int, len(fs.cgs))
 	nAlloc := make([]int, len(fs.cgs))

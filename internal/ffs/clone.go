@@ -91,6 +91,7 @@ func (fs *FileSystem) Clone() *FileSystem {
 				sectionCg:  f.sectionCg,
 				scoreOpt:   f.scoreOpt,
 				scoreTotal: f.scoreTotal,
+				entSlot:    f.entSlot,
 			}
 			if f.IsDir && len(f.entries) > 0 {
 				nf.entries = make([]dirEnt, len(f.entries))

@@ -116,18 +116,18 @@ func (fs *FileSystem) Rename(f *File, newDir *File, newName string, day int) (er
 		}
 	}
 	oldParent, oldName := f.Parent, f.Name
-	oldParent.deleteEntry(oldName)
+	oldParent.unlink(f)
 	f.Name = newName
 	if err := fs.addEntry(newDir, f, day); err != nil {
 		f.Name = oldName
-		oldParent.putEntry(oldName, f)
+		oldParent.appendEntry(oldName, f)
 		f.Parent = oldParent
 		return err
 	}
 	return nil
 }
 
-// addEntry links f into dir, growing the directory when the new entry
+// addEntry links f into dir, where its name must be absent, growing the directory when the new entry
 // does not fit in the space already allocated (FFS extends directories
 // in DIRBLKSIZ units and never shrinks them). On a full file system
 // the growth can fail; the entry is then not added.
@@ -153,7 +153,7 @@ func (fs *FileSystem) addEntry(dir *File, f *File, day int) error {
 		dir.Size += need
 		dir.ModDay = day
 	}
-	dir.putEntry(f.Name, f)
+	dir.appendEntry(f.Name, f)
 	f.Parent = dir
 	return nil
 }

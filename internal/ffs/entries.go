@@ -10,6 +10,12 @@ import "fmt"
 // binary search and memmove on every create and delete showed up in
 // replay profiles.
 //
+// Each child records its slot in File.entSlot, kept current by every
+// insert and by the move a delete makes. Delete and rename unlink a
+// file through its slot with no name lookup, and a create, which has
+// already looked its name up to refuse a duplicate, appends without a
+// second one. Check verifies every recorded slot.
+//
 // Slot order depends on the history of inserts and deletes, and
 // nothing observable depends on it: image bytes come from the inode
 // table, and Check compares the index with the table. The index maps
@@ -59,27 +65,48 @@ func (d *File) lookupEntry(name string) (*File, bool) {
 func (d *File) putEntry(name string, f *File) {
 	if i, ok := d.slot(name); ok {
 		d.entries[i].file = f
+		f.entSlot = int32(i)
 		return
 	}
-	d.entryIdx[name] = int32(len(d.entries))
+	d.appendEntry(name, f)
+}
+
+// appendEntry adds name → f, where name must be absent: the caller has
+// looked it up already.
+func (d *File) appendEntry(name string, f *File) {
+	f.entSlot = int32(len(d.entries))
+	d.index()[name] = f.entSlot
 	d.entries = append(d.entries, dirEnt{name: name, file: f})
 }
 
-// deleteEntry removes name, moving the last entry into its slot;
-// absent names are a no-op.
+// deleteEntry removes name; absent names are a no-op.
 func (d *File) deleteEntry(name string) {
-	i, ok := d.slot(name)
-	if !ok {
-		return
+	if i, ok := d.slot(name); ok {
+		d.removeAt(i)
 	}
+}
+
+// unlink removes child f's entry, found through the slot f records.
+func (d *File) unlink(f *File) {
+	i := int(f.entSlot)
+	if i >= len(d.entries) || d.entries[i].file != f {
+		throwCorrupt("unlink", -1, "dir %s: %s not in its recorded slot %d", d.Path(), f.Name, i)
+	}
+	d.removeAt(i)
+}
+
+// removeAt removes the entry in slot i, moving the last entry into it.
+func (d *File) removeAt(i int) {
 	// Delete before re-pointing the moved entry: a Go map holding eight
 	// names grows on any assignment, even to a name it already holds,
 	// and the steady replay loop must not allocate.
-	delete(d.entryIdx, name)
+	idx := d.index()
+	delete(idx, d.entries[i].name)
 	last := len(d.entries) - 1
 	if i != last {
 		d.entries[i] = d.entries[last]
-		d.entryIdx[d.entries[i].name] = int32(i)
+		idx[d.entries[i].name] = int32(i)
+		d.entries[i].file.entSlot = int32(i)
 	}
 	d.entries[last] = dirEnt{}
 	d.entries = d.entries[:last]

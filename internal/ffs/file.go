@@ -27,6 +27,8 @@ type File struct {
 	// entries.go. Directories only.
 	entries  []dirEnt
 	entryIdx map[string]int32
+	// entSlot is this file's slot in its parent's entry table.
+	entSlot int32
 
 	CreateDay int
 	ModDay    int
@@ -349,7 +351,7 @@ func (fs *FileSystem) removeFile(f *File) {
 	fs.dropLayout(f)
 	fs.freeFileBlocks(f, 0)
 	if f.Parent != nil {
-		f.Parent.deleteEntry(f.Name)
+		f.Parent.unlink(f)
 	}
 	fs.ifree(f.Ino)
 	fs.dropFile(f.Ino)
