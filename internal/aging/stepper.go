@@ -93,19 +93,19 @@ func (s *Stepper) lookup(id int64) *ffs.File {
 	return s.fsys.FileByIno(int((*t)[i]) - 1)
 }
 
-// record makes f id's live file, or clears id's entry when f is nil.
+// record makes f id's live file.
 func (s *Stepper) record(id int64, f *ffs.File) {
 	t, i := s.table(id)
 	if i >= len(*t) {
-		if f == nil {
-			return
-		}
 		*t = append(*t, make([]int32, i+1-len(*t))...)
 	}
+	(*t)[i] = int32(f.Ino + 1)
+}
+
+// drop clears the entry of id, whose file lookup found.
+func (s *Stepper) drop(id int64) {
+	t, i := s.table(id)
 	(*t)[i] = 0
-	if f != nil {
-		(*t)[i] = int32(f.Ino + 1)
-	}
 }
 
 // Apply applies one operation, absorbing the failures a replay absorbs
@@ -182,7 +182,7 @@ func (s *Stepper) applyOp(op trace.Op) error {
 		if err := s.fsys.Delete(f); err != nil {
 			return fmt.Errorf("aging: delete %d: %w", op.ID, err)
 		}
-		s.record(op.ID, nil)
+		s.drop(op.ID)
 		return nil
 	case trace.OpRewrite:
 		// The paper's modify heuristic: remove (or truncate to zero) and
@@ -196,7 +196,7 @@ func (s *Stepper) applyOp(op trace.Op) error {
 			if err := s.fsys.Delete(f); err != nil {
 				return fmt.Errorf("aging: rewrite-delete %d: %w", op.ID, err)
 			}
-			s.record(op.ID, nil)
+			s.drop(op.ID)
 		} else {
 			name = s.name(op.ID)
 		}

@@ -179,14 +179,14 @@ func TestCheckDetectsNdirDrift(t *testing.T) {
 
 func TestCheckDetectsBrokenDirLinkage(t *testing.T) {
 	fs, f := corruptibleFs(t)
-	f.Parent.deleteEntry(f.Name)
+	f.Parent.unlink(f)
 	wantCheckError(t, fs, "parent entry")
 }
 
 func TestCheckDetectsRenamedEntry(t *testing.T) {
 	fs, f := corruptibleFs(t)
 	parent := f.Parent
-	parent.deleteEntry(f.Name)
+	parent.unlink(f)
 	parent.putEntry("sneaky", f)
 	// Caught either as a missing canonical entry or as a badly linked
 	// alias, depending on which the checker reaches first.

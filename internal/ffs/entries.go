@@ -79,13 +79,6 @@ func (d *File) appendEntry(name string, f *File) {
 	d.entries = append(d.entries, dirEnt{name: name, file: f})
 }
 
-// deleteEntry removes name; absent names are a no-op.
-func (d *File) deleteEntry(name string) {
-	if i, ok := d.slot(name); ok {
-		d.removeAt(i)
-	}
-}
-
 // unlink removes child f's entry, found through the slot f records.
 func (d *File) unlink(f *File) {
 	i := int(f.entSlot)

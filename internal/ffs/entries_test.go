@@ -197,8 +197,8 @@ func TestDirTableChurnAllocatesNothing(t *testing.T) {
 	for round := range 100 {
 		for i := range names {
 			k := (i + round) % len(names)
-			d.deleteEntry(names[k])
-			d.putEntry(names[k], files[k])
+			d.unlink(files[k])
+			d.appendEntry(names[k], files[k])
 		}
 	}
 	runtime.ReadMemStats(&m1)

@@ -82,11 +82,11 @@ func TestRepairFixesEachCorruptionClass(t *testing.T) {
 			fs.Cg(0).ndir++
 		}},
 		{"broken dir linkage", func(fs *FileSystem, f *File) {
-			f.Parent.deleteEntry(f.Name)
+			f.Parent.unlink(f)
 		}},
 		{"renamed entry", func(fs *FileSystem, f *File) {
 			parent := f.Parent
-			parent.deleteEntry(f.Name)
+			parent.unlink(f)
 			parent.putEntry("sneaky", f)
 		}},
 		{"stale index slot", func(fs *FileSystem, f *File) {
@@ -165,7 +165,7 @@ func TestRepairTornWrite(t *testing.T) {
 func TestRepairReattachesOrphan(t *testing.T) {
 	fs, f := corruptibleFs(t)
 	// Sever both directions: no entry, dangling parent pointer.
-	f.Parent.deleteEntry(f.Name)
+	f.Parent.unlink(f)
 	f.Parent = &File{Ino: f.Parent.Ino, IsDir: true} // dead copy
 	rep := mustRepair(t, fs)
 	if rep.ReattachedOrphans != 1 {
@@ -187,7 +187,7 @@ func TestRepairBreaksParentCycle(t *testing.T) {
 		t.Fatal(err)
 	}
 	// a and b point at each other; neither reaches the root.
-	fs.Root().deleteEntry("a")
+	fs.Root().unlink(a)
 	a.Parent = b
 	b.putEntry("a", a)
 	rep := mustRepair(t, fs)
