@@ -231,23 +231,15 @@ func (fs *FileSystem) checkExtents() error {
 
 func (fs *FileSystem) checkFiles() error {
 	bs := int64(fs.P.BlockSize)
-	nfiles := 0
-	for cg, t := range fs.files {
-		for slot, f := range t {
-			if f == nil {
-				continue
-			}
-			nfiles++
-			if ino := fs.inoNumber(cg, slot); f.Ino != ino {
-				return fmt.Errorf("ino %d: table slot disagrees with File.Ino %d", ino, f.Ino)
-			}
-		}
+	files := fs.Files()
+	if len(files) != fs.nfiles {
+		return fmt.Errorf("file table holds %d files, count says %d", len(files), fs.nfiles)
 	}
-	if nfiles != fs.nfiles {
-		return fmt.Errorf("file table holds %d files, count says %d", nfiles, fs.nfiles)
-	}
-	for _, f := range fs.Files() {
+	for _, f := range files {
 		ino := f.Ino
+		if fs.FileByIno(ino) != f {
+			return fmt.Errorf("ino %d: not in its own table slot", ino)
+		}
 		wantBlocks := 0
 		if f.Size > 0 {
 			wantBlocks = int((f.Size + bs - 1) / bs)
@@ -331,7 +323,7 @@ func (fs *FileSystem) checkInodesAndDirs() error {
 		if got, ok := f.Parent.lookupEntry(f.Name); !ok || got != f {
 			return fmt.Errorf("ino %d (%s): parent entry missing or wrong", ino, f.Path())
 		}
-		if i := int(f.entSlot); i >= len(f.Parent.entries) || f.Parent.entries[i].file != f {
+		if !f.Parent.holdsAt(f) {
 			return fmt.Errorf("ino %d (%s): recorded entry slot %d holds another file", ino, f.Path(), f.entSlot)
 		}
 	}

@@ -79,13 +79,18 @@ func (d *File) appendEntry(name string, f *File) {
 	d.entries = append(d.entries, dirEnt{name: name, file: f})
 }
 
+// holdsAt reports whether f's recorded slot in d holds f.
+func (d *File) holdsAt(f *File) bool {
+	i := int(f.entSlot)
+	return i < len(d.entries) && d.entries[i].file == f
+}
+
 // unlink removes child f's entry, found through the slot f records.
 func (d *File) unlink(f *File) {
-	i := int(f.entSlot)
-	if i >= len(d.entries) || d.entries[i].file != f {
-		throwCorrupt("unlink", -1, "dir %s: %s not in its recorded slot %d", d.Path(), f.Name, i)
+	if !d.holdsAt(f) {
+		throwCorrupt("unlink", -1, "dir %s: %s not in its recorded slot %d", d.Path(), f.Name, f.entSlot)
 	}
-	d.removeAt(i)
+	d.removeAt(int(f.entSlot))
 }
 
 // removeAt removes the entry in slot i, moving the last entry into it.

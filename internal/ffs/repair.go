@@ -181,7 +181,7 @@ func (fs *FileSystem) repairTree(rep *RepairReport) {
 			}
 		}
 		if f != root && live(f.Parent) && f.Parent.IsDir {
-			if got, ok := f.Parent.lookupEntry(f.Name); !ok || got != f {
+			if got, ok := f.Parent.lookupEntry(f.Name); !ok || got != f || !f.Parent.holdsAt(f) {
 				rep.RelinkedFiles++
 			}
 		}

@@ -94,6 +94,12 @@ func TestRepairFixesEachCorruptionClass(t *testing.T) {
 			i, _ := d.slot(f.Name)
 			d.entryIdx[f.Name] = int32((i + 1) % len(d.entries))
 		}},
+		{"stale entry slot", func(fs *FileSystem, f *File) {
+			f.entSlot = (f.entSlot + 1) % int32(len(f.Parent.entries))
+		}},
+		{"inode number drift", func(fs *FileSystem, f *File) {
+			f.Ino += fs.ipg
+		}},
 		{"index name with no entry", func(fs *FileSystem, f *File) {
 			f.Parent.entryIdx["ghost"] = 0
 		}},
