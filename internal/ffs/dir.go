@@ -127,10 +127,11 @@ func (fs *FileSystem) Rename(f *File, newDir *File, newName string, day int) (er
 	return nil
 }
 
-// addEntry links f into dir, where its name must be absent, growing the directory when the new entry
-// does not fit in the space already allocated (FFS extends directories
-// in DIRBLKSIZ units and never shrinks them). On a full file system
-// the growth can fail; the entry is then not added.
+// addEntry links f into dir, where f's name must be absent, growing
+// the directory when the new entry does not fit in the space already
+// allocated (FFS extends directories in DIRBLKSIZ units and never
+// shrinks them). On a full file system the growth can fail; the entry
+// is then not added.
 func (fs *FileSystem) addEntry(dir *File, f *File, day int) error {
 	need := entryBytes(f.Name)
 	allocated := int64(dir.BlocksOnDisk(fs.fpb)) * int64(fs.P.FragSize)
