@@ -138,7 +138,7 @@ func replayOn(fsys *ffs.FileSystem, src *trace.Stream, opts Options) (*Result, e
 		LayoutByDay: make(stats.Series, 0, src.Days()),
 		UtilByDay:   make(stats.Series, 0, src.Days()),
 	}
-	return replayFrom(st, src, opts, res, 0, ops[0].Day)
+	return replayFrom(st, src, opts, res, 0, int(ops[0].Day))
 }
 
 // ResumeReplay continues a checkpointed replay to completion. The
@@ -158,7 +158,7 @@ func ResumeReplay(policy ffs.Policy, wl *trace.Workload, cp *trace.Checkpoint, o
 	}
 	// Day == firstDay-1 is legitimate: a cancellation checkpoint taken
 	// before the first day completed carries empty series.
-	firstDay := wl.Ops[0].Day
+	firstDay := int(wl.Ops[0].Day)
 	if cp.Day < firstDay-1 || cp.NextOp > len(wl.Ops) {
 		return nil, fmt.Errorf("aging: checkpoint cursor (day %d, op %d) outside workload", cp.Day, cp.NextOp)
 	}
@@ -300,8 +300,8 @@ func replayFrom(st *Stepper, src *trace.Stream, opts Options, res *Result, start
 				return res, interrupted(i)
 			}
 			op := ops[i]
-			if day < op.Day {
-				for ; day < op.Day; day++ {
+			if opDay := int(op.Day); day < opDay {
+				for ; day < opDay; day++ {
 					if err := endDay(i); err != nil {
 						return res, err
 					}
@@ -310,7 +310,7 @@ func replayFrom(st *Stepper, src *trace.Stream, opts Options, res *Result, start
 				// the build has since outgrown is not kept alive here.
 				ops, sealed, _ = src.Wait(0)
 			}
-			if c := opts.Faults.CrashBefore(i, op.Day); c != nil {
+			if c := opts.Faults.CrashBefore(i, int(op.Day)); c != nil {
 				if c.Torn && st.lastWritten != nil {
 					fsys.TearFile(st.lastWritten)
 				}

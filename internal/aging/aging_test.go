@@ -180,7 +180,7 @@ func TestReplaySurvivesFullDisk(t *testing.T) {
 	for i := 0; i < 40; i++ {
 		ops = append(ops, trace.Op{
 			Day: 0, Sec: float64(i), Kind: trace.OpCreate,
-			ID: int64(i), Cg: i % 2, Size: 1 << 20,
+			ID: int64(i), Cg: int16(i % 2), Size: 1 << 20,
 		})
 	}
 	wl := &trace.Workload{Days: 1, Ops: ops}

@@ -102,7 +102,7 @@ func tallyOps(days stats.Series, ops []trace.Op) opTally {
 	i := 0 // the recorded day taking ops
 	for oi := range ops {
 		op := &ops[oi]
-		for i < len(days) && op.Day > days[i].Day {
+		for i < len(days) && int(op.Day) > days[i].Day {
 			t.spans[i].end = oi
 			i++
 		}
@@ -112,10 +112,11 @@ func tallyOps(days stats.Series, ops []trace.Op) opTally {
 				t.spans[i].records++
 			}
 		}
-		if op.Day < lo || op.Day > hi {
+		day := int(op.Day)
+		if day < lo || day > hi {
 			continue
 		}
-		m := &t.mix[op.Day-lo]
+		m := &t.mix[day-lo]
 		switch op.Kind {
 		case trace.OpCreate:
 			m.creates++

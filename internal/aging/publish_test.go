@@ -22,10 +22,10 @@ func publishPerOp(sc *obs.Scope, res *Result, wl *trace.Workload) {
 	type mix struct{ creates, deletes, rewrites int64 }
 	byDay := make(map[int]*mix, wl.Days)
 	for _, op := range wl.Ops {
-		m := byDay[op.Day]
+		m := byDay[int(op.Day)]
 		if m == nil {
 			m = &mix{}
-			byDay[op.Day] = m
+			byDay[int(op.Day)] = m
 		}
 		switch op.Kind {
 		case trace.OpCreate:
@@ -60,7 +60,7 @@ func publishPerOp(sc *obs.Scope, res *Result, wl *trace.Workload) {
 	oi := 0
 	for i, pt := range days {
 		tr.Start(float64(pt.Day)-1, "day", obs.I("day", int64(pt.Day)))
-		for oi < len(wl.Ops) && wl.Ops[oi].Day <= pt.Day {
+		for oi < len(wl.Ops) && int(wl.Ops[oi].Day) <= pt.Day {
 			op := &wl.Ops[oi]
 			oi++
 			t := float64(op.Day) - 1 + op.Sec/86400
@@ -95,7 +95,7 @@ func spanRecords(res *Result, wl *trace.Workload) int {
 	n := 1 + len(res.LayoutByDay)
 	last := res.LayoutByDay[len(res.LayoutByDay)-1].Day
 	for _, op := range wl.Ops {
-		if op.Day <= last {
+		if int(op.Day) <= last {
 			n += 1 + btoi(allocates(op.Kind))
 		}
 	}
@@ -124,8 +124,8 @@ func syntheticRun(t *testing.T, rng *rand.Rand, perDay []int, recorded int, dele
 				kind = 9
 			}
 			wl.Ops = append(wl.Ops, trace.Op{
-				Day: d + 1, Sec: rng.Float64() * 86400, Kind: kind,
-				ID: rng.Int63n(1 << 20), Cg: rng.Intn(8), Size: rng.Int63n(1 << 20),
+				Day: int32(d + 1), Sec: rng.Float64() * 86400, Kind: kind,
+				ID: rng.Int63n(1 << 20), Cg: int16(rng.Intn(8)), Size: rng.Int63n(1 << 20),
 			})
 		}
 	}

@@ -114,7 +114,7 @@ func (s *Stepper) drop(id int64) {
 // the Skipped, NoSpace and Faulted counters. Any other failure is
 // returned.
 func (s *Stepper) Apply(op trace.Op) error {
-	if op.Cg < 0 || op.Cg >= len(s.dirs) {
+	if op.Cg < 0 || int(op.Cg) >= len(s.dirs) {
 		return fmt.Errorf("aging: op cg %d outside [0,%d)", op.Cg, len(s.dirs))
 	}
 	if !inReach(op.ID) {
@@ -165,7 +165,7 @@ func (s *Stepper) applyOp(op trace.Op) error {
 		if s.lookup(op.ID) != nil {
 			return fmt.Errorf("aging: create of live id %d", op.ID)
 		}
-		f, err := s.fsys.CreateFile(dir, s.name(op.ID), op.Size, op.Day)
+		f, err := s.fsys.CreateFile(dir, s.name(op.ID), op.Size, int(op.Day))
 		if err != nil {
 			return fmt.Errorf("aging: create %d: %w", op.ID, err)
 		}
@@ -200,7 +200,7 @@ func (s *Stepper) applyOp(op trace.Op) error {
 		} else {
 			name = s.name(op.ID)
 		}
-		f, err := s.fsys.CreateFile(dir, name, op.Size, op.Day)
+		f, err := s.fsys.CreateFile(dir, name, op.Size, int(op.Day))
 		if err != nil {
 			return fmt.Errorf("aging: rewrite %d: %w", op.ID, err)
 		}

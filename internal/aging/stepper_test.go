@@ -60,7 +60,7 @@ func TestStepperIDTables(t *testing.T) {
 	}
 	apply := func(kind trace.OpKind, id int64, size int64) {
 		t.Helper()
-		if err := st.Apply(trace.Op{Kind: kind, ID: id, Cg: int(id&3) + 1, Size: size}); err != nil {
+		if err := st.Apply(trace.Op{Kind: kind, ID: id, Cg: int16(id&3) + 1, Size: size}); err != nil {
 			t.Fatalf("%v %d: %v", kind, id, err)
 		}
 	}

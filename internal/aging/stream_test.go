@@ -16,7 +16,7 @@ import (
 func dayEnds(wl *trace.Workload) []int {
 	ends := make([]int, wl.Days)
 	for d := range ends {
-		ends[d], _ = slices.BinarySearchFunc(wl.Ops, d+1, func(op trace.Op, day int) int { return op.Day - day })
+		ends[d], _ = slices.BinarySearchFunc(wl.Ops, d+1, func(op trace.Op, day int) int { return int(op.Day) - day })
 	}
 	return ends
 }

@@ -39,6 +39,7 @@ func All() []Benchmark {
 		{Name: "checkpoint.decode", Quick: true, Setup: setupCheckpointDecode},
 		{Name: "obs.writespans", Quick: true, Setup: setupWriteSpans},
 		{Name: "workload.build", Quick: true, Setup: setupWorkloadBuild},
+		{Name: "trace.hash", Quick: true, Setup: setupTraceHash, CheckAllocs: true, MaxAllocsPerOp: 0.01},
 		{Name: "bench.seqsweep", Quick: false, Setup: setupSeqSweep},
 		{Name: "bench.hotfiles", Quick: true, Setup: setupHotFiles},
 	}
@@ -174,7 +175,7 @@ func setupAgingDay(fx *Fixture) (*Instance, error) {
 	day := busiestDay(fx.Build.Reconstructed)
 	var ops []trace.Op
 	for _, o := range fx.Build.Reconstructed.Ops {
-		if o.Day == day {
+		if int(o.Day) == day {
 			o.Day = 0
 			ops = append(ops, o)
 		}
@@ -342,7 +343,7 @@ func steadyCycle(numCg int, seed int64) []trace.Op {
 		for k := 0; k < perCg; k++ {
 			op := trace.Op{
 				Day: 0, Sec: float64(len(ops)), Kind: trace.OpCreate,
-				ID: id, Cg: cg, Size: sizes[rng.Intn(len(sizes))],
+				ID: id, Cg: int16(cg), Size: sizes[rng.Intn(len(sizes))],
 			}
 			ops = append(ops, op)
 			created = append(created, op)
@@ -371,7 +372,7 @@ func steadyCycle(numCg int, seed int64) []trace.Op {
 func busiestDay(wl *trace.Workload) int {
 	counts := make([]int, wl.Days+1)
 	for _, o := range wl.Ops {
-		if o.Day >= 0 && o.Day < len(counts) {
+		if o.Day >= 0 && int(o.Day) < len(counts) {
 			counts[o.Day]++
 		}
 	}
@@ -578,6 +579,21 @@ func setupWorkloadBuild(fx *Fixture) (*Instance, error) {
 		return err
 	}
 	return &Instance{Op: op, Units: int64(len(fx.Build.Reconstructed.Ops))}, nil
+}
+
+// setupTraceHash measures trace.HashWorkload, the fingerprint every
+// checkpointed or resumed replay takes, over the fixture's
+// reconstructed stream. Its allocations are the hash and the write
+// buffer, a fixed two per call whatever the stream's length, since the
+// codec encodes every op straight into the buffer; the budget of 0.01
+// allocs per op fails as soon as any op allocates.
+func setupTraceHash(fx *Fixture) (*Instance, error) {
+	wl := fx.Build.Reconstructed
+	op := func() error {
+		trace.HashWorkload(wl)
+		return nil
+	}
+	return &Instance{Op: op, Units: int64(len(wl.Ops))}, nil
 }
 
 // setupSeqSweep measures the Figure 4 sequential create/write + read

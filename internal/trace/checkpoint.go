@@ -54,7 +54,7 @@ type Checkpoint struct {
 func WriteCheckpoint(w io.Writer, cp *Checkpoint) error {
 	var payload bytes.Buffer
 	bw := bufio.NewWriter(&payload)
-	cw := countingWriter{bw}
+	cw := writer{bw}
 	for _, v := range []int64{int64(cp.Day), int64(cp.NextOp), cp.SkippedOps, cp.NoSpaceOps, cp.FaultedOps} {
 		if err := cw.sv(v); err != nil {
 			return err
@@ -109,7 +109,7 @@ func ReadCheckpoint(r io.Reader) (*Checkpoint, error) {
 	}
 	day, nextOp := vals[0], vals[1]
 	cp.SkippedOps, cp.NoSpaceOps, cp.FaultedOps = vals[2], vals[3], vals[4]
-	if day < -1 || day > maxDays || nextOp < 0 || nextOp > math.MaxInt32 {
+	if day < -1 || day > MaxDays || nextOp < 0 || nextOp > math.MaxInt32 {
 		return nil, corruptf(what, "cursor (day %d, op %d) out of range", day, nextOp)
 	}
 	cp.Day, cp.NextOp = int(day), int(nextOp)
@@ -121,7 +121,7 @@ func ReadCheckpoint(r io.Reader) (*Checkpoint, error) {
 		if err != nil {
 			return nil, corruptWrap(what, fmt.Sprintf("series %d", i), eofToUnexpected(err))
 		}
-		if n > maxDays+1 {
+		if n > MaxDays+1 {
 			return nil, corruptf(what, "series %d has %d entries", i, n)
 		}
 		s := make([]float64, 0, n)

@@ -17,29 +17,42 @@ var (
 	snapshotMagic = [4]byte{'F', 'F', 'S', '1'}
 )
 
-type countingWriter struct {
+// writer appends each encoded value straight into the bufio.Writer's
+// free space (AvailableBuffer), so no value's bytes pass through a
+// local array that escapes into the Write call.
+type writer struct {
 	w *bufio.Writer
 }
 
-func (cw countingWriter) uv(x uint64) error {
-	var buf [binary.MaxVarintLen64]byte
-	n := binary.PutUvarint(buf[:], x)
-	_, err := cw.w.Write(buf[:n])
+// room returns the buffer's free space, empty, flushing first if fewer
+// than n bytes are free, so appending up to n bytes allocates nothing.
+// The caller writes what it appended with one Write. A failed flush
+// needs no check here: a bufio.Writer keeps its first error and
+// returns it from every later Write.
+func (cw writer) room(n int) []byte {
+	if cw.w.Available() < n {
+		_ = cw.w.Flush() // any error resurfaces from the caller's Write
+	}
+	return cw.w.AvailableBuffer()
+}
+
+func (cw writer) uv(x uint64) error {
+	_, err := cw.w.Write(binary.AppendUvarint(cw.room(binary.MaxVarintLen64), x))
 	return err
 }
 
-func (cw countingWriter) sv(x int64) error {
-	var buf [binary.MaxVarintLen64]byte
-	n := binary.PutVarint(buf[:], x)
-	_, err := cw.w.Write(buf[:n])
+func (cw writer) sv(x int64) error {
+	_, err := cw.w.Write(binary.AppendVarint(cw.room(binary.MaxVarintLen64), x))
 	return err
 }
 
-func (cw countingWriter) f64(x float64) error {
-	var buf [8]byte
-	binary.LittleEndian.PutUint64(buf[:], math.Float64bits(x))
-	_, err := cw.w.Write(buf[:])
+func (cw writer) f64(x float64) error {
+	_, err := cw.w.Write(appendF64(cw.room(8), x))
 	return err
+}
+
+func appendF64(b []byte, x float64) []byte {
+	return binary.LittleEndian.AppendUint64(b, math.Float64bits(x))
 }
 
 type reader struct {
@@ -49,12 +62,41 @@ type reader struct {
 func (rd reader) uv() (uint64, error) { return binary.ReadUvarint(rd.r) }
 func (rd reader) sv() (int64, error)  { return binary.ReadVarint(rd.r) }
 
+// f64 reads a float64's eight bytes in place from the reader's buffer.
+// Like io.ReadFull it returns io.EOF only when no byte was left and
+// io.ErrUnexpectedEOF when some were.
 func (rd reader) f64() (float64, error) {
-	var buf [8]byte
-	if _, err := io.ReadFull(rd.r, buf[:]); err != nil {
+	b, err := rd.r.Peek(8)
+	if err != nil {
+		if err == io.EOF && len(b) > 0 {
+			err = io.ErrUnexpectedEOF
+		}
 		return 0, err
 	}
-	return math.Float64frombits(binary.LittleEndian.Uint64(buf[:])), nil
+	x := math.Float64frombits(binary.LittleEndian.Uint64(b))
+	_, err = rd.r.Discard(8)
+	return x, err
+}
+
+// shortLivedFlag marks a short-lived op in the flags varint, whose low
+// bits hold the OpKind.
+const shortLivedFlag = 0x80
+
+// maxOpLen bounds one op's encoding: five varints and Sec's 8 bytes.
+const maxOpLen = 5*binary.MaxVarintLen64 + 8
+
+// appendOp appends op's encoding: flags, day, Sec, ID, Cg, Size.
+func appendOp(b []byte, op Op) []byte {
+	flags := uint64(op.Kind)
+	if op.ShortLived {
+		flags |= shortLivedFlag
+	}
+	b = binary.AppendUvarint(b, flags)
+	b = binary.AppendUvarint(b, uint64(op.Day))
+	b = appendF64(b, op.Sec)
+	b = binary.AppendVarint(b, op.ID)
+	b = binary.AppendUvarint(b, uint64(op.Cg))
+	return binary.AppendVarint(b, op.Size)
 }
 
 // WriteWorkload serializes w in the binary workload format.
@@ -63,7 +105,7 @@ func WriteWorkload(w io.Writer, wl *Workload) error {
 	if _, err := bw.Write(workloadMagic[:]); err != nil {
 		return err
 	}
-	cw := countingWriter{bw}
+	cw := writer{bw}
 	if err := cw.uv(uint64(wl.Days)); err != nil {
 		return err
 	}
@@ -71,33 +113,17 @@ func WriteWorkload(w io.Writer, wl *Workload) error {
 		return err
 	}
 	for _, op := range wl.Ops {
-		flags := uint64(op.Kind)
-		if op.ShortLived {
-			flags |= 0x80
-		}
-		if err := cw.uv(flags); err != nil {
-			return err
-		}
-		if err := cw.uv(uint64(op.Day)); err != nil {
-			return err
-		}
-		if err := cw.f64(op.Sec); err != nil {
-			return err
-		}
-		if err := cw.sv(op.ID); err != nil {
-			return err
-		}
-		if err := cw.uv(uint64(op.Cg)); err != nil {
-			return err
-		}
-		if err := cw.sv(op.Size); err != nil {
+		if _, err := bw.Write(appendOp(cw.room(maxOpLen), op)); err != nil {
 			return err
 		}
 	}
 	return bw.Flush()
 }
 
-// ReadWorkload deserializes a binary workload.
+// ReadWorkload deserializes a binary workload. It rejects what the text
+// reader rejects and what an Op cannot hold: a days count or op day
+// outside [0, MaxDays], a Sec that is not a non-negative finite time, a
+// Cg outside [0, MaxCg] and a negative Size.
 func ReadWorkload(r io.Reader) (*Workload, error) {
 	br := bufio.NewReader(r)
 	var magic [4]byte
@@ -112,6 +138,9 @@ func ReadWorkload(r io.Reader) (*Workload, error) {
 	if err != nil {
 		return nil, err
 	}
+	if days > MaxDays {
+		return nil, fmt.Errorf("trace: days %d out of range [0,%d]", days, MaxDays)
+	}
 	n, err := rd.uv()
 	if err != nil {
 		return nil, err
@@ -119,40 +148,63 @@ func ReadWorkload(r io.Reader) (*Workload, error) {
 	if n > 1<<28 {
 		return nil, fmt.Errorf("trace: implausible op count %d", n)
 	}
-	wl := &Workload{Days: int(days), Ops: make([]Op, 0, n)}
+	// The count is only a claim until the ops arrive: reserve at most
+	// a modest prefix, so a corrupt count cannot demand gigabytes.
+	wl := &Workload{Days: int(days), Ops: make([]Op, 0, min(n, 1<<16))}
 	for i := uint64(0); i < n; i++ {
-		var op Op
-		flags, err := rd.uv()
+		op, err := rd.op()
 		if err != nil {
 			return nil, fmt.Errorf("trace: op %d: %w", i, err)
-		}
-		op.Kind = OpKind(flags &^ 0x80)
-		op.ShortLived = flags&0x80 != 0
-		if op.Kind < OpCreate || op.Kind > OpRewrite {
-			return nil, fmt.Errorf("trace: op %d: bad kind %d", i, op.Kind)
-		}
-		day, err := rd.uv()
-		if err != nil {
-			return nil, err
-		}
-		op.Day = int(day)
-		if op.Sec, err = rd.f64(); err != nil {
-			return nil, err
-		}
-		if op.ID, err = rd.sv(); err != nil {
-			return nil, err
-		}
-		cg, err := rd.uv()
-		if err != nil {
-			return nil, err
-		}
-		op.Cg = int(cg)
-		if op.Size, err = rd.sv(); err != nil {
-			return nil, err
 		}
 		wl.Ops = append(wl.Ops, op)
 	}
 	return wl, nil
+}
+
+// op decodes and bounds-checks one op (see ReadWorkload).
+func (rd reader) op() (Op, error) {
+	var op Op
+	flags, err := rd.uv()
+	if err != nil {
+		return op, err
+	}
+	op.Kind = OpKind(flags &^ shortLivedFlag)
+	op.ShortLived = flags&shortLivedFlag != 0
+	if op.Kind < OpCreate || op.Kind > OpRewrite {
+		return op, fmt.Errorf("bad kind %d", op.Kind)
+	}
+	day, err := rd.uv()
+	if err != nil {
+		return op, err
+	}
+	if day > MaxDays {
+		return op, fmt.Errorf("day %d out of range [0,%d]", day, MaxDays)
+	}
+	op.Day = int32(day)
+	if op.Sec, err = rd.f64(); err != nil {
+		return op, err
+	}
+	if math.IsNaN(op.Sec) || math.IsInf(op.Sec, 0) || op.Sec < 0 {
+		return op, fmt.Errorf("sec %v not a non-negative finite time", op.Sec)
+	}
+	if op.ID, err = rd.sv(); err != nil {
+		return op, err
+	}
+	cg, err := rd.uv()
+	if err != nil {
+		return op, err
+	}
+	if cg > MaxCg {
+		return op, fmt.Errorf("cg %d out of range [0,%d]", cg, MaxCg)
+	}
+	op.Cg = int16(cg)
+	if op.Size, err = rd.sv(); err != nil {
+		return op, err
+	}
+	if op.Size < 0 {
+		return op, fmt.Errorf("negative size %d", op.Size)
+	}
+	return op, nil
 }
 
 // WriteSnapshots serializes a series of snapshots.
@@ -161,7 +213,7 @@ func WriteSnapshots(w io.Writer, snaps []Snapshot) error {
 	if _, err := bw.Write(snapshotMagic[:]); err != nil {
 		return err
 	}
-	cw := countingWriter{bw}
+	cw := writer{bw}
 	if err := cw.uv(uint64(len(snaps))); err != nil {
 		return err
 	}

@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"errors"
 	"io"
+	"math"
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -51,7 +53,10 @@ func FuzzWorkloadTextRoundTrip(f *testing.F) {
 }
 
 // FuzzReadWorkload feeds arbitrary bytes to the binary workload reader:
-// it must reject or accept without panicking or over-allocating.
+// it must reject or accept without panicking or over-allocating. What
+// it accepts must survive a binary round trip unchanged, and the text
+// reader must accept its text form: the two readers check the same
+// field bounds.
 func FuzzReadWorkload(f *testing.F) {
 	var seed bytes.Buffer
 	if err := WriteWorkload(&seed, sampleWorkload()); err != nil {
@@ -60,8 +65,30 @@ func FuzzReadWorkload(f *testing.F) {
 	f.Add(seed.Bytes())
 	f.Add([]byte("FFW1"))
 	f.Add([]byte{})
+	f.Add(encodeOneOp(3, math.MaxUint64, 2.5, 3, 100))
+	f.Add(encodeOneOp(3, 1, math.NaN(), 3, 100))
+	f.Add(encodeOneOp(3, 1, 2.5, 1<<63+5, 100))
+	f.Add(encodeOneOp(3, 1, 2.5, 3, -100))
 	f.Fuzz(func(t *testing.T, input []byte) {
-		_, _ = ReadWorkload(bytes.NewReader(input))
+		wl, err := ReadWorkload(bytes.NewReader(input))
+		if err != nil {
+			return
+		}
+		var bin bytes.Buffer
+		if err := WriteWorkload(&bin, wl); err != nil {
+			t.Fatal(err)
+		}
+		back, err := ReadWorkload(&bin)
+		if err != nil || !reflect.DeepEqual(back, wl) {
+			t.Fatalf("accepted workload did not round-trip: %v", err)
+		}
+		var text bytes.Buffer
+		if err := WriteWorkloadText(&text, wl); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := ReadWorkloadText(&text); err != nil {
+			t.Fatalf("binary reader accepted what the text reader rejects: %v", err)
+		}
 	})
 }
 

@@ -9,9 +9,14 @@ import (
 	"strings"
 )
 
-// maxDays bounds the day fields a text workload may carry; beyond it
-// the input is surely malformed (the paper's runs span 300 days).
-const maxDays = 1 << 20
+// MaxDays bounds a workload's days and its ops' Day fields, in both
+// codecs and in the generator's Config; beyond it the input is surely
+// malformed (the paper's runs span 300 days), and an Op's int32 Day
+// holds it.
+const MaxDays = 1 << 20
+
+// MaxCg bounds an op's cylinder group: an Op's Cg is an int16.
+const MaxCg = math.MaxInt16
 
 // WriteWorkloadText emits the workload in a line-oriented text format
 // for inspection and diffing:
@@ -58,8 +63,8 @@ func ReadWorkloadText(r io.Reader) (*Workload, error) {
 				if err != nil {
 					return nil, fmt.Errorf("trace: line %d: bad days: %w", lineNo, err)
 				}
-				if d < 0 || d > maxDays {
-					return nil, fmt.Errorf("trace: line %d: days %d out of range [0,%d]", lineNo, d, maxDays)
+				if d < 0 || d > MaxDays {
+					return nil, fmt.Errorf("trace: line %d: days %d out of range [0,%d]", lineNo, d, MaxDays)
 				}
 				wl.Days = d
 			}
@@ -70,13 +75,14 @@ func ReadWorkloadText(r io.Reader) (*Workload, error) {
 			return nil, fmt.Errorf("trace: line %d: %d fields, want 6 or 7", lineNo, len(f))
 		}
 		var op Op
-		var err error
-		if op.Day, err = strconv.Atoi(f[0]); err != nil {
+		day, err := strconv.Atoi(f[0])
+		if err != nil {
 			return nil, fmt.Errorf("trace: line %d day: %w", lineNo, err)
 		}
-		if op.Day < 0 || op.Day > maxDays {
-			return nil, fmt.Errorf("trace: line %d: day %d out of range [0,%d]", lineNo, op.Day, maxDays)
+		if day < 0 || day > MaxDays {
+			return nil, fmt.Errorf("trace: line %d: day %d out of range [0,%d]", lineNo, day, MaxDays)
 		}
+		op.Day = int32(day)
 		if op.Sec, err = strconv.ParseFloat(f[1], 64); err != nil {
 			return nil, fmt.Errorf("trace: line %d sec: %w", lineNo, err)
 		}
@@ -96,12 +102,14 @@ func ReadWorkloadText(r io.Reader) (*Workload, error) {
 		if op.ID, err = strconv.ParseInt(f[3], 10, 64); err != nil {
 			return nil, fmt.Errorf("trace: line %d id: %w", lineNo, err)
 		}
-		if op.Cg, err = strconv.Atoi(f[4]); err != nil {
+		cg, err := strconv.Atoi(f[4])
+		if err != nil {
 			return nil, fmt.Errorf("trace: line %d cg: %w", lineNo, err)
 		}
-		if op.Cg < 0 {
-			return nil, fmt.Errorf("trace: line %d: negative cg %d", lineNo, op.Cg)
+		if cg < 0 || cg > MaxCg {
+			return nil, fmt.Errorf("trace: line %d: cg %d out of range [0,%d]", lineNo, cg, MaxCg)
 		}
+		op.Cg = int16(cg)
 		if op.Size, err = strconv.ParseInt(f[5], 10, 64); err != nil {
 			return nil, fmt.Errorf("trace: line %d size: %w", lineNo, err)
 		}

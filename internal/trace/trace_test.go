@@ -2,11 +2,14 @@ package trace
 
 import (
 	"bytes"
+	"encoding/binary"
+	"math"
 	"math/rand"
 	"reflect"
 	"strings"
 	"testing"
 	"testing/quick"
+	"unsafe"
 )
 
 func sampleWorkload() *Workload {
@@ -105,6 +108,83 @@ func TestTruncatedWorkload(t *testing.T) {
 	}
 }
 
+// TestOpSize pins Op's packed layout: the workload build's sorts and
+// merges move every op many times, and the cache holds whole streams.
+func TestOpSize(t *testing.T) {
+	if got := unsafe.Sizeof(Op{}); got != 32 {
+		t.Errorf("trace.Op is %d bytes, want 32", got)
+	}
+}
+
+// TestHashWorkloadPinned pins the binary encoding through its
+// fingerprint: checkpoints store it, so a resume under a build that
+// encodes differently would be refused.
+func TestHashWorkloadPinned(t *testing.T) {
+	if got, want := HashWorkload(sampleWorkload()), uint64(0xf16d1f9bc52a5f5b); got != want {
+		t.Errorf("HashWorkload(sample) = %#x, want %#x", got, want)
+	}
+}
+
+// TestHashWorkloadAllocs pins the codec's allocation-free encoding:
+// hashing a stream allocates the hash and the write buffer, however
+// many ops it holds.
+func TestHashWorkloadAllocs(t *testing.T) {
+	wl := &Workload{Days: 10}
+	for i := 0; i < 1000; i++ {
+		wl.Ops = append(wl.Ops, Op{
+			Day: int32(i / 100), Sec: float64(i), Kind: OpCreate,
+			ID: int64(i), Cg: int16(i % 27), Size: int64(i) << 10,
+		})
+	}
+	if n := testing.AllocsPerRun(10, func() { HashWorkload(wl) }); n > 2 {
+		t.Errorf("HashWorkload of %d ops allocates %v times, want at most 2", len(wl.Ops), n)
+	}
+}
+
+// encodeOneOp encodes a one-op workload field by field, as WriteWorkload
+// lays it out, from raw field values an Op may not hold.
+func encodeOneOp(days, day uint64, sec float64, cg uint64, size int64) []byte {
+	b := append([]byte(nil), workloadMagic[:]...)
+	b = binary.AppendUvarint(b, days)
+	b = binary.AppendUvarint(b, 1) // op count
+	b = binary.AppendUvarint(b, uint64(OpCreate))
+	b = binary.AppendUvarint(b, day)
+	b = binary.LittleEndian.AppendUint64(b, math.Float64bits(sec))
+	b = binary.AppendVarint(b, 7) // ID
+	b = binary.AppendUvarint(b, cg)
+	return binary.AppendVarint(b, size)
+}
+
+// TestReadWorkloadRejectsOutOfRange: the binary reader rejects every
+// field value the text reader rejects or an Op cannot hold, naming the
+// op, instead of wrapping it into a negative day or group.
+func TestReadWorkloadRejectsOutOfRange(t *testing.T) {
+	if _, err := ReadWorkload(bytes.NewReader(encodeOneOp(3, 1, 2.5, 3, 100))); err != nil {
+		t.Fatalf("valid op rejected: %v", err)
+	}
+	cases := []struct {
+		name string
+		in   []byte
+		want string
+	}{
+		{"days beyond MaxDays", encodeOneOp(MaxDays+1, 1, 2.5, 3, 100), "days"},
+		{"day 2^64-1", encodeOneOp(3, math.MaxUint64, 2.5, 3, 100), "op 0: day"},
+		{"day beyond MaxDays", encodeOneOp(3, MaxDays+1, 2.5, 3, 100), "op 0: day"},
+		{"NaN sec", encodeOneOp(3, 1, math.NaN(), 3, 100), "op 0: sec"},
+		{"infinite sec", encodeOneOp(3, 1, math.Inf(1), 3, 100), "op 0: sec"},
+		{"negative sec", encodeOneOp(3, 1, -1, 3, 100), "op 0: sec"},
+		{"cg 2^63+5", encodeOneOp(3, 1, 2.5, 1<<63+5, 100), "op 0: cg"},
+		{"cg beyond MaxCg", encodeOneOp(3, 1, 2.5, MaxCg+1, 100), "op 0: cg"},
+		{"size -100", encodeOneOp(3, 1, 2.5, 3, -100), "op 0: negative size"},
+	}
+	for _, tc := range cases {
+		_, err := ReadWorkload(bytes.NewReader(tc.in))
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: err = %v, want one containing %q", tc.name, err, tc.want)
+		}
+	}
+}
+
 func TestTextParserErrors(t *testing.T) {
 	bad := []string{
 		"0 1.0 frobnicate 1 2 3",
@@ -177,11 +257,11 @@ func TestQuickBinaryRoundTrip(t *testing.T) {
 		n := rng.Intn(200)
 		for i := 0; i < n; i++ {
 			wl.Ops = append(wl.Ops, Op{
-				Day:        rng.Intn(500),
+				Day:        int32(rng.Intn(500)),
 				Sec:        rng.Float64() * 86400,
 				Kind:       OpKind(1 + rng.Intn(3)),
 				ID:         rng.Int63() - rng.Int63(),
-				Cg:         rng.Intn(27),
+				Cg:         int16(rng.Intn(27)),
 				Size:       rng.Int63n(1 << 25),
 				ShortLived: rng.Intn(2) == 0,
 			})

@@ -40,24 +40,28 @@ func (k OpKind) String() string {
 // Op is one operation in the aging workload. Time is expressed as a day
 // number plus seconds within the day; ordering is (Day, Sec, ID, Kind),
 // then the remaining fields, as Compare defines it.
+//
+// Op is packed into 32 bytes: the three 8-byte fields first, then Day
+// and Cg narrowed to what a workload can hold (MaxDays and MaxCg; the
+// codecs reject anything wider), sharing the last word with Kind and
+// ShortLived. The workload build's sorts and merges move every op many
+// times, and the cache holds whole streams.
 type Op struct {
-	Day  int
-	Sec  float64
-	Kind OpKind
-	// ShortLived marks operations merged in from the NFS trace. It
-	// sits beside Kind so the two share one word: Op is 48 bytes, and
-	// the workload build's sorts move every op many times.
-	ShortLived bool
+	Sec float64
 	// ID identifies the file across operations. For snapshot-derived
 	// files it encodes the original system's inode number; short-lived
 	// files carry synthetic IDs. IDs are unique per live file.
 	ID int64
+	// Size in bytes; meaningful for OpCreate and OpRewrite.
+	Size int64
+	Day  int32
 	// Cg is the cylinder group the file occupied on the original
 	// system (ino / ipg there); the replayer routes the file to the
 	// matching per-group directory, per Section 3.2 of the paper.
-	Cg int
-	// Size in bytes; meaningful for OpCreate and OpRewrite.
-	Size int64
+	Cg   int16
+	Kind OpKind
+	// ShortLived marks operations merged in from the NFS trace.
+	ShortLived bool
 }
 
 // Compare orders ops by (Day, Sec, ID, Kind), returning -1, 0 or +1.

@@ -15,7 +15,11 @@
 // 1 has a live analogue here.
 package workload
 
-import "fmt"
+import (
+	"fmt"
+
+	"ffsage/internal/trace"
+)
 
 // Config parameterizes the reference generator. DefaultConfig matches
 // the paper's published aggregates; the knobs exist for the ablation
@@ -101,12 +105,14 @@ func DefaultConfig(seed int64) Config {
 	}
 }
 
-// Validate checks the configuration.
+// Validate checks the configuration. Days and NumCg are bounded by what
+// a trace.Op holds (trace.MaxDays, trace.MaxCg), so no build can emit an
+// op the codecs would reject.
 func (c Config) Validate() error {
 	switch {
-	case c.Days <= 0:
-		return fmt.Errorf("workload: days %d", c.Days)
-	case c.NumCg <= 0 || c.InodesPerGroup <= 0:
+	case c.Days <= 0 || c.Days > trace.MaxDays:
+		return fmt.Errorf("workload: days %d out of range [1,%d]", c.Days, trace.MaxDays)
+	case c.NumCg <= 0 || c.NumCg > trace.MaxCg || c.InodesPerGroup <= 0:
 		return fmt.Errorf("workload: inode geometry %d/%d", c.NumCg, c.InodesPerGroup)
 	case c.NumDirs <= 0:
 		return fmt.Errorf("workload: dirs %d", c.NumDirs)

@@ -45,7 +45,7 @@ func TestBuildDaysSealsPrefixes(t *testing.T) {
 		}
 		for k, ops := range streams {
 			n := s.n[k]
-			if n > 0 && ops[n-1].Day > d || n < len(ops) && ops[n].Day <= d {
+			if n > 0 && int(ops[n-1].Day) > d || n < len(ops) && int(ops[n].Day) <= d {
 				t.Fatalf("stream %d: seal of day %d ends at op %d, not at the day boundary", k, d, n)
 			}
 		}
@@ -106,12 +106,12 @@ func FuzzDayOrder(f *testing.F) {
 			v := binary.LittleEndian.Uint32(data)
 			data = data[4:]
 			op := trace.Op{
-				Day:        int(v % days),
+				Day:        int32(v % days),
 				Sec:        float64(v >> 2 % 3),
 				ID:         int64(v>>4%3) - 1,
 				Kind:       trace.OpKind(v>>6%3 + 1),
 				Size:       int64(v >> 8 % 2),
-				Cg:         int(v >> 9 % 2),
+				Cg:         int16(v >> 9 % 2),
 				ShortLived: v>>10%2 == 1,
 			}
 			ops = append(ops, op)

@@ -27,7 +27,7 @@ import (
 // supplies the random deletion times only. Each snapshot must list its
 // entries in strictly increasing inode order, as Snapshot.Files
 // documents; Diff rejects one that does not, and one whose day is
-// negative or not after the previous snapshot's.
+// negative, beyond trace.MaxDays or not after the previous snapshot's.
 func Diff(snaps []trace.Snapshot, numCg, ipg int, rng *rand.Rand) (*trace.Workload, error) {
 	if len(snaps) == 0 {
 		return nil, fmt.Errorf("workload: no snapshots to diff")
@@ -58,13 +58,13 @@ type differ struct {
 }
 
 func newDiffer(numCg, ipg int, rng *rand.Rand) (*differ, error) {
-	if numCg <= 0 || ipg <= 0 {
+	if numCg <= 0 || numCg > trace.MaxCg || ipg <= 0 {
 		return nil, fmt.Errorf("workload: bad inode geometry %d/%d", numCg, ipg)
 	}
 	return &differ{numCg: numCg, ipg: int64(ipg), rng: rng, last: -1}, nil
 }
 
-func (d *differ) inoCg(ino int64) int { return int(ino/d.ipg) % d.numCg }
+func (d *differ) inoCg(ino int64) int16 { return int16(int(ino/d.ipg) % d.numCg) }
 
 // add appends the ops snap reveals, against the snapshot added before
 // it, to ops and returns the extended slice. The new ops fall on days
@@ -73,6 +73,9 @@ func (d *differ) inoCg(ino int64) int { return int(ino/d.ipg) % d.numCg }
 func (d *differ) add(ops []trace.Op, snap trace.Snapshot) ([]trace.Op, error) {
 	if snap.Day <= d.last {
 		return nil, fmt.Errorf("workload: snapshots out of order at day %d", snap.Day)
+	}
+	if snap.Day > trace.MaxDays {
+		return nil, fmt.Errorf("workload: snapshot day %d beyond %d", snap.Day, trace.MaxDays)
 	}
 	for i := 1; i < len(snap.Files); i++ {
 		if snap.Files[i].Ino <= snap.Files[i-1].Ino {
@@ -132,7 +135,7 @@ func (d *differ) add(ops []trace.Op, snap trace.Snapshot) ([]trace.Op, error) {
 		day, sec := splitCTime(f.CTime, snap.Day)
 		noteTime(f.CTime)
 		ops = append(ops, trace.Op{
-			Day: day, Sec: sec, Kind: kind,
+			Day: int32(day), Sec: sec, Kind: kind,
 			ID: f.Ino, Cg: d.inoCg(f.Ino), Size: f.Size,
 		})
 	}
@@ -140,7 +143,7 @@ func (d *differ) add(ops []trace.Op, snap trace.Snapshot) ([]trace.Op, error) {
 	for _, ino := range d.dead {
 		sec := loSec + d.rng.Float64()*(hiSec-loSec)
 		ops = append(ops, trace.Op{
-			Day: snap.Day, Sec: sec, Kind: trace.OpDelete,
+			Day: int32(snap.Day), Sec: sec, Kind: trace.OpDelete,
 			ID: ino, Cg: d.inoCg(ino),
 		})
 	}
@@ -159,7 +162,7 @@ func (d *differ) day(ops []trace.Op, snap trace.Snapshot) ([]trace.Op, error) {
 		return nil, err
 	}
 	for _, op := range ops[start:] {
-		if op.Day != snap.Day {
+		if int(op.Day) != snap.Day {
 			return nil, fmt.Errorf("workload: snapshot of day %d places an op on sealed day %d", snap.Day, op.Day)
 		}
 	}

@@ -32,7 +32,7 @@ func Merge(base *trace.Workload, traceDays []trace.TraceDay, numCg int, rng *ran
 	}
 	byDay := make([][]trace.Op, base.Days)
 	for _, op := range base.Ops {
-		if op.Day >= 0 && op.Day < base.Days {
+		if op.Day >= 0 && int(op.Day) < base.Days {
 			byDay[op.Day] = append(byDay[op.Day], op)
 		}
 	}
@@ -61,7 +61,7 @@ type merger struct {
 
 // cgAct is one group's activity on a base day.
 type cgAct struct {
-	cg      int
+	cg      int16
 	ops     int
 	meanSec float64
 }
@@ -70,7 +70,7 @@ func newMerger(traceDays []trace.TraceDay, numCg int, rng *rand.Rand) (*merger, 
 	if len(traceDays) == 0 {
 		return nil, fmt.Errorf("workload: no trace days to merge")
 	}
-	if numCg <= 0 {
+	if numCg <= 0 || numCg > trace.MaxCg {
 		return nil, fmt.Errorf("workload: bad group count %d", numCg)
 	}
 	return &merger{
@@ -100,10 +100,10 @@ func (m *merger) shortLived(day int, base []trace.Op) []trace.Op {
 	// mean operation time as its activity peak.
 	acts := m.acts
 	for cg := range acts {
-		acts[cg] = cgAct{cg: cg}
+		acts[cg] = cgAct{cg: int16(cg)}
 	}
 	for _, op := range base {
-		if op.Cg >= 0 && op.Cg < m.numCg {
+		if op.Cg >= 0 && int(op.Cg) < m.numCg {
 			acts[op.Cg].ops++
 			acts[op.Cg].meanSec += op.Sec
 		}
@@ -157,8 +157,8 @@ func (m *merger) shortLived(day int, base []trace.Op) []trace.Op {
 			id := m.nextID
 			m.nextID--
 			short = append(short,
-				trace.Op{Day: day, Sec: cs, Kind: trace.OpCreate, ID: id, Cg: target.cg, Size: f.Size, ShortLived: true},
-				trace.Op{Day: day, Sec: ds, Kind: trace.OpDelete, ID: id, Cg: target.cg, ShortLived: true},
+				trace.Op{Day: int32(day), Sec: cs, Kind: trace.OpCreate, ID: id, Cg: target.cg, Size: f.Size, ShortLived: true},
+				trace.Op{Day: int32(day), Sec: ds, Kind: trace.OpDelete, ID: id, Cg: target.cg, ShortLived: true},
 			)
 		}
 	}

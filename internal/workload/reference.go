@@ -32,8 +32,20 @@ type refFile struct {
 	// static draw, so rewrites concentrate on a stable working set
 	// (the paper's hot set is ~10% of files holding ~19% of bytes).
 	heat float64
+	// victimW and rewriteW cache the size terms of pickVictim's and
+	// pickRewriteTarget's weights, Pow(size+1024, 0.3) and
+	// Pow(size+1024, 0.5): a file's size changes far less often than it
+	// is sampled. setSize keeps them current.
+	victimW, rewriteW float64
 	// listPos is the file's position in reference.liveList while live.
 	listPos int32
+}
+
+// setSize sets the file's size and the weight terms derived from it.
+func (f *refFile) setSize(size int64) {
+	f.size = size
+	f.victimW = math.Pow(float64(size)+1024, 0.3)
+	f.rewriteW = math.Pow(float64(size)+1024, 0.5)
 }
 
 type inoPool struct {
@@ -232,8 +244,8 @@ func (r *reference) allocIno(dir int) (int64, error) {
 	return 0, fmt.Errorf("workload: all inode pools exhausted")
 }
 
-func (r *reference) inoCg(ino int64) int {
-	return int(ino/int64(r.cfg.InodesPerGroup)) % r.cfg.NumCg
+func (r *reference) inoCg(ino int64) int16 {
+	return int16(int(ino/int64(r.cfg.InodesPerGroup)) % r.cfg.NumCg)
 }
 
 // addLive claims an arena slot for f, registers it live, and returns
@@ -275,13 +287,15 @@ func (r *reference) createFile(day int, sec float64, dir int, size int64) error 
 	if err != nil {
 		return err
 	}
-	r.addLive(refFile{
-		ino: ino, dir: dir, size: size,
+	f := refFile{
+		ino: ino, dir: dir,
 		ctime: float64(day)*86400 + sec,
 		heat:  math.Exp(2 * r.rng.NormFloat64()),
-	})
+	}
+	f.setSize(size)
+	r.addLive(f)
 	r.ops = append(r.ops, trace.Op{
-		Day: day, Sec: sec, Kind: trace.OpCreate,
+		Day: int32(day), Sec: sec, Kind: trace.OpCreate,
 		ID: ino, Cg: r.inoCg(ino), Size: size,
 	})
 	return nil
@@ -295,7 +309,7 @@ func (r *reference) pickRewriteTarget() *refFile {
 	bestW := -1.0
 	for k := 0; k < 12; k++ {
 		f := &r.files[r.liveList[r.rng.Intn(len(r.liveList))]]
-		w := f.heat * math.Pow(float64(f.size)+1024, 0.5)
+		w := f.heat * f.rewriteW
 		if w > bestW {
 			best, bestW = f, w
 		}
@@ -319,7 +333,7 @@ func (r *reference) pickVictim(day int) *refFile {
 		if ageDays < 0.1 {
 			ageDays = 0.1
 		}
-		w := math.Pow(float64(f.size)+1024, 0.3) * math.Exp(-ageDays/8) * (0.5 + r.rng.Float64()) / (0.2 + f.heat)
+		w := f.victimW * math.Exp(-ageDays/8) * (0.5 + r.rng.Float64()) / (0.2 + f.heat)
 		if w > bestW {
 			best, bestW = f, w
 		}
@@ -388,10 +402,10 @@ func (r *reference) simulateDay(day int) {
 		}
 		sec := r.secAfter(day, f.ctime)
 		r.usedBytes += fragRound(newSize) - fragRound(f.size)
-		f.size = newSize
+		f.setSize(newSize)
 		f.ctime = float64(day)*86400 + sec
 		r.ops = append(r.ops, trace.Op{
-			Day: day, Sec: sec, Kind: trace.OpRewrite,
+			Day: int32(day), Sec: sec, Kind: trace.OpRewrite,
 			ID: f.ino, Cg: r.inoCg(f.ino), Size: newSize,
 		})
 		written += newSize
@@ -445,7 +459,7 @@ func (r *reference) simulateDay(day int) {
 		sec := r.secAfter(day, f.ctime)
 		r.removeLive(f.ino)
 		r.ops = append(r.ops, trace.Op{
-			Day: day, Sec: sec, Kind: trace.OpDelete,
+			Day: int32(day), Sec: sec, Kind: trace.OpDelete,
 			ID: f.ino, Cg: r.inoCg(f.ino),
 		})
 	}
@@ -466,10 +480,10 @@ func (r *reference) simulateDay(day int) {
 		}
 		id := r.nextShortID
 		r.nextShortID--
-		cg := r.dirCg(dir)
+		cg := int16(r.dirCg(dir))
 		r.ops = append(r.ops,
-			trace.Op{Day: day, Sec: start, Kind: trace.OpCreate, ID: id, Cg: cg, Size: size, ShortLived: true},
-			trace.Op{Day: day, Sec: end, Kind: trace.OpDelete, ID: id, Cg: cg, ShortLived: true},
+			trace.Op{Day: int32(day), Sec: start, Kind: trace.OpCreate, ID: id, Cg: cg, Size: size, ShortLived: true},
+			trace.Op{Day: int32(day), Sec: end, Kind: trace.OpDelete, ID: id, Cg: cg, ShortLived: true},
 		)
 	}
 }

@@ -46,6 +46,36 @@ func TestConfigValidate(t *testing.T) {
 	}
 }
 
+// TestConfigBoundedByOp: a config passes only if every op its build
+// emits fits a trace.Op and the codecs' bounds, so no build can emit an
+// op the codecs would truncate or reject.
+func TestConfigBoundedByOp(t *testing.T) {
+	for _, tc := range []struct {
+		days, numCg int
+		ok          bool
+	}{
+		{trace.MaxDays, trace.MaxCg, true},
+		{trace.MaxDays + 1, 27, false},
+		{300, trace.MaxCg + 1, false},
+	} {
+		c := DefaultConfig(1)
+		c.Days, c.NumCg = tc.days, tc.numCg
+		if err := c.Validate(); (err == nil) != tc.ok {
+			t.Errorf("days %d, %d groups: Validate = %v, want ok %v", tc.days, tc.numCg, err, tc.ok)
+		}
+	}
+	rng := rand.New(rand.NewSource(1))
+	if _, err := Diff([]trace.Snapshot{{Day: trace.MaxDays + 1}}, 27, 4800, rng); err == nil {
+		t.Error("Diff accepted a snapshot day beyond trace.MaxDays")
+	}
+	if _, err := Diff([]trace.Snapshot{{Day: 0}}, trace.MaxCg+1, 4800, rng); err == nil {
+		t.Error("Diff accepted more groups than an Op's Cg holds")
+	}
+	if _, err := Merge(&trace.Workload{Days: 1}, []trace.TraceDay{{}}, trace.MaxCg+1, rng); err == nil {
+		t.Error("Merge accepted more groups than an Op's Cg holds")
+	}
+}
+
 func TestSizeDist(t *testing.T) {
 	d := SizeDist{MedianBytes: 4096, Sigma: 2, MaxBytes: 1 << 20}
 	rng := rand.New(rand.NewSource(7))
@@ -254,7 +284,7 @@ func TestQuickDiffReplaysToSnapshots(t *testing.T) {
 		live := map[int64]int64{}
 		i := 0
 		for _, snap := range res.Snapshots {
-			for i < len(wl.Ops) && wl.Ops[i].Day <= snap.Day {
+			for i < len(wl.Ops) && int(wl.Ops[i].Day) <= snap.Day {
 				op := wl.Ops[i]
 				switch op.Kind {
 				case trace.OpCreate, trace.OpRewrite:
@@ -342,7 +372,7 @@ func TestMergeAddsShortLived(t *testing.T) {
 			t.Error("short-lived op with non-negative id")
 		}
 	}
-	day0cg, day1cg := map[int]int{}, map[int]int{}
+	day0cg, day1cg := map[int16]int{}, map[int16]int{}
 	for _, op := range merged.Ops {
 		if op.ShortLived && op.Kind == trace.OpCreate {
 			if op.Day == 0 {
@@ -469,7 +499,7 @@ func TestPickDirMatchesPerPickLoop(t *testing.T) {
 // merge walk: two inode-keyed maps, deletions sorted before their times
 // are drawn.
 func diffMaps(snaps []trace.Snapshot, numCg, ipg int, rng *rand.Rand) []trace.Op {
-	inoCg := func(ino int64) int { return int(ino/int64(ipg)) % numCg }
+	inoCg := func(ino int64) int16 { return int16(int(ino/int64(ipg)) % numCg) }
 	var ops []trace.Op
 	prev := map[int64]trace.FileMeta{}
 	for _, snap := range snaps {
@@ -502,7 +532,7 @@ func diffMaps(snaps []trace.Snapshot, numCg, ipg int, rng *rand.Rand) []trace.Op
 			}
 			day, sec := splitCTime(f.CTime, snap.Day)
 			noteTime(f.CTime)
-			ops = append(ops, trace.Op{Day: day, Sec: sec, Kind: kind, ID: f.Ino, Cg: inoCg(f.Ino), Size: f.Size})
+			ops = append(ops, trace.Op{Day: int32(day), Sec: sec, Kind: kind, ID: f.Ino, Cg: inoCg(f.Ino), Size: f.Size})
 		}
 		var dead []int64
 		for ino := range prev {
@@ -513,7 +543,7 @@ func diffMaps(snaps []trace.Snapshot, numCg, ipg int, rng *rand.Rand) []trace.Op
 		sort.Slice(dead, func(i, j int) bool { return dead[i] < dead[j] })
 		for _, ino := range dead {
 			sec := loSec + rng.Float64()*(hiSec-loSec)
-			ops = append(ops, trace.Op{Day: snap.Day, Sec: sec, Kind: trace.OpDelete, ID: ino, Cg: inoCg(ino)})
+			ops = append(ops, trace.Op{Day: int32(snap.Day), Sec: sec, Kind: trace.OpDelete, ID: ino, Cg: inoCg(ino)})
 		}
 		prev = cur
 	}
