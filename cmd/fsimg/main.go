@@ -262,15 +262,15 @@ func ageCmd(fl *flag.FlagSet, w io.Writer) func() error {
 	}
 }
 
-// readWorkload reads a workload file in the binary format or, failing
-// that, the text one.
+// readWorkload reads a workload file in the binary format or, when it
+// does not start with the binary magic, the text one.
 func readWorkload(path string) (*trace.Workload, error) {
 	raw, err := os.ReadFile(path)
 	if err != nil {
 		return nil, err
 	}
 	wl, err := trace.ReadWorkload(bytes.NewReader(raw))
-	if err != nil {
+	if err != nil && !bytes.HasPrefix(raw, []byte("FFW1")) {
 		wl, err = trace.ReadWorkloadText(bytes.NewReader(raw))
 	}
 	if err != nil {

@@ -130,6 +130,52 @@ func TestRebuildTestdataImages(t *testing.T) {
 	}
 }
 
+// TestTextWorkloadAgesLikeBinary: a workload written with -text ages
+// into the same image as the binary one, since the text form keeps
+// every op exactly.
+func TestTextWorkloadAgesLikeBinary(t *testing.T) {
+	dir := t.TempDir()
+	wl, img := filepath.Join(dir, "wl.txt"), filepath.Join(dir, "ffs.img")
+	mustRun(t, "workload", "-days", "12", "-text", "-out", wl)
+	mustRun(t, "age", "-workload", wl, "-policy", "ffs", "-q", "-image", img)
+	got, err := os.ReadFile(img)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := os.ReadFile(filepath.Join("testdata", "ffs.img"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Error("fsimg age on the -text workload built an image that differs from testdata/ffs.img")
+	}
+}
+
+// TestAgeRejectsUnsortedWorkload: age refuses a binary workload whose
+// ops are out of stream order and names the op, rather than falling
+// back to the text reader's complaint about binary bytes.
+func TestAgeRejectsUnsortedWorkload(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "wl.ffw")
+	f, err := os.Create(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	err = trace.WriteWorkload(f, &trace.Workload{Days: 2, Ops: []trace.Op{
+		{Day: 1, Sec: 5, Kind: trace.OpCreate, ID: 1, Size: 100},
+		{Day: 0, Sec: 5, Kind: trace.OpCreate, ID: 2, Size: 100},
+	}})
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	err = run([]string{"age", "-workload", path, "-q"}, io.Discard)
+	if err == nil || !strings.Contains(err.Error(), "op 1 out of order") {
+		t.Errorf("age on an unsorted workload: got %v, want op 1 out of order", err)
+	}
+}
+
 // TestCheckKeepsRecordedPolicy is the regression test for checking an
 // image under a -policy flag that defaulted to realloc: check -o on an
 // image aged under ffs must save an image that records ffs and sweeps

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"math/rand"
+	"slices"
 
 	"ffsage/internal/aging"
 	"ffsage/internal/bench"
@@ -40,6 +41,7 @@ func All() []Benchmark {
 		{Name: "obs.writespans", Quick: true, Setup: setupWriteSpans},
 		{Name: "workload.build", Quick: true, Setup: setupWorkloadBuild},
 		{Name: "trace.hash", Quick: true, Setup: setupTraceHash, CheckAllocs: true, MaxAllocsPerOp: 0.01},
+		{Name: "trace.sortops", Quick: true, Setup: setupSortOps, CheckAllocs: true, MaxAllocsPerOp: 0},
 		{Name: "bench.seqsweep", Quick: false, Setup: setupSeqSweep},
 		{Name: "bench.hotfiles", Quick: true, Setup: setupHotFiles},
 	}
@@ -594,6 +596,43 @@ func setupTraceHash(fx *Fixture) (*Instance, error) {
 		return nil
 	}
 	return &Instance{Op: op, Units: int64(len(wl.Ops))}, nil
+}
+
+// setupSortOps measures the workload build's per-day sort: one
+// trace.OpSorter puts each day of the fixture's reconstructed stream
+// back in stream order, from a copy whose days were shuffled once in
+// set-up. After its first call the sorter's buffers fit the busiest
+// day, so the row is gated at zero allocations.
+func setupSortOps(fx *Fixture) (*Instance, error) {
+	ops := fx.Build.Reconstructed.Ops
+	shuffled := slices.Clone(ops)
+	rng := rand.New(rand.NewSource(fx.Seed))
+	var ends []int // where each day's ops end
+	for start := 0; start < len(ops); {
+		end := start + 1
+		for end < len(ops) && ops[end].Day == ops[start].Day {
+			end++
+		}
+		day := shuffled[start:end]
+		rng.Shuffle(len(day), func(i, j int) { day[i], day[j] = day[j], day[i] })
+		ends = append(ends, end)
+		start = end
+	}
+	work := make([]trace.Op, len(ops))
+	var s trace.OpSorter
+	op := func() error {
+		copy(work, shuffled)
+		start := 0
+		for _, end := range ends {
+			s.Sort(work[start:end])
+			start = end
+		}
+		return nil
+	}
+	if op(); !slices.Equal(work, ops) {
+		return nil, fmt.Errorf("trace.sortops: the sorted days differ from the stream")
+	}
+	return &Instance{Op: op, Units: int64(len(ops))}, nil
 }
 
 // setupSeqSweep measures the Figure 4 sequential create/write + read

@@ -123,7 +123,8 @@ func WriteWorkload(w io.Writer, wl *Workload) error {
 // ReadWorkload deserializes a binary workload. It rejects what the text
 // reader rejects and what an Op cannot hold: a days count or op day
 // outside [0, MaxDays], a Sec that is not a non-negative finite time, a
-// Cg outside [0, MaxCg] and a negative Size.
+// Cg outside [0, MaxCg], a negative Size, and an op that Compare sorts
+// before the one ahead of it (Workload.Ops is in stream order).
 func ReadWorkload(r io.Reader) (*Workload, error) {
 	br := bufio.NewReader(r)
 	var magic [4]byte
@@ -155,6 +156,9 @@ func ReadWorkload(r io.Reader) (*Workload, error) {
 		op, err := rd.op()
 		if err != nil {
 			return nil, fmt.Errorf("trace: op %d: %w", i, err)
+		}
+		if i > 0 && op.Compare(wl.Ops[i-1]) < 0 {
+			return nil, fmt.Errorf("trace: op %d out of order: it sorts before op %d", i, i-1)
 		}
 		wl.Ops = append(wl.Ops, op)
 	}

@@ -29,6 +29,7 @@ func FuzzWorkloadTextRoundTrip(f *testing.F) {
 	f.Add("-1 1.0 create 1 1 1\n")
 	f.Add("0 1.0 create 1 1 1 shorty\n")
 	f.Add("# days=99999999999\n")
+	f.Add("0 2 create 1 1 1\n0 1 create 2 1 1\n")
 	f.Fuzz(func(t *testing.T, input string) {
 		wl, err := ReadWorkloadText(strings.NewReader(input))
 		if err != nil {
@@ -69,6 +70,11 @@ func FuzzReadWorkload(f *testing.F) {
 	f.Add(encodeOneOp(3, 1, math.NaN(), 3, 100))
 	f.Add(encodeOneOp(3, 1, 2.5, 1<<63+5, 100))
 	f.Add(encodeOneOp(3, 1, 2.5, 3, -100))
+	var swapped bytes.Buffer
+	if err := WriteWorkload(&swapped, swappedWorkload()); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(swapped.Bytes())
 	f.Fuzz(func(t *testing.T, input []byte) {
 		wl, err := ReadWorkload(bytes.NewReader(input))
 		if err != nil {

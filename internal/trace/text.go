@@ -23,6 +23,9 @@ const MaxCg = math.MaxInt16
 //
 //	# ffsage workload days=<n>
 //	<day> <sec> <kind> <id> <cg> <size> [short]
+//
+// <sec> is the shortest decimal that reads back as the same float64,
+// so the text form keeps every op, and so the stream's order, exactly.
 func WriteWorkloadText(w io.Writer, wl *Workload) error {
 	bw := bufio.NewWriter(w)
 	if _, err := fmt.Fprintf(bw, "# ffsage workload days=%d\n", wl.Days); err != nil {
@@ -33,20 +36,21 @@ func WriteWorkloadText(w io.Writer, wl *Workload) error {
 		if op.ShortLived {
 			short = " short"
 		}
-		if _, err := fmt.Fprintf(bw, "%d %.3f %s %d %d %d%s\n",
-			op.Day, op.Sec, op.Kind, op.ID, op.Cg, op.Size, short); err != nil {
+		if _, err := fmt.Fprintf(bw, "%d %s %s %d %d %d%s\n",
+			op.Day, strconv.FormatFloat(op.Sec, 'f', -1, 64), op.Kind, op.ID, op.Cg, op.Size, short); err != nil {
 			return err
 		}
 	}
 	return bw.Flush()
 }
 
-// ReadWorkloadText parses the text format.
+// ReadWorkloadText parses the text format. Like ReadWorkload, it
+// rejects an op that Compare sorts before the one ahead of it.
 func ReadWorkloadText(r io.Reader) (*Workload, error) {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 1<<20), 1<<20)
 	wl := &Workload{}
-	lineNo := 0
+	lineNo, prevLine := 0, 0
 	for sc.Scan() {
 		lineNo++
 		line := strings.TrimSpace(sc.Text())
@@ -122,6 +126,10 @@ func ReadWorkloadText(r io.Reader) (*Workload, error) {
 			}
 			op.ShortLived = true
 		}
+		if n := len(wl.Ops); n > 0 && op.Compare(wl.Ops[n-1]) < 0 {
+			return nil, fmt.Errorf("trace: line %d: op out of order: it sorts before the op on line %d", lineNo, prevLine)
+		}
+		prevLine = lineNo
 		wl.Ops = append(wl.Ops, op)
 	}
 	if err := sc.Err(); err != nil {

@@ -6,6 +6,7 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -39,8 +40,15 @@ func TestWorkloadBinaryRoundTrip(t *testing.T) {
 	}
 }
 
+// TestWorkloadTextRoundTrip: the text form reads back exactly, Sec
+// included. The last two ops are under a millisecond apart; written at
+// millisecond precision, their IDs would order them the other way and
+// the reader would reject the stream.
 func TestWorkloadTextRoundTrip(t *testing.T) {
 	wl := sampleWorkload()
+	wl.Ops = append(wl.Ops,
+		Op{Day: 2, Sec: 9.0001, Kind: OpCreate, ID: 5},
+		Op{Day: 2, Sec: 9.0004, Kind: OpCreate, ID: 3})
 	var buf bytes.Buffer
 	if err := WriteWorkloadText(&buf, wl); err != nil {
 		t.Fatal(err)
@@ -49,16 +57,35 @@ func TestWorkloadTextRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatalf("%v\ntext:\n%s", err, buf.String())
 	}
-	if wl.Days != got.Days || len(wl.Ops) != len(got.Ops) {
-		t.Fatalf("shape mismatch: %+v vs %+v", wl, got)
+	if !reflect.DeepEqual(wl, got) {
+		t.Errorf("round trip mismatch:\nwant %+v\ngot  %+v", wl, got)
 	}
-	for i := range wl.Ops {
-		a, b := wl.Ops[i], got.Ops[i]
-		// Text format rounds Sec to milliseconds.
-		if a.Day != b.Day || a.Kind != b.Kind || a.ID != b.ID || a.Cg != b.Cg ||
-			a.Size != b.Size || a.ShortLived != b.ShortLived {
-			t.Errorf("op %d: %+v vs %+v", i, a, b)
-		}
+}
+
+// swappedWorkload is the sample with its second and third ops swapped:
+// op 2 (day 0) sorts before op 1 (day 1).
+func swappedWorkload() *Workload {
+	wl := sampleWorkload()
+	wl.Ops[1], wl.Ops[2] = wl.Ops[2], wl.Ops[1]
+	return wl
+}
+
+// TestReadersRejectUnsortedStream: both readers reject a stream out of
+// Compare order and name the first op out of order. The replayer never
+// moves back a day, so it would replay such an op on a later day.
+func TestReadersRejectUnsortedStream(t *testing.T) {
+	var bin, text bytes.Buffer
+	if err := WriteWorkload(&bin, swappedWorkload()); err != nil {
+		t.Fatal(err)
+	}
+	if err := WriteWorkloadText(&text, swappedWorkload()); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := ReadWorkload(&bin); err == nil || !strings.Contains(err.Error(), "op 2 out of order") {
+		t.Errorf("binary reader: got %v, want op 2 out of order", err)
+	}
+	if _, err := ReadWorkloadText(&text); err == nil || !strings.Contains(err.Error(), "line 4: op out of order") {
+		t.Errorf("text reader: got %v, want line 4 out of order", err)
 	}
 }
 
@@ -249,7 +276,8 @@ func TestSummarize(t *testing.T) {
 	}
 }
 
-// Property: random workloads survive the binary round trip bit-exactly.
+// Property: random workloads, put in stream order as the reader
+// requires, survive the binary round trip bit-exactly.
 func TestQuickBinaryRoundTrip(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
@@ -266,6 +294,7 @@ func TestQuickBinaryRoundTrip(t *testing.T) {
 				ShortLived: rng.Intn(2) == 0,
 			})
 		}
+		slices.SortFunc(wl.Ops, Op.Compare)
 		var buf bytes.Buffer
 		if err := WriteWorkload(&buf, wl); err != nil {
 			return false

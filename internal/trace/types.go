@@ -70,7 +70,8 @@ type Op struct {
 // Size, Cg and ShortLived (false first) break any tie left, so the
 // order is total: Compare returns 0 only for identical ops, and a
 // sorted stream is the same whichever sort algorithm produced it.
-// Sort streams with slices.SortFunc(ops, trace.Op.Compare).
+// Sort streams with an OpSorter, which gives exactly the order of
+// slices.SortFunc(ops, trace.Op.Compare) in linear time.
 func (a Op) Compare(b Op) int {
 	switch {
 	case a.Day != b.Day:
@@ -133,7 +134,7 @@ type TraceDay struct {
 // Workload is a complete replayable aging workload.
 type Workload struct {
 	Days int
-	Ops  []Op // sorted by (Day, Sec, ID, Kind)
+	Ops  []Op // in Compare order; both readers reject a stream that is not
 }
 
 // Stats summarizes a workload the way the paper reports it (Section

@@ -92,12 +92,17 @@ func TestDifferDayRejectsSealedDay(t *testing.T) {
 // ID values collide often, so many ops tie on the leading keys or are
 // identical. Built the way the day-at-a-time build orders a stream,
 // day after day, each day's base ops and short-lived ops sorted apart
-// and joined by mergeOps, the stream must equal sorting the whole
-// slice.
+// by a trace.OpSorter each and joined by mergeOps, the stream must
+// equal sorting the whole slice with slices.SortFunc. The long seed
+// gives each half more ops than the sorter's comparison-sort cutoff.
 func FuzzDayOrder(f *testing.F) {
 	f.Add([]byte{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11})
 	f.Add([]byte{255, 0, 255, 0, 17, 17, 17, 17, 3, 3, 3, 3, 9, 1, 9, 1})
 	f.Add(make([]byte, 48))
+	long := make([]byte, 4*1200)
+	rand.New(rand.NewSource(1)).Read(long)
+	f.Add(long)
+	var baseSorter, shortSorter trace.OpSorter
 	f.Fuzz(func(t *testing.T, data []byte) {
 		const days = 4
 		var ops []trace.Op
@@ -126,8 +131,8 @@ func FuzzDayOrder(f *testing.F) {
 
 		var got []trace.Op
 		for d := range days {
-			slices.SortFunc(base[d], trace.Op.Compare)
-			slices.SortFunc(short[d], trace.Op.Compare)
+			baseSorter.Sort(base[d])
+			shortSorter.Sort(short[d])
 			got = mergeOps(got, base[d], short[d])
 		}
 		if !slices.Equal(got, want) {

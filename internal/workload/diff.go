@@ -55,6 +55,8 @@ type differ struct {
 	prev  []trace.FileMeta
 	last  int // the previous snapshot's day; -1 before the first
 	dead  []int64
+	// sorter orders each day's ops for day.
+	sorter trace.OpSorter
 }
 
 func newDiffer(numCg, ipg int, rng *rand.Rand) (*differ, error) {
@@ -166,7 +168,7 @@ func (d *differ) day(ops []trace.Op, snap trace.Snapshot) ([]trace.Op, error) {
 			return nil, fmt.Errorf("workload: snapshot of day %d places an op on sealed day %d", snap.Day, op.Day)
 		}
 	}
-	slices.SortFunc(ops[start:], trace.Op.Compare)
+	d.sorter.Sort(ops[start:])
 	return ops, nil
 }
 

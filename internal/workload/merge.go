@@ -57,6 +57,7 @@ type merger struct {
 	dirFiles map[int][]trace.ShortLivedFile
 	dirs     []int
 	short    []trace.Op
+	sorter   trace.OpSorter
 }
 
 // cgAct is one group's activity on a base day.
@@ -162,7 +163,7 @@ func (m *merger) shortLived(day int, base []trace.Op) []trace.Op {
 			)
 		}
 	}
-	slices.SortFunc(short, trace.Op.Compare)
+	m.sorter.Sort(short)
 	m.short = short
 	return short
 }

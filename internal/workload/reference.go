@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"slices"
 
 	"ffsage/internal/trace"
 )
@@ -139,9 +138,10 @@ type reference struct {
 	usedBytes   int64
 	nextShortID int64
 
-	ops   []trace.Op
-	snaps []trace.Snapshot
-	util  float64 // random-walk state after the ramp
+	ops    []trace.Op
+	sorter trace.OpSorter // orders each day's ops
+	snaps  []trace.Snapshot
+	util   float64 // random-walk state after the ramp
 }
 
 // GenerateReference runs the reference activity simulation.
@@ -163,7 +163,7 @@ func GenerateReference(cfg Config) (*ReferenceResult, error) {
 func (r *reference) advance(day int) {
 	start := len(r.ops)
 	r.simulateDay(day)
-	slices.SortFunc(r.ops[start:], trace.Op.Compare)
+	r.sorter.Sort(r.ops[start:])
 	r.snapshot(day)
 }
 
