@@ -64,7 +64,7 @@ func main() {
 		params.SizeBytes/int64(d.Params().Geom.SectorSize))
 	checkpoint, _ := fsys.Lookup(dir, "checkpoint")
 	elapsed := 0.0
-	for _, e := range checkpoint.ReadSequence(fsys.FragsPerBlock()) {
+	for _, e := range checkpoint.AppendReadSequence(nil, fsys.FragsPerBlock()) {
 		off := int64(e.Addr) * int64(params.FragSize)
 		elapsed += part.Read(off, int64(e.Frags)*int64(params.FragSize))
 	}

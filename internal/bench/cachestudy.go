@@ -41,10 +41,12 @@ func CacheStudy(image *ffs.FileSystem, p disk.Params, fromDay int, cacheSizes []
 		part := disk.NewPartition(d, d.Params().Geom.TotalSectors()/4, sectors)
 		cache := disk.NewBlockCache(part, int64(fsys.P.BlockSize), size)
 
+		var seq []ffs.Extent
 		pass := func() float64 {
 			elapsed := 0.0
 			for _, f := range files {
-				for _, e := range f.ReadSequence(fsys.FragsPerBlock()) {
+				seq = f.AppendReadSequence(seq[:0], fsys.FragsPerBlock())
+				for _, e := range seq {
 					off := int64(e.Addr) * int64(fsys.P.FragSize)
 					elapsed += cache.Read(off, int64(e.Frags)*int64(fsys.P.FragSize))
 				}

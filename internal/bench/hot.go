@@ -64,9 +64,9 @@ func newHotSet(fsys *ffs.FileSystem, fromDay int) (*hotSet, error) {
 	res := &h.res
 	res.NFiles = len(files)
 	res.TotalBytes = layout.TotalBytes(files)
-	all := layout.AllFiles(fsys)
-	res.FracFiles = float64(len(files)) / float64(len(all))
-	res.FracBytes = float64(res.TotalBytes) / float64(layout.TotalBytes(all))
+	nAll, allBytes := fsys.FileTotals()
+	res.FracFiles = float64(len(files)) / float64(nAll)
+	res.FracBytes = float64(res.TotalBytes) / float64(allBytes)
 	res.LayoutScore = layout.Aggregate(files, fsys.FragsPerBlock())
 	buckets := stats.PowerOfTwoBuckets(16<<10, 16<<20)
 	res.BySize = layout.BySize(files, fsys.FragsPerBlock(), buckets)

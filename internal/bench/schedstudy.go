@@ -42,13 +42,15 @@ func SchedulingStudy(images map[string]*ffs.FileSystem, p disk.Params, fromDay i
 			return nil, fmt.Errorf("bench: image %s has no hot files from day %d", name, fromDay)
 		}
 		total := layout.TotalBytes(files)
+		var ext []ffs.Extent
 		for _, disc := range []disk.Discipline{disk.FCFS, disk.Elevator, disk.ElevatorCoalesce} {
 			d := disk.New(p)
 			start := d.Params().Geom.TotalSectors() / 4
 			ss := int64(p.Geom.SectorSize)
 			q := disk.NewQueue(d, disc)
 			for _, f := range files {
-				for _, e := range f.DataExtents(fsys.FragsPerBlock()) {
+				ext = f.AppendDataExtents(ext[:0], fsys.FragsPerBlock())
+				for _, e := range ext {
 					lba := start + int64(e.Addr)*int64(fsys.P.FragSize)/ss
 					q.Submit(lba, e.Frags*fsys.P.FragSize/int(ss), true)
 				}

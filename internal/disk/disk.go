@@ -131,13 +131,23 @@ type IOFaultHook interface {
 type Disk struct {
 	p Params
 
+	// Geometry constants, computed once by New so the request path
+	// divides by stored values instead of re-deriving them per request.
+	// Each float is the same expression its Geometry getter evaluates,
+	// so it is the same value bit for bit.
+	spt, spc   int64   // sectors per track, per cylinder
+	total      int64   // Geometry.TotalSectors
+	rotPeriod  float64 // Geometry.RotationPeriod
+	sectorTime float64 // Geometry.SectorTime
+	maxSect    int     // MaxTransfer in sectors
+	bufSectors int64   // TrackBuffer in whole sectors
+
 	now    float64 // simulated seconds since spin-up
 	curCyl int
 
 	// Read-ahead state: the drive streams ahead of the last read.
 	raValid bool
 	raFrom  int64 // first LBA that is (or will be) buffered
-	raCyl   int   // cylinder the read-ahead stream is on
 
 	faults IOFaultHook
 
@@ -159,7 +169,18 @@ func New(p Params) *Disk {
 		//lint:ignore ffsvet/nopanic precondition panic: rejects a caller bug (API misuse), never reachable from replayed disk state
 		panic(fmt.Sprintf("disk: negative initial spin %v", p.InitialSpin))
 	}
-	return &Disk{p: p, now: p.InitialSpin}
+	g := p.Geom
+	return &Disk{
+		p:          p,
+		spt:        int64(g.SectorsPerTrack),
+		spc:        int64(g.Heads) * int64(g.SectorsPerTrack),
+		total:      g.TotalSectors(),
+		rotPeriod:  g.RotationPeriod(),
+		sectorTime: g.SectorTime(),
+		maxSect:    p.MaxTransfer / g.SectorSize,
+		bufSectors: int64(p.TrackBuffer / g.SectorSize),
+		now:        p.InitialSpin,
+	}
 }
 
 // Params returns the model parameters the disk was built with.
@@ -193,13 +214,18 @@ func (d *Disk) Idle(seconds float64) {
 	d.now += seconds
 }
 
+// cyl returns the cylinder lba lies on: Geometry.Locate(lba).Cyl.
+func (d *Disk) cyl(lba int64) int { return int(lba / d.spc) }
+
+// sect returns lba's sector within its track: Geometry.Locate(lba).Sect.
+func (d *Disk) sect(lba int64) int { return int(lba % d.spt) }
+
 // angleSectors returns the sector index currently under the heads,
 // as a float in [0, SectorsPerTrack).
 func (d *Disk) angleSectors() float64 {
-	spt := float64(d.p.Geom.SectorsPerTrack)
-	rev := d.now / d.p.Geom.RotationPeriod()
+	rev := d.now / d.rotPeriod
 	frac := rev - float64(int64(rev))
-	return frac * spt
+	return frac * float64(d.spt)
 }
 
 // Read performs a read of nsect sectors at lba, advancing the clock, and
@@ -220,17 +246,13 @@ func (d *Disk) access(lba int64, nsect int, write bool) float64 {
 		//lint:ignore ffsvet/nopanic precondition panic: rejects a caller bug (API misuse), never reachable from replayed disk state
 		panic(fmt.Sprintf("disk: non-positive transfer %d", nsect))
 	}
-	if lba < 0 || lba+int64(nsect) > d.p.Geom.TotalSectors() {
+	if lba < 0 || lba+int64(nsect) > d.total {
 		//lint:ignore ffsvet/nopanic precondition panic: rejects a caller bug (API misuse), never reachable from replayed disk state
 		panic(fmt.Sprintf("disk: access [%d,%d) out of range", lba, lba+int64(nsect)))
 	}
 	start := d.now
-	maxSect := d.p.MaxTransfer / d.p.Geom.SectorSize
 	for nsect > 0 {
-		chunk := nsect
-		if chunk > maxSect {
-			chunk = maxSect
-		}
+		chunk := min(nsect, d.maxSect)
 		d.request(lba, chunk, write)
 		lba += int64(chunk)
 		nsect -= chunk
@@ -241,7 +263,6 @@ func (d *Disk) access(lba int64, nsect int, write bool) float64 {
 // request issues one ≤MaxTransfer request to the drive, attributing
 // its duration to exactly one (class, size) attribution cell.
 func (d *Disk) request(lba int64, nsect int, write bool) {
-	g := d.p.Geom
 	split := TimeSplit{Count: 1}
 	d.now += d.p.CtlOverhead
 	split.Overhead += d.p.CtlOverhead
@@ -251,77 +272,61 @@ func (d *Disk) request(lba int64, nsect int, write bool) {
 			// Recoverable medium error: the drive retries after a lost
 			// revolution, and the controller pays another round-trip.
 			d.stats.IOErrors++
-			penalty := g.RotationPeriod() + d.p.CtlOverhead
+			penalty := d.rotPeriod + d.p.CtlOverhead
 			d.now += penalty
 			split.Overhead += penalty
 		}
 	}
 
-	bucket := SizeBucket(int64(nsect) * int64(g.SectorSize))
+	bucket := SizeBucket(int64(nsect) * int64(d.p.Geom.SectorSize))
+	end := lba + int64(nsect)
+	var class ReqClass
 	if write {
 		d.stats.Writes++
 		d.stats.SectorsWritten += int64(nsect)
 		// A write lands wherever the platters happen to be: full
 		// mechanical path, and it invalidates the read-ahead stream.
 		d.raValid = false
+		class = ReqWrite
 		split.Seek, split.Rot, split.Transfer = d.mechanicalTransfer(lba, nsect)
-		d.stats.Attr.Add(ReqWrite, bucket, split)
-		return
-	}
-
-	d.stats.Reads++
-	d.stats.SectorsRead += int64(nsect)
-	if d.bufferHit(lba, nsect) {
-		d.stats.BufferHits++
-		// Served at the slower of bus rate and the media rate at which
-		// the drive keeps streaming ahead. Track and cylinder switches
-		// inside the stream are hidden by the format's skew.
-		bytes := float64(nsect * g.SectorSize)
-		busT := bytes / d.p.BusRate
-		mediaT := float64(lba+int64(nsect)-d.raFrom) * g.SectorTime()
-		t := busT
-		if mediaT > t {
-			t = mediaT
+	} else {
+		d.stats.Reads++
+		d.stats.SectorsRead += int64(nsect)
+		if d.bufferHit(lba, nsect) {
+			d.stats.BufferHits++
+			// Served at the slower of bus rate and the media rate at
+			// which the drive keeps streaming ahead. Track and cylinder
+			// switches inside the stream are hidden by the format's skew.
+			bytes := float64(nsect * d.p.Geom.SectorSize)
+			busT := bytes / d.p.BusRate
+			mediaT := float64(end-d.raFrom) * d.sectorTime
+			t := busT
+			if mediaT > t {
+				t = mediaT
+			}
+			d.now += t
+			split.Transfer += t
+			class = ReqReadHit
+		} else {
+			class = ReqReadMech
+			split.Seek, split.Rot, split.Transfer = d.mechanicalTransfer(lba, nsect)
 		}
-		d.now += t
-		split.Transfer += t
-		d.stats.Attr.Add(ReqReadHit, bucket, split)
-		d.advanceReadAhead(lba, nsect)
-		return
+		// The drive now streams ahead from the end of this read.
+		d.raValid = true
+		d.raFrom = end
 	}
-	split.Seek, split.Rot, split.Transfer = d.mechanicalTransfer(lba, nsect)
-	d.stats.Attr.Add(ReqReadMech, bucket, split)
-	d.advanceReadAhead(lba, nsect)
+	d.curCyl = d.cyl(end - 1)
+	d.stats.Attr.Add(class, bucket, split)
 }
 
 // bufferHit reports whether a read of [lba, lba+nsect) is served by the
 // drive's read-ahead: it must start at or a short forward gap past the
-// stream position, and fit within the buffer.
+// stream position (a backward read finds the stream moved on), and fit
+// within the buffer (a disk without one never hits).
 func (d *Disk) bufferHit(lba int64, nsect int) bool {
-	if !d.raValid || d.p.TrackBuffer == 0 {
-		return false
-	}
-	if lba < d.raFrom {
-		return false // backward: the stream has moved on
-	}
 	gap := lba - d.raFrom
-	if gap > int64(d.p.ReadAheadSlack) {
-		return false
-	}
-	bufSectors := int64(d.p.TrackBuffer / d.p.Geom.SectorSize)
-	return gap+int64(nsect) <= bufSectors
-}
-
-// advanceReadAhead records that the drive is now streaming from the end
-// of this read.
-func (d *Disk) advanceReadAhead(lba int64, nsect int) {
-	end := lba + int64(nsect)
-	d.raValid = true
-	d.raFrom = end
-	if end < d.p.Geom.TotalSectors() {
-		d.raCyl = d.p.Geom.Locate(end).Cyl
-	}
-	d.curCyl = d.p.Geom.Locate(end - 1).Cyl
+	return d.raValid && gap >= 0 && gap <= int64(d.p.ReadAheadSlack) &&
+		gap+int64(nsect) <= d.bufSectors
 }
 
 // mechanicalTransfer performs seek + rotational latency + media
@@ -330,13 +335,11 @@ func (d *Disk) advanceReadAhead(lba int64, nsect int) {
 // mid-transfer cost nothing extra: the disk's format skew exists
 // precisely to let sequential transfers stream across them, and
 // charging them here would silently shift the rotational phase that
-// the lost-rotation write behaviour depends on.
+// the lost-rotation write behaviour depends on. The caller moves the
+// head to the request's last cylinder.
 func (d *Disk) mechanicalTransfer(lba int64, nsect int) (seek, rot, xfer float64) {
-	g := d.p.Geom
-	loc := g.Locate(lba)
-
 	// Seek.
-	dist := loc.Cyl - d.curCyl
+	dist := d.cyl(lba) - d.curCyl
 	if dist < 0 {
 		dist = -dist
 	}
@@ -353,27 +356,25 @@ func (d *Disk) mechanicalTransfer(lba int64, nsect int) (seek, rot, xfer float64
 		d.stats.SeekCount++
 		d.stats.CylindersTraveled += int64(dist)
 	}
-	d.curCyl = loc.Cyl
 
 	// Rotational latency: wait for the start sector to come around.
 	cur := d.angleSectors()
-	target := float64(loc.Sect)
+	target := float64(d.sect(lba))
 	waitSectors := target - cur
 	if waitSectors < 0 {
-		waitSectors += float64(g.SectorsPerTrack)
+		waitSectors += float64(d.spt)
 	}
-	rot = waitSectors * g.SectorTime()
+	rot = waitSectors * d.sectorTime
 	d.now += rot
 
 	// Media transfer; skew hides boundary crossings.
-	xfer = float64(nsect) * g.SectorTime()
+	xfer = float64(nsect) * d.sectorTime
 	// The host transfer overlaps the media transfer via the drive
 	// buffer; the slower of the two dominates.
-	busT := float64(nsect*g.SectorSize) / d.p.BusRate
+	busT := float64(nsect*d.p.Geom.SectorSize) / d.p.BusRate
 	if busT > xfer {
 		xfer = busT
 	}
 	d.now += xfer
-	d.curCyl = g.Locate(lba + int64(nsect) - 1).Cyl
 	return seek, rot, xfer
 }

@@ -38,7 +38,8 @@ func (p *Partition) Bytes() int64 { return p.sectors * int64(p.disk.p.Geom.Secto
 
 func (p *Partition) toSectors(off, n int64) (lba int64, nsect int) {
 	ss := int64(p.disk.p.Geom.SectorSize)
-	if off < 0 || n <= 0 || off%ss != 0 || n%ss != 0 {
+	lba, nsect64 := off/ss, n/ss
+	if off < 0 || n <= 0 || lba*ss != off || nsect64*ss != n {
 		//lint:ignore ffsvet/nopanic precondition panic: rejects a caller bug (API misuse), never reachable from replayed disk state
 		panic(fmt.Sprintf("disk: unaligned partition access off=%d n=%d", off, n))
 	}
@@ -46,7 +47,7 @@ func (p *Partition) toSectors(off, n int64) (lba int64, nsect int) {
 		//lint:ignore ffsvet/nopanic precondition panic: rejects a caller bug (API misuse), never reachable from replayed disk state
 		panic(fmt.Sprintf("disk: partition access [%d,%d) beyond %d", off, off+n, p.Bytes()))
 	}
-	return p.start + off/ss, int(n / ss)
+	return p.start + lba, int(nsect64)
 }
 
 // Read reads n bytes at byte offset off and returns the duration in

@@ -139,7 +139,9 @@ func pinnedRowOf(d *Disk) pinnedRow {
 
 // TestDiskRequestsPinned pins the disk model's clock and statistics
 // after a fixed request mix, bit for bit: a change to the request path
-// that moves one float by one ulp fails here.
+// that moves one float by one ulp fails here. It also holds the disk's
+// own cylinder and sector arithmetic to Geometry.Locate at the mix's
+// boundary LBAs.
 func TestDiskRequestsPinned(t *testing.T) {
 	ss1 := SparcStation1Params()
 	ss1.InitialSpin = 0.0037
@@ -160,6 +162,12 @@ func TestDiskRequestsPinned(t *testing.T) {
 			SeekCount: 1907, CylindersTraveled: 2543249, IOErrors: 288, Attr: 0xd4046c4b465b592d}},
 	} {
 		d := New(tc.p)
+		for _, lba := range pinnedEdges(tc.p.Geom) {
+			loc := tc.p.Geom.Locate(lba)
+			if c, s := d.cyl(lba), d.sect(lba); c != loc.Cyl || s != loc.Sect {
+				t.Errorf("%s: lba %d: disk puts it at cyl %d sect %d, Locate at %+v", tc.name, lba, c, s, loc)
+			}
+		}
 		pinnedMix(d)
 		if got := pinnedRowOf(d); got != tc.want {
 			t.Errorf("%s: got %#v\nwant %#v", tc.name, got, tc.want)

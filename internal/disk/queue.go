@@ -67,7 +67,7 @@ func (q *Queue) Len() int { return len(q.pending) }
 
 // Submit enqueues a request; lba/nsect follow Disk.Read conventions.
 func (q *Queue) Submit(lba int64, nsect int, write bool) {
-	if nsect <= 0 || lba < 0 || lba+int64(nsect) > q.disk.p.Geom.TotalSectors() {
+	if nsect <= 0 || lba < 0 || lba+int64(nsect) > q.disk.total {
 		//lint:ignore ffsvet/nopanic precondition panic: rejects a caller bug (API misuse), never reachable from replayed disk state
 		panic(fmt.Sprintf("disk: bad queued request [%d,%d)", lba, lba+int64(nsect)))
 	}

@@ -9,56 +9,56 @@ type Extent struct {
 	Meta  bool // an indirect block rather than file data
 }
 
-// DataExtents returns f's data blocks merged into maximal physically
-// contiguous extents, in logical order.
-func (f *File) DataExtents(fpb int) []Extent {
-	var out []Extent
-	for i, addr := range f.Blocks {
-		n := fpb
-		if i == len(f.Blocks)-1 {
-			n = f.TailFrags
-		}
-		if len(out) > 0 && !out[len(out)-1].Meta &&
-			out[len(out)-1].Addr+Daddr(out[len(out)-1].Frags) == addr {
-			out[len(out)-1].Frags += n
-			continue
-		}
-		out = append(out, Extent{Addr: addr, Frags: n})
-	}
-	return out
+// AppendDataExtents appends f's data blocks, merged into maximal
+// physically contiguous extents in logical order, to dst and returns
+// the extended slice. Callers that walk many files pass one buffer back
+// in as dst[:0], so the walk allocates only when the buffer grows.
+func (f *File) AppendDataExtents(dst []Extent, fpb int) []Extent {
+	return f.appendExtents(dst, fpb, false)
 }
 
-// ReadSequence returns the on-disk access sequence of a sequential read
-// of f: indirect blocks are visited immediately before the first data
-// block they map, as the kernel must fetch them to learn the addresses
-// that follow. Contiguous accesses are merged.
-func (f *File) ReadSequence(fpb int) []Extent {
-	// Indirect blocks sorted by the data block they precede; Level 2
-	// (double parent) is read before its first child.
-	next := 0 // index into f.Indirects, which Append builds in order
-	var out []Extent
-	add := func(addr Daddr, n int, meta bool) {
-		if len(out) > 0 && !out[len(out)-1].Meta && !meta &&
-			out[len(out)-1].Addr+Daddr(out[len(out)-1].Frags) == addr {
-			out[len(out)-1].Frags += n
-			return
-		}
-		out = append(out, Extent{Addr: addr, Frags: n, Meta: meta})
+// AppendReadSequence appends the on-disk access sequence of a
+// sequential read of f to dst and returns the extended slice: indirect
+// blocks are visited immediately before the first data block they map,
+// as the kernel must fetch them to learn the addresses that follow.
+// Contiguous data accesses are merged.
+func (f *File) AppendReadSequence(dst []Extent, fpb int) []Extent {
+	return f.appendExtents(dst, fpb, true)
+}
+
+// appendExtents is the one walk behind both append forms; withMeta
+// visits the indirect blocks. A merge only ever extends an extent this
+// call appended, never one of the caller's prefix dst.
+func (f *File) appendExtents(dst []Extent, fpb int, withMeta bool) []Extent {
+	base := len(dst)
+	// Index into f.Indirects, which Append builds sorted by the data
+	// block each precedes (a double parent before its first child).
+	next := len(f.Indirects)
+	if withMeta {
+		next = 0
 	}
+	last := len(f.Blocks) - 1
 	for i, addr := range f.Blocks {
 		for next < len(f.Indirects) && f.Indirects[next].BeforeLbn == i {
-			add(f.Indirects[next].Addr, fpb, true)
+			dst = append(dst, Extent{Addr: f.Indirects[next].Addr, Frags: fpb, Meta: true})
 			next++
 		}
 		n := fpb
-		if i == len(f.Blocks)-1 {
+		if i == last {
 			n = f.TailFrags
 		}
-		add(addr, n, false)
+		if k := len(dst) - 1; k >= base && !dst[k].Meta && dst[k].Addr+Daddr(dst[k].Frags) == addr {
+			dst[k].Frags += n
+			continue
+		}
+		dst = append(dst, Extent{Addr: addr, Frags: n})
 	}
-	return out
+	return dst
 }
 
 // ExtentCount returns the number of data extents — 1 for a perfectly
 // laid out file.
-func (f *File) ExtentCount(fpb int) int { return len(f.DataExtents(fpb)) }
+func (f *File) ExtentCount(fpb int) int {
+	var buf [8]Extent
+	return len(f.AppendDataExtents(buf[:0], fpb))
+}

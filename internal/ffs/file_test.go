@@ -368,7 +368,7 @@ func TestMinfreeReserveHonoured(t *testing.T) {
 func TestExtentsMergeContiguous(t *testing.T) {
 	fs := newSmallFs(t)
 	f := mustCreate(t, fs, fs.Root(), "e", 56<<10) // one cluster
-	ext := f.DataExtents(fs.fpb)
+	ext := f.AppendDataExtents(nil, fs.fpb)
 	if len(ext) != 1 || ext[0].Frags != 56 {
 		t.Errorf("extents = %+v, want one 56-frag extent", ext)
 	}
@@ -380,7 +380,7 @@ func TestExtentsMergeContiguous(t *testing.T) {
 func TestReadSequenceIncludesIndirects(t *testing.T) {
 	fs := newSmallFs(t)
 	f := mustCreate(t, fs, fs.Root(), "e", 104<<10) // 13 blocks + indirect
-	seq := f.ReadSequence(fs.fpb)
+	seq := f.AppendReadSequence(nil, fs.fpb)
 	metaSeen := false
 	for i, e := range seq {
 		if e.Meta {

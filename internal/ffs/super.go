@@ -306,15 +306,23 @@ func (fs *FileSystem) FileByIno(ino int) *File {
 
 // FileCount returns the number of live files, excluding directories.
 func (fs *FileSystem) FileCount() int {
-	n := 0
+	n, _ := fs.FileTotals()
+	return n
+}
+
+// FileTotals returns the number of live files, excluding directories,
+// and the sum of their sizes in bytes, in one pass over the inode
+// tables.
+func (fs *FileSystem) FileTotals() (n int, bytes int64) {
 	for _, t := range fs.files {
 		for _, f := range t {
 			if f != nil && !f.IsDir {
 				n++
+				bytes += f.Size
 			}
 		}
 	}
-	return n
+	return n, bytes
 }
 
 // numInodes returns the number of inodes: inode numbers run from 0 to

@@ -185,9 +185,11 @@ func NonOptimalFraction(files []*ffs.File, fpb int) float64 {
 // by more than 50%" (§7).
 func IntraFileSeeks(files []*ffs.File, fpb int) int {
 	seeks := 0
+	var seq []ffs.Extent
 	for _, f := range files {
 		prevEnd := ffs.NilDaddr
-		for _, e := range f.ReadSequence(fpb) {
+		seq = f.AppendReadSequence(seq[:0], fpb)
+		for _, e := range seq {
 			if prevEnd != ffs.NilDaddr && e.Addr != prevEnd {
 				seeks++
 			}

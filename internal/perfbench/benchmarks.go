@@ -34,7 +34,7 @@ func All() []Benchmark {
 		{Name: "span.emit", Quick: true, Setup: setupSpanEmit, CheckAllocs: true, MaxAllocsPerOp: 0},
 		{Name: "layout.rescan", Quick: true, Setup: setupLayoutRescan},
 		{Name: "layout.incremental", Quick: true, Setup: setupLayoutIncremental},
-		{Name: "disk.requests", Quick: true, Setup: setupDiskRequests},
+		{Name: "disk.requests", Quick: true, Setup: setupDiskRequests, CheckAllocs: true, MaxAllocsPerOp: 0.01},
 		{Name: "ffs.clone", Quick: true, Setup: setupClone},
 		{Name: "checkpoint.encode", Quick: true, Setup: setupCheckpointEncode},
 		{Name: "checkpoint.decode", Quick: true, Setup: setupCheckpointDecode},
@@ -43,7 +43,7 @@ func All() []Benchmark {
 		{Name: "trace.hash", Quick: true, Setup: setupTraceHash, CheckAllocs: true, MaxAllocsPerOp: 0.01},
 		{Name: "trace.sortops", Quick: true, Setup: setupSortOps, CheckAllocs: true, MaxAllocsPerOp: 0},
 		{Name: "bench.seqsweep", Quick: false, Setup: setupSeqSweep},
-		{Name: "bench.hotfiles", Quick: true, Setup: setupHotFiles},
+		{Name: "bench.hotfiles", Quick: true, Setup: setupHotFiles, CheckAllocs: true, MaxAllocsPerOp: 64},
 	}
 	// One FlushCluster micro per registered policy (the benchmark name
 	// uses the slug, so -run regexes never meet a '+').
@@ -663,7 +663,9 @@ func setupSeqSweep(fx *Fixture) (*Instance, error) {
 }
 
 // setupHotFiles measures the Table 2 hot-file benchmark on both aged
-// images.
+// images. Its allocation budget is a constant, not a count per hot
+// file: a run allocates the hot list, the disk rig and the few
+// doublings of the rig's reused extent buffer.
 func setupHotFiles(fx *Fixture) (*Instance, error) {
 	from := fx.Cfg.WorkloadCfg.Days - fx.Cfg.HotWindow
 	op := func() error {

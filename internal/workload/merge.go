@@ -55,10 +55,13 @@ type merger struct {
 	// Scratch reused across days.
 	acts     []cgAct
 	dirFiles map[int][]trace.ShortLivedFile
-	dirs     []int
+	dirs     []dirCount
 	short    []trace.Op
 	sorter   trace.OpSorter
 }
+
+// dirCount is a trace directory and its file count on one trace day.
+type dirCount struct{ dir, n int }
 
 // cgAct is one group's activity on a base day.
 type cgAct struct {
@@ -118,26 +121,35 @@ func (m *merger) shortLived(day int, base []trace.Op) []trace.Op {
 	}
 	slices.SortStableFunc(acts, func(a, b cgAct) int { return cmp.Compare(b.ops, a.ops) })
 
-	// Rank trace directories by their op counts and group their files.
-	clear(m.dirFiles)
-	for _, f := range td.Files {
-		m.dirFiles[f.Dir] = append(m.dirFiles[f.Dir], f)
+	// Group the day's files by trace directory and rank the directories
+	// by file count, then number. Each directory keeps its slice from
+	// earlier days; only the previous day's directories hold files, so
+	// only they are emptied.
+	for _, r := range m.dirs {
+		m.dirFiles[r.dir] = m.dirFiles[r.dir][:0]
 	}
 	m.dirs = m.dirs[:0]
-	for d := range m.dirFiles {
-		m.dirs = append(m.dirs, d)
+	for _, f := range td.Files {
+		files := m.dirFiles[f.Dir]
+		if len(files) == 0 {
+			m.dirs = append(m.dirs, dirCount{dir: f.Dir})
+		}
+		m.dirFiles[f.Dir] = append(files, f)
 	}
-	slices.SortFunc(m.dirs, func(a, b int) int {
-		if c := cmp.Compare(len(m.dirFiles[b]), len(m.dirFiles[a])); c != 0 {
+	for i := range m.dirs {
+		m.dirs[i].n = len(m.dirFiles[m.dirs[i].dir])
+	}
+	slices.SortFunc(m.dirs, func(a, b dirCount) int {
+		if c := cmp.Compare(b.n, a.n); c != 0 {
 			return c
 		}
-		return cmp.Compare(a, b)
+		return cmp.Compare(a.dir, b.dir)
 	})
 
 	short := m.short[:0]
-	for rank, d := range m.dirs {
+	for rank, r := range m.dirs {
 		target := acts[rank%m.numCg]
-		files := m.dirFiles[d]
+		files := m.dirFiles[r.dir]
 		// Time-shift this directory's activity so its mean lands on the
 		// target group's activity peak.
 		var mean float64
