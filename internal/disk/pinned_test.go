@@ -21,8 +21,9 @@ func (h *everyNth) BeforeIO(write bool, lba int64, nsect int) error {
 }
 
 // pinnedEdges returns the boundary LBAs the pinned mix starts requests
-// at: the first and last sector, the last and first sector of a track
-// and of a cylinder, and the first sector of the last cylinder.
+// at: the first two and last two sectors, the last and first sector of
+// the first track and of the first cylinder, the last sector of a track
+// inside cylinder 7, and the first sector of the last cylinder.
 func pinnedEdges(g Geometry) []int64 {
 	spt := int64(g.SectorsPerTrack)
 	spc := spt * int64(g.Heads)

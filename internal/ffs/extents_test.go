@@ -37,7 +37,8 @@ func refExtents(f *File, fpb int, withMeta bool) []Extent {
 }
 
 // decodeExtentFile builds a file from fuzz input. shape's low two bits
-// pick the fragments per block (1, 2, 4 or 8) and bits 3–5 the tail.
+// pick the fragments per block (1, 2, 4 or 8) and bits 3–5 the tail;
+// the fuzz target reads bit 2 and bits 6–7.
 // Each blockMap byte places one block: mostly right after the previous
 // one, else a short hop (possibly backward) or a far jump. Each pair of
 // indirects bytes adds an indirect block some lbns past the previous
@@ -72,6 +73,7 @@ func decodeExtentFile(shape uint8, blockMap, indirects []byte) (*File, int) {
 // top of a non-empty destination prefix that must come back untouched —
 // also when (shape bit 2) its last extent ends right where the file's
 // first block starts, so a merge that reached into it would extend it.
+// Shape bits 6–7 give the destination spare capacity past the prefix.
 func FuzzExtentSequences(f *testing.F) {
 	// Fourteen contiguous 8-fragment blocks with a full tail, crossing
 	// lbn 12 where the single indirect block is read; prefix adjacent.
