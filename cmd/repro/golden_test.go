@@ -65,6 +65,38 @@ func TestQuickGolden(t *testing.T) {
 	}
 	exact["quick_streams.sha256"] = []byte(sums.String())
 
+	checkGolden(t, exact)
+}
+
+// TestTournamentGolden pins the tournament section on its own, at the
+// shape of
+//
+//	repro -quick -days 20 -only tournament -policies all -md …
+//
+// so a change to how the section is rendered shows here even when it
+// leaves the 60-day report above alone. Regenerate with
+//
+//	go test ./cmd/repro -run TournamentGolden -update
+func TestTournamentGolden(t *testing.T) {
+	if testing.Short() {
+		t.Skip("ages quick-scale images for every policy")
+	}
+	o := repro.Options{Seed: 1996, Quick: true, Days: 20, Only: "tournament", Policies: "all",
+		MDPath: filepath.Join(t.TempDir(), "tournament.md")}
+	if err := repro.Run(o, io.Discard); err != nil {
+		t.Fatal(err)
+	}
+	got, err := os.ReadFile(o.MDPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkGolden(t, map[string][]byte{"tournament_20d.md": got})
+}
+
+// checkGolden byte-compares each output against testdata/<name>, or
+// rewrites the golden files under -update.
+func checkGolden(t *testing.T, exact map[string][]byte) {
+	t.Helper()
 	if *updateGolden {
 		if err := os.MkdirAll("testdata", 0o777); err != nil {
 			t.Fatal(err)
