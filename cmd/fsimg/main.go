@@ -480,7 +480,7 @@ func layoutReport(w io.Writer, fsys *ffs.FileSystem, imagePath string, hotFrom i
 	fmt.Fprintf(w, "%s: %d files, %.1f MB, utilization %.1f%%\n",
 		imagePath, len(files), float64(layout.TotalBytes(files))/(1<<20), 100*fsys.Utilization())
 	fmt.Fprintf(w, "aggregate layout score: %.3f (%.1f%% of blocks non-optimal)\n",
-		layout.FsAggregate(fsys), 100*layout.NonOptimalFraction(files, fsys.FragsPerBlock()))
+		layout.FsAggregate(fsys), 100*(1-layout.Aggregate(files, fsys.FragsPerBlock())))
 
 	fmt.Fprintln(w, "\nlayout score by file size:")
 	buckets := layout.BySize(files, fsys.FragsPerBlock(), stats.PowerOfTwoBuckets(16<<10, 16<<20))

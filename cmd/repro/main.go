@@ -6,13 +6,11 @@
 // Usage:
 //
 //	repro [-seed N] [-quick] [-days N] [-only fig2,table2,tournament] [-ablations]
-//	      [-busstudy] [-profiles] [-policies all|a,b] [-fragments dir] [-j N]
+//	      [-busstudy] [-profiles] [-policies all|a,b] [-j N]
 //	      [-faults spec] [-checkpoint-every K] [-checkpoint-dir dir] [-resume]
 //	      [-md out.md] [-svg dir] [-metrics out.metrics] [-events out.jsonl]
 //	      [-spans out.trace.json] [-spans-jsonl out.spans.jsonl]
 //	      [-cpuprofile out.pprof] [-memprofile out.pprof]
-//	repro -assemble dir [-seed N] [-quick] [-days N] [-policies all|a,b] [-md out.md]
-//	repro -list
 //
 // The full run ages three 502 MB file systems through a ten-month
 // workload and sweeps the sequential benchmark over 18 file sizes on
@@ -23,15 +21,12 @@
 // markdown report).
 //
 // The policy tournament (-policies, or -only tournament for every
-// registered policy) decomposes into per-policy fragments: -fragments
-// writes one <slug>.frag per policy, so a CI matrix can run one leg per
-// policy, and -assemble renders the tournament section from such
-// fragments without simulating — the same bytes as a single-process
-// run with the same -seed, -quick, -days and -policies. -list prints
-// the registered policy names.
+// registered policy) ages, scores and benches one image per policy and
+// renders them as one comparative section. An unknown -policies name
+// fails with the list of registered ones.
 //
 // Package ffsage/internal/repro renders the report; this command owns
-// the process: flags, -list, -j, profiling and exit codes.
+// the process: flags, -j, profiling and exit codes.
 package main
 
 import (
@@ -44,7 +39,6 @@ import (
 	"strings"
 
 	"ffsage/internal/faults"
-	"ffsage/internal/policy"
 	"ffsage/internal/repro"
 	"ffsage/internal/runner"
 )
@@ -53,14 +47,12 @@ import (
 // act on the process.
 type cli struct {
 	repro.Options
-	list             bool
 	jobs             int
 	cpuProf, memProf string
 }
 
 // defineFlags binds every flag to its field of c.
 func defineFlags(fs *flag.FlagSet, c *cli) {
-	fs.BoolVar(&c.list, "list", false, "print the registered policy names, one per line, and exit")
 	fs.Int64Var(&c.Seed, "seed", 1996, "workload generation seed")
 	fs.BoolVar(&c.Quick, "quick", false, "scaled-down run (60 days, 128 MB)")
 	fs.IntVar(&c.Days, "days", 0, "override the aging period in simulated days (0 = the scale's default)")
@@ -69,8 +61,6 @@ func defineFlags(fs *flag.FlagSet, c *cli) {
 	fs.BoolVar(&c.Profiles, "profiles", false, "also run the §6 workload-profile study")
 	fs.BoolVar(&c.BusStudy, "busstudy", false, "also run the §5.1 bus-bandwidth study")
 	fs.StringVar(&c.Policies, "policies", "", "also run the N-way policy tournament: all, or comma-separated registered names")
-	fs.StringVar(&c.FragDir, "fragments", "", "also write each tournament policy's report fragment to <dir>/<slug>.frag")
-	fs.StringVar(&c.Assemble, "assemble", "", "render only the tournament section, from the fragments in this directory, without simulating")
 	fs.IntVar(&c.jobs, "j", 0, "max concurrent jobs (0 = GOMAXPROCS); a workload build runs beside them")
 	fs.StringVar(&c.Faults, "faults", "", "fault plan for the aging replays, e.g. crash@day:30 or ioerr@alloc:5000 (see internal/faults)")
 	fs.IntVar(&c.CkptEvery, "checkpoint-every", 0, "checkpoint the aging replays every K simulated days (needs -checkpoint-dir)")
@@ -90,12 +80,6 @@ func main() {
 	var c cli
 	defineFlags(flag.CommandLine, &c)
 	flag.Parse()
-	if c.list {
-		for _, name := range policy.Names() {
-			fmt.Println(name)
-		}
-		return
-	}
 	if c.jobs > 0 {
 		runner.SetWorkers(c.jobs)
 	}

@@ -66,7 +66,7 @@ func Atomicwrite(cfg AtomicwriteConfig) *Analyzer {
 					if reachesRename(n.Key) {
 						break // helper-shaped: writes a temp path, then commits by rename
 					}
-					pass.ReportAt(e.Pos, "%s in %s writes a state file in place — a crash mid-write leaves a torn file at its final path; write to a same-directory temp file and os.Rename it into place (jobs.writeAtomic is the model), or call an existing atomic helper", e.Callee, n.Display)
+					pass.ReportAt(e.Pos, "%s in %s writes a state file in place — a crash mid-write leaves a torn file at its final path; write it through trace.ReplaceFile, which writes a same-directory temp file, fsyncs it and renames it into place", e.Callee, n.Display)
 				}
 			}
 		},

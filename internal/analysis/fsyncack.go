@@ -7,13 +7,15 @@ type FsyncackConfig struct {
 	Packages []string
 }
 
-// DefaultFsyncackConfig guards the WAL queue and the job manager: both
+// DefaultFsyncackConfig guards the WAL queue and the job manager, which
 // acknowledge operations (WAL append → Enqueue/Ack returns nil; job
-// artifacts written → job acked) that a crash must not un-happen.
+// artifacts written → job acked) that a crash must not un-happen, and
+// trace, whose ReplaceFile writes every state file they replace.
 func DefaultFsyncackConfig() FsyncackConfig {
 	return FsyncackConfig{Packages: []string{
 		"ffsage/internal/queue",
 		"ffsage/internal/jobs",
+		"ffsage/internal/trace",
 	}}
 }
 
@@ -67,7 +69,7 @@ func Fsyncack(cfg FsyncackConfig) *Analyzer {
 					if reachesSync(n.Key) {
 						break // one Sync in the closure covers every write here
 					}
-					pass.ReportAt(e.Pos, "%s appends durable state in %s, but no path from %s reaches (*os.File).Sync; a crash after the caller is acknowledged would silently lose the operation — Sync before returning success, or route the write through a syncing helper like queue.replaceFile / jobs.writeAtomic", e.Callee, n.Display, n.Display)
+					pass.ReportAt(e.Pos, "%s appends durable state in %s, but no path from %s reaches (*os.File).Sync; a crash after the caller is acknowledged would silently lose the operation — Sync before returning success, or route the write through trace.ReplaceFile", e.Callee, n.Display, n.Display)
 				}
 			}
 		},

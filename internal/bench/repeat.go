@@ -14,7 +14,7 @@ import (
 // deviations ("smaller than 1.5% of the mean" for the sequential
 // benchmark, "less than 2%" for the hot files). In a deterministic
 // simulation the honest analogue of run-to-run noise is the arbitrary
-// rotational phase each run begins at; the Repeated variants sweep the
+// rotational phase each run begins at; HotFilesRepeated sweeps the
 // initial platter angle across one revolution.
 
 // HotRepeatResult is the hot-file benchmark's repeated-run summary.
@@ -61,35 +61,4 @@ func HotFilesRepeated(image *ffs.FileSystem, p disk.Params, fromDay, runs int) (
 		Write:       stats.Summarize(writes),
 		LayoutScore: h.res.LayoutScore,
 	}, nil
-}
-
-// SeqRepeatResult is one sequential size point's repeated-run summary.
-type SeqRepeatResult struct {
-	FileSize    int64
-	Runs        int
-	Read, Write stats.Summary
-	LayoutScore float64
-}
-
-// SequentialIORepeated runs one sequential size point `runs` times.
-func SequentialIORepeated(image *ffs.FileSystem, p disk.Params, fileSize, totalBytes int64, day, runs int) (SeqRepeatResult, error) {
-	if runs < 1 {
-		return SeqRepeatResult{}, fmt.Errorf("bench: runs = %d", runs)
-	}
-	var reads, writes []float64
-	out := SeqRepeatResult{FileSize: fileSize, Runs: runs}
-	for i := 0; i < runs; i++ {
-		pp := p
-		pp.InitialSpin = p.Geom.RotationPeriod() * float64(i) / float64(runs)
-		r, err := SequentialIO(image, pp, fileSize, totalBytes, day)
-		if err != nil {
-			return SeqRepeatResult{}, err
-		}
-		reads = append(reads, r.ReadBps)
-		writes = append(writes, r.WriteBps)
-		out.LayoutScore = r.LayoutScore
-	}
-	out.Read = stats.Summarize(reads)
-	out.Write = stats.Summarize(writes)
-	return out, nil
 }

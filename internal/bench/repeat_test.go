@@ -41,24 +41,3 @@ func TestHotFilesRepeated(t *testing.T) {
 		t.Error("zero runs accepted")
 	}
 }
-
-func TestSequentialIORepeated(t *testing.T) {
-	img := smallImage(t, core.Original{})
-	res, err := SequentialIORepeated(img, disk.PaperParams(), 64<<10, 2<<20, 0, 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Runs != 5 || res.Read.N != 5 {
-		t.Fatalf("res = %+v", res)
-	}
-	// Sequential benchmark: sd < 1.5% of mean (the paper's bound).
-	if rel := res.Read.RelStdDev(); rel > 0.015 {
-		t.Errorf("read sd/mean = %.3f, want < 0.015", rel)
-	}
-	if res.LayoutScore <= 0 {
-		t.Error("no layout score")
-	}
-	if _, err := SequentialIORepeated(img, disk.PaperParams(), 64<<10, 2<<20, 0, 0); err == nil {
-		t.Error("zero runs accepted")
-	}
-}

@@ -16,12 +16,8 @@ import (
 
 // The tournament driver generalizes the paper's two-way comparison to
 // N policies: each contender ages one cached image, is scored for
-// layout, and runs the sequential and hot-file benchmarks; the result
-// renders as one comparative report. The report decomposes into
-// per-policy fragments — a summary row plus a detail section, each a
-// pure function of that policy's entry — so CI can run one matrix leg
-// per policy, upload the fragments, and assemble a report that is
-// byte-identical to a single-process run (the fan-in diff proves it).
+// layout, and runs the sequential and hot-file benchmarks; the entries
+// render as one comparative report.
 
 // TournamentEntry is one policy's tournament outcome.
 type TournamentEntry struct {
@@ -132,8 +128,8 @@ func abs64(x int64) int64 {
 	return x
 }
 
-// SummaryRow renders the entry's line of the comparative table.
-func (e *TournamentEntry) SummaryRow() string {
+// summaryRow renders the entry's line of the comparative table.
+func (e *TournamentEntry) summaryRow() string {
 	b96 := benchNearest(e.Seq, 96<<10)
 	return fmt.Sprintf("  %-14s %8.3f %8.3f %8d %8d %6.1f%% %8.2f %8.2f %8.2f",
 		e.Name,
@@ -151,10 +147,10 @@ func firstOr(s stats.Series, def float64) float64 {
 	return s.At(s[0].Day)
 }
 
-// Section renders the entry's per-policy detail: the layout/utilization
+// section renders the entry's per-policy detail: the layout/utilization
 // trajectory at ~12 sample days, the sequential sweep, the hot-file
 // line, and the allocator accounting.
-func (e *TournamentEntry) Section(days int) []string {
+func (e *TournamentEntry) section(days int) []string {
 	lines := []string{
 		"",
 		"## " + e.Name,
@@ -188,53 +184,27 @@ func (e *TournamentEntry) Section(days int) []string {
 	return lines
 }
 
-// Fragment renders the entry as its per-policy report fragment: the
-// summary row on the first line, the detail section after. A CI matrix
-// leg writes exactly these bytes; the fan-in assembles them without
-// recomputing anything.
-func (e *TournamentEntry) Fragment(days int) []byte {
-	var sb strings.Builder
-	sb.WriteString(e.SummaryRow())
-	sb.WriteByte('\n')
-	for _, l := range e.Section(days) {
-		sb.WriteString(l)
-		sb.WriteByte('\n')
+// WriteTournamentReport renders the comparative report: a header
+// naming the field, one summary row per entry under the table header,
+// then each entry's detail section, all in the order given.
+func WriteTournamentReport(w io.Writer, scale string, seed int64, days int, entries []TournamentEntry) error {
+	names := make([]string, len(entries))
+	for i := range entries {
+		names[i] = entries[i].Name
 	}
-	return []byte(sb.String())
-}
-
-// TournamentTableHeader returns the comparative table's header line.
-func TournamentTableHeader() string {
-	return fmt.Sprintf("  %-14s %8s %8s %8s %8s %7s %8s %8s %8s",
-		"policy", "day1", "final", "seeks", "moves", "util", "96K rd", "hot rd", "hot wr")
-}
-
-// WriteTournamentReport assembles the comparative report from
-// per-policy fragments, in the order given (names[i] labels
-// fragments[i]). Both the single-process run and the CI fan-in path
-// call this with fragments produced by TournamentEntry.Fragment, so
-// the two reports agree byte for byte.
-func WriteTournamentReport(w io.Writer, scale string, seed int64, days int, names []string, fragments [][]byte) error {
-	if len(names) != len(fragments) {
-		return fmt.Errorf("experiments: %d names, %d fragments", len(names), len(fragments))
+	lines := []string{
+		fmt.Sprintf("policy tournament: %d policies, seed %d, %s, %d days aged", len(entries), seed, scale, days),
+		"policies: " + strings.Join(names, ", "),
+		"",
+		fmt.Sprintf("  %-14s %8s %8s %8s %8s %7s %8s %8s %8s",
+			"policy", "day1", "final", "seeks", "moves", "util", "96K rd", "hot rd", "hot wr"),
 	}
-	fmt.Fprintf(w, "policy tournament: %d policies, seed %d, %s, %d days aged\n",
-		len(names), seed, scale, days)
-	fmt.Fprintf(w, "policies: %s\n\n", strings.Join(names, ", "))
-	fmt.Fprintln(w, TournamentTableHeader())
-	sections := make([][]byte, 0, len(fragments))
-	for i, frag := range fragments {
-		row, section, ok := strings.Cut(string(frag), "\n")
-		if !ok {
-			return fmt.Errorf("experiments: fragment for %s has no summary row", names[i])
-		}
-		fmt.Fprintln(w, row)
-		sections = append(sections, []byte(section))
+	for i := range entries {
+		lines = append(lines, entries[i].summaryRow())
 	}
-	for _, s := range sections {
-		if _, err := w.Write(s); err != nil {
-			return err
-		}
+	for i := range entries {
+		lines = append(lines, entries[i].section(days)...)
 	}
-	return nil
+	_, err := io.WriteString(w, strings.Join(lines, "\n")+"\n")
+	return err
 }

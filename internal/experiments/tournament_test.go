@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"bytes"
-	"fmt"
 	"slices"
 	"strings"
 	"testing"
@@ -34,8 +33,8 @@ func allPolicies(t *testing.T) []ffs.Policy {
 }
 
 // runTournament runs the full field on a cold cache under the given
-// worker bound and returns the entries plus the report assembled from
-// their fragments.
+// worker bound and returns the entries plus the report rendered from
+// them.
 func runTournament(t *testing.T, workers int) ([]TournamentEntry, string) {
 	t.Helper()
 	ResetCaches()
@@ -46,14 +45,8 @@ func runTournament(t *testing.T, workers int) ([]TournamentEntry, string) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	names := make([]string, len(entries))
-	fragments := make([][]byte, len(entries))
-	for i := range entries {
-		names[i] = entries[i].Name
-		fragments[i] = entries[i].Fragment(cfg.WorkloadCfg.Days)
-	}
 	var buf bytes.Buffer
-	if err := WriteTournamentReport(&buf, "quick", cfg.Seed, cfg.WorkloadCfg.Days, names, fragments); err != nil {
+	if err := WriteTournamentReport(&buf, "quick", cfg.Seed, cfg.WorkloadCfg.Days, entries); err != nil {
 		t.Fatal(err)
 	}
 	return entries, buf.String()
@@ -124,39 +117,6 @@ func TestTournamentProperty(t *testing.T) {
 	_, _, ah, _ := CacheCounts()
 	if ah < int64(len(policy.Names())) {
 		t.Errorf("aged-image cache hits %d; invariant pass should have reused the tournament images", ah)
-	}
-}
-
-// TestTournamentReportAssembles pins the fan-in contract: the report
-// assembled from per-policy fragments puts every summary row under the
-// table header, then every detail section, each in policy order, and
-// names every policy.
-func TestTournamentReportAssembles(t *testing.T) {
-	entries, report := runTournament(t, 0)
-	cfg := tournamentCfg()
-	names := make([]string, len(entries))
-	for i := range entries {
-		names[i] = entries[i].Name
-	}
-	var want strings.Builder
-	fmt.Fprintf(&want, "policy tournament: %d policies, seed %d, quick, %d days aged\n",
-		len(entries), cfg.Seed, cfg.WorkloadCfg.Days)
-	fmt.Fprintf(&want, "policies: %s\n\n%s\n", strings.Join(names, ", "), TournamentTableHeader())
-	for i := range entries {
-		want.WriteString(entries[i].SummaryRow() + "\n")
-	}
-	for i := range entries {
-		for _, l := range entries[i].Section(cfg.WorkloadCfg.Days) {
-			want.WriteString(l + "\n")
-		}
-	}
-	if report != want.String() {
-		t.Errorf("assembled report differs from its rows and sections\nassembled:\n%s\nwant:\n%s", report, want.String())
-	}
-	for _, name := range policy.Names() {
-		if !strings.Contains(report, "## "+name) {
-			t.Errorf("report missing section for %s", name)
-		}
 	}
 }
 

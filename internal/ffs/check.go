@@ -53,7 +53,7 @@ func (fs *FileSystem) checkLayoutCounts() error {
 			}
 			continue
 		}
-		o, t := fileLayoutCounts(f, fs.fpb)
+		o, t := FileLayoutCounts(f, fs.fpb)
 		if o != f.scoreOpt || t != f.scoreTotal {
 			return fmt.Errorf("ino %d: layout cache %d/%d, rescan %d/%d",
 				ino, f.scoreOpt, f.scoreTotal, o, t)

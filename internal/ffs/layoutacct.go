@@ -11,12 +11,13 @@ package ffs
 // independent rescan: Check() asserts the two agree, and the aging
 // tests compare them after every simulated day.
 
-// fileLayoutCounts returns f's contribution to the aggregate layout
+// FileLayoutCounts returns f's contribution to the aggregate layout
 // score: the number of optimally placed blocks (physically contiguous
 // with their predecessor) and the number of scoreable blocks (all but
 // the first). Files with fewer than two blocks contribute nothing, and
-// directories are never counted by the callers.
-func fileLayoutCounts(f *File, fpb int) (opt, total int) {
+// directories are never counted by the callers. The layout package
+// scores files with it too.
+func FileLayoutCounts(f *File, fpb int) (opt, total int) {
 	n := len(f.Blocks)
 	if n < 2 {
 		return 0, 0
@@ -36,7 +37,7 @@ func (fs *FileSystem) relayout(f *File) {
 	if f.IsDir {
 		return
 	}
-	opt, total := fileLayoutCounts(f, fs.fpb)
+	opt, total := FileLayoutCounts(f, fs.fpb)
 	fs.layoutOpt += int64(opt - f.scoreOpt)
 	fs.layoutTotal += int64(total - f.scoreTotal)
 	f.scoreOpt, f.scoreTotal = opt, total

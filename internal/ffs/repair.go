@@ -480,7 +480,7 @@ func (fs *FileSystem) rebuildLayout(rep *RepairReport) {
 			}
 			continue
 		}
-		o, t := fileLayoutCounts(f, fs.fpb)
+		o, t := FileLayoutCounts(f, fs.fpb)
 		if o != f.scoreOpt || t != f.scoreTotal {
 			f.scoreOpt, f.scoreTotal = o, t
 			rep.LayoutFixed = true

@@ -537,7 +537,7 @@ func (m *Manager) writeArtifacts(jdir string, sp *Spec, res *aging.Result, wl *t
 		{"spans.jsonl", sps.Bytes()},
 		{"result.json", rj},
 	} {
-		if err := writeAtomic(filepath.Join(jdir, f.name), f.data); err != nil {
+		if err := trace.ReplaceFile(filepath.Join(jdir, f.name), f.data); err != nil {
 			return err
 		}
 	}
@@ -561,7 +561,7 @@ func (m *Manager) saveCheckpoint(id string, cp *trace.Checkpoint) error {
 	if err := trace.WriteCheckpoint(&buf, cp); err != nil {
 		return err
 	}
-	return writeAtomic(m.checkpointPath(id), buf.Bytes())
+	return trace.ReplaceFile(m.checkpointPath(id), buf.Bytes())
 }
 
 // loadCheckpoint returns the job's latest checkpoint, or nil when there
@@ -578,28 +578,6 @@ func (m *Manager) loadCheckpoint(id string) *trace.Checkpoint {
 		return nil
 	}
 	return cp
-}
-
-// writeAtomic writes data to path via a same-directory temp file,
-// fsync, and rename.
-func writeAtomic(path string, data []byte) error {
-	tmp := path + ".tmp"
-	f, err := os.OpenFile(tmp, os.O_CREATE|os.O_TRUNC|os.O_WRONLY, 0o644)
-	if err != nil {
-		return err
-	}
-	if _, err := f.Write(data); err != nil {
-		f.Close()
-		return err
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		return err
-	}
-	if err := f.Close(); err != nil {
-		return err
-	}
-	return os.Rename(tmp, path)
 }
 
 // setLive registers a running job's live registry for the event API.

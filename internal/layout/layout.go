@@ -20,17 +20,11 @@ import (
 // is undefined. A file's trailing fragment run counts as a block, as in
 // the paper (two-block files are "one block and a partial second").
 func FileScore(f *ffs.File, fpb int) (score float64, blocks int, ok bool) {
-	n := len(f.Blocks)
-	if n < 2 {
+	optimal, total := ffs.FileLayoutCounts(f, fpb)
+	if total == 0 {
 		return 0, 0, false
 	}
-	optimal := 0
-	for i := 1; i < n; i++ {
-		if f.Blocks[i] == f.Blocks[i-1]+ffs.Daddr(fpb) {
-			optimal++
-		}
-	}
-	return float64(optimal) / float64(n-1), n - 1, true
+	return float64(optimal) / float64(total), total, true
 }
 
 // Aggregate returns the aggregate layout score over the given files:
@@ -40,16 +34,9 @@ func FileScore(f *ffs.File, fpb int) (score float64, blocks int, ok bool) {
 func Aggregate(files []*ffs.File, fpb int) float64 {
 	optimal, total := 0, 0
 	for _, f := range files {
-		n := len(f.Blocks)
-		if n < 2 {
-			continue
-		}
-		total += n - 1
-		for i := 1; i < n; i++ {
-			if f.Blocks[i] == f.Blocks[i-1]+ffs.Daddr(fpb) {
-				optimal++
-			}
-		}
+		o, t := ffs.FileLayoutCounts(f, fpb)
+		optimal += o
+		total += t
 	}
 	if total == 0 {
 		return 1.0
@@ -115,17 +102,13 @@ func BySize(files []*ffs.File, fpb int, buckets []stats.SizeBucket) []stats.Size
 		if idx < 0 {
 			continue
 		}
-		n := len(f.Blocks)
-		if n < 2 {
+		o, t := ffs.FileLayoutCounts(f, fpb)
+		if t == 0 {
 			continue
 		}
 		out[idx].Files++
-		out[idx].Blocks += n - 1
-		for i := 1; i < n; i++ {
-			if f.Blocks[i] == f.Blocks[i-1]+ffs.Daddr(fpb) {
-				optimal[idx]++
-			}
-		}
+		out[idx].Blocks += t
+		optimal[idx] += o
 	}
 	for i := range out {
 		if out[i].Blocks > 0 {
@@ -168,13 +151,6 @@ func TotalBytes(files []*ffs.File) int64 {
 		n += f.Size
 	}
 	return n
-}
-
-// NonOptimalFraction returns 1 - Aggregate: the paper's "percentage of
-// file blocks non-optimally allocated" (its Section 4 improvement
-// figure compares these).
-func NonOptimalFraction(files []*ffs.File, fpb int) float64 {
-	return 1 - Aggregate(files, fpb)
 }
 
 // IntraFileSeeks counts the disk-arm repositionings a sequential read

@@ -72,9 +72,6 @@ func TestAggregateEmpty(t *testing.T) {
 	if got := Aggregate(nil, fpb); got != 1.0 {
 		t.Errorf("empty aggregate = %v, want 1", got)
 	}
-	if got := NonOptimalFraction(nil, fpb); got != 0 {
-		t.Errorf("empty non-optimal = %v", got)
-	}
 }
 
 func TestBySize(t *testing.T) {

@@ -19,7 +19,7 @@
 //
 // Registered names are the user-facing policy identity: agesrv job
 // specs validate against them, the tournament driver enumerates them,
-// and their slugs name checkpoint arms, obs scopes and CI matrix legs.
+// and their slugs name checkpoint arms and obs scopes.
 // Registration rejects duplicate or mismatched names, so a registered
 // name can never silently alias two different policies. (The
 // experiment cache does not need names: it keys aged images by the
@@ -83,8 +83,8 @@ func MustRegister(name string, factory func() ffs.Policy) {
 }
 
 // Names returns the registered policy names in sorted order — the
-// deterministic enumeration every consumer (tournament, CI matrix,
-// flag parsing) iterates in.
+// deterministic enumeration every consumer (tournament, flag
+// parsing) iterates in.
 func Names() []string {
 	mu.Lock()
 	defer mu.Unlock()
@@ -122,10 +122,9 @@ func Resolve(name string) (ffs.Policy, error) {
 	return New(n)
 }
 
-// Slug converts a policy name to its file/matrix-safe form: '+' and
-// '(' become '-', ')' is dropped. Slugs of registered names stay
-// unique and are used for fragment file names, checkpoint arm slugs,
-// and benchmark row names.
+// Slug converts a policy name to its file-safe form: '+' and '(' become
+// '-', ')' is dropped. Slugs of registered names stay unique and are
+// used for checkpoint arm slugs, obs scopes and benchmark row names.
 func Slug(name string) string {
 	return strings.NewReplacer("+", "-", "(", "-", ")", "").Replace(name)
 }

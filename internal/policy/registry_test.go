@@ -28,7 +28,7 @@ func TestNamesSortedAndComplete(t *testing.T) {
 			t.Errorf("registry missing %q: %v", want, names)
 		}
 	}
-	// Slugs must stay unique: they name fragment files and CI matrix legs.
+	// Slugs must stay unique: they name checkpoint arms and obs scopes.
 	slugs := map[string]string{}
 	for _, n := range names {
 		s := Slug(n)

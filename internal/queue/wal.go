@@ -104,7 +104,7 @@ func Open(path string) (*WAL, error) {
 		w.Recovered.Records++
 	}
 	if w.Recovered.TruncatedTail {
-		if err := replaceFile(path, data[:goodOff]); err != nil {
+		if err := trace.ReplaceFile(path, data[:goodOff]); err != nil {
 			return nil, fmt.Errorf("queue: truncating torn WAL tail: %w", err)
 		}
 	}
@@ -169,39 +169,10 @@ func (w *WAL) compact() error {
 			}
 		}
 	}
-	if err := replaceFile(w.path, buf); err != nil {
+	if err := trace.ReplaceFile(w.path, buf); err != nil {
 		return fmt.Errorf("queue: compacting WAL: %w", err)
 	}
 	return nil
-}
-
-// replaceFile atomically replaces path with data: write a
-// same-directory temp file, fsync it, then rename over the target.
-// Rename alone is not enough — it commits the name, not the bytes, and
-// a power failure after an unsynced rename can leave the new file empty
-// or torn at its final path, destroying the log prefix that truncation
-// and compaction were trying to preserve.
-func replaceFile(path string, data []byte) error {
-	tmp := path + ".tmp"
-	f, err := os.OpenFile(tmp, os.O_CREATE|os.O_WRONLY|os.O_TRUNC, 0o644)
-	if err != nil {
-		return err
-	}
-	if _, err := f.Write(data); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return err
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return err
-	}
-	if err := f.Close(); err != nil {
-		os.Remove(tmp)
-		return err
-	}
-	return os.Rename(tmp, path)
 }
 
 // append logs one record payload durably: frame, write, fsync. A

@@ -3,12 +3,12 @@
 // table and figure of the paper, the studies beyond it and the policy
 // tournament, each printed next to the paper's values. One table of
 // exhibits, in report order, drives the report: it gives the valid
-// -only keys, whether the paper Suite is built, which options combine,
-// and the order of the sections. cmd/repro is its command line.
+// -only keys, whether the paper Suite is built, and the order of the
+// sections. cmd/repro is its command line.
 package repro
 
 import (
-	"errors"
+	"bytes"
 	"fmt"
 	"io"
 	"math"
@@ -40,9 +40,8 @@ type Options struct {
 	Only  string // comma-separated -only keys
 	// The studies beyond the paper's exhibits.
 	Ablations, Profiles, BusStudy bool
-	// The tournament's policies, and the directory its fragments are
-	// written to (FragDir) or assembled from (Assemble).
-	Policies, FragDir, Assemble string
+	// The tournament's policies: all, or comma-separated names.
+	Policies string
 	// Fault injection into, and checkpoints of, the aging replays.
 	Faults    string
 	CkptEvery int
@@ -60,7 +59,6 @@ type exhibit struct {
 	// are the paper's, which also run when -only names nothing.
 	on     func(*Options) bool
 	suite  bool // reads the paper Suite
-	frags  bool // renders from per-policy fragments (-fragments, -assemble)
 	render func(*env) error
 }
 
@@ -78,7 +76,7 @@ var exhibits = []exhibit{
 	{name: "fig6", suite: true, render: fig6},
 	{name: "-ablations", on: func(o *Options) bool { return o.Ablations }, render: ablations},
 	{name: "-busstudy", on: func(o *Options) bool { return o.BusStudy }, suite: true, render: busStudy},
-	{name: "tournament", on: func(o *Options) bool { return o.Policies != "" || o.Assemble != "" }, frags: true, render: tournament},
+	{name: "tournament", on: func(o *Options) bool { return o.Policies != "" }, render: tournament},
 	{name: "-profiles", on: func(o *Options) bool { return o.Profiles }, render: profiles},
 	{name: "-svg", on: func(o *Options) bool { return o.SVGDir != "" }, suite: true, render: writeSVGs},
 }
@@ -107,20 +105,13 @@ func selectExhibits(o *Options) (xs []*exhibit, suite bool, err error) {
 		}
 		only[k] = true
 	}
-	// -assemble stands in for -only tournament.
-	all := len(only) == 0 && o.Assemble == ""
+	all := len(only) == 0
 	for i := range exhibits {
 		x := &exhibits[i]
 		if only[x.name] || x.on != nil && x.on(o) || x.on == nil && all {
 			xs = append(xs, x)
 			suite = suite || x.suite
 		}
-	}
-	if o.Assemble != "" && (o.FragDir != "" || slices.ContainsFunc(xs, func(x *exhibit) bool { return !x.frags })) {
-		return nil, false, errors.New("-assemble renders only the tournament section; it takes no other exhibit, study or -fragments")
-	}
-	if o.FragDir != "" && !slices.ContainsFunc(xs, func(x *exhibit) bool { return x.frags }) {
-		return nil, false, errors.New("-fragments writes the tournament's fragments, but no tournament runs (add -policies or -only tournament)")
 	}
 	return xs, suite, nil
 }
@@ -472,11 +463,8 @@ func busStudy(e *env) error {
 }
 
 // tournament emits the N-way policy tournament as a section. The
-// report is assembled from per-policy fragments, computed here (and
-// written to -fragments) or read from -assemble without simulating, so
-// a fan-in of single-policy legs reproduces a single-process run byte
-// for byte. The policies run in registry order for -policies all (or
-// none), in flag order otherwise.
+// policies run in registry order for -policies all (or none), in flag
+// order otherwise.
 func tournament(e *env) error {
 	names := policy.Names()
 	if spec := e.o.Policies; spec != "" && spec != "all" {
@@ -490,45 +478,19 @@ func tournament(e *env) error {
 			return fmt.Errorf("-policies %q selects nothing", spec)
 		}
 	}
-	days := e.cfg.WorkloadCfg.Days
-	fragments := make([][]byte, len(names))
-	path := func(dir string, i int) string { return filepath.Join(dir, policy.Slug(names[i])+".frag") }
-	if e.o.Assemble != "" {
-		for i, name := range names {
-			frag, err := os.ReadFile(path(e.o.Assemble, i))
-			if err != nil {
-				return fmt.Errorf("missing fragment for %s: %w", name, err)
-			}
-			fragments[i] = frag
-		}
-	} else {
-		pols, err := experiments.RegisteredPolicies(names...)
-		if err != nil {
-			return err
-		}
-		entries, err := experiments.Tournament(e.cfg, pols...)
-		if err != nil {
-			return err
-		}
-		if e.o.FragDir != "" {
-			if err := os.MkdirAll(e.o.FragDir, 0o777); err != nil {
-				return err
-			}
-		}
-		for i := range entries {
-			fragments[i] = entries[i].Fragment(days)
-			if e.o.FragDir != "" {
-				if err := os.WriteFile(path(e.o.FragDir, i), fragments[i], 0o666); err != nil {
-					return err
-				}
-			}
-		}
-	}
-	var buf strings.Builder
-	if err := experiments.WriteTournamentReport(&buf, e.scale, e.cfg.Seed, days, names, fragments); err != nil {
+	pols, err := experiments.RegisteredPolicies(names...)
+	if err != nil {
 		return err
 	}
-	e.show(fmt.Sprintf("Policy tournament: %d-way comparison", len(names)),
+	entries, err := experiments.Tournament(e.cfg, pols...)
+	if err != nil {
+		return err
+	}
+	var buf strings.Builder
+	if err := experiments.WriteTournamentReport(&buf, e.scale, e.cfg.Seed, e.cfg.WorkloadCfg.Days, entries); err != nil {
+		return err
+	}
+	e.show(fmt.Sprintf("Policy tournament: %d-way comparison", len(entries)),
 		strings.Split(strings.TrimRight(buf.String(), "\n"), "\n"), "")
 	return nil
 }
@@ -638,7 +600,7 @@ func fig4Table(d *experiments.Fig4Data) []string {
 
 // recoveryConfig translates the -faults/-checkpoint flags into the
 // experiment suite's Recovery wiring: one checkpoint file per aging
-// arm in CkptDir, written atomically (temp file + rename) so a crash
+// arm in CkptDir, written by trace.ReplaceFile so a crash
 // mid-checkpoint leaves the previous one intact.
 func recoveryConfig(o Options) (*experiments.Recovery, error) {
 	if o.Faults == "" && o.CkptEvery == 0 && !o.Resume {
@@ -664,19 +626,11 @@ func recoveryConfig(o Options) (*experiments.Recovery, error) {
 	if o.CkptEvery > 0 {
 		rec.Sink = func(arm string) func(*trace.Checkpoint) error {
 			return func(cp *trace.Checkpoint) error {
-				tmp, err := os.CreateTemp(o.CkptDir, arm+".tmp*")
-				if err != nil {
+				var buf bytes.Buffer
+				if err := trace.WriteCheckpoint(&buf, cp); err != nil {
 					return err
 				}
-				err = trace.WriteCheckpoint(tmp, cp)
-				if cerr := tmp.Close(); err == nil {
-					err = cerr
-				}
-				if err != nil {
-					os.Remove(tmp.Name())
-					return err
-				}
-				return os.Rename(tmp.Name(), ckptPath(arm))
+				return trace.ReplaceFile(ckptPath(arm), buf.Bytes())
 			}
 		}
 	}

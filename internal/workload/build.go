@@ -22,12 +22,6 @@ type Build struct {
 	TraceDays []trace.TraceDay
 }
 
-// BuildPaperWorkload runs the full pipeline with the default
-// calibration and the given seed.
-func BuildPaperWorkload(seed int64) (*Build, error) {
-	return BuildWorkload(DefaultConfig(seed), DefaultNFSTraceConfig(seed+1))
-}
-
 // BuildWorkload runs the full pipeline with explicit configurations.
 func BuildWorkload(cfg Config, nfsCfg NFSTraceConfig) (*Build, error) {
 	return BuildDays(cfg, nfsCfg, nil)
