@@ -162,7 +162,9 @@ func NewRegistry() *Registry {
 	}
 }
 
-// Default is the process-wide registry the commands publish into.
+// Default is the process-wide registry. It holds the runner's job and
+// stage telemetry; each repro.Run publishes its metrics, events and
+// spans into a registry of its own.
 var Default = NewRegistry()
 
 // Counter returns (creating if needed) the named counter.

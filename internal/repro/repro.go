@@ -148,7 +148,10 @@ func Run(o Options, stdout io.Writer) error {
 	if cfg.Recovery, err = recoveryConfig(o); err != nil {
 		return err
 	}
-	cfg.Obs = obs.Default
+	// Each run publishes into a registry of its own, so a second Run
+	// in the same process does not add to the first's counters.
+	reg := obs.NewRegistry()
+	cfg.Obs = reg
 
 	if o.MDPath != "" {
 		f, err := os.Create(o.MDPath)
@@ -186,10 +189,10 @@ func Run(o Options, stdout io.Writer) error {
 		dump func(io.Writer) error
 		msg  string
 	}{
-		{o.Metrics, obs.Default.WriteMetrics, "\nmetrics snapshot written to %s\n"},
-		{o.Events, obs.Default.WriteEvents, "event streams written to %s\n"},
-		{o.Spans, obs.Default.WriteChromeTrace, "span trace written to %s (load in chrome://tracing or Perfetto)\n"},
-		{o.SpansJSONL, obs.Default.WriteSpans, "span streams written to %s\n"},
+		{o.Metrics, reg.WriteMetrics, "\nmetrics snapshot written to %s\n"},
+		{o.Events, reg.WriteEvents, "event streams written to %s\n"},
+		{o.Spans, reg.WriteChromeTrace, "span trace written to %s (load in chrome://tracing or Perfetto)\n"},
+		{o.SpansJSONL, reg.WriteSpans, "span streams written to %s\n"},
 	} {
 		if snap.path == "" {
 			continue
