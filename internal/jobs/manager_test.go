@@ -3,9 +3,12 @@ package jobs
 import (
 	"encoding/json"
 	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -259,6 +262,70 @@ func TestGracefulShutdownResumesByteIdentical(t *testing.T) {
 			t.Errorf("%s differs from the uninterrupted run (%d vs %d bytes)",
 				name, len(got[name]), len(ref[name]))
 		}
+	}
+}
+
+// TestGarbageCheckpointRunsFresh: a job whose checkpoint.ffc does not
+// decode is logged and re-run from scratch, and its artifacts equal an
+// uninterrupted run's.
+func TestGarbageCheckpointRunsFresh(t *testing.T) {
+	sp := testSpec("garbled", 6)
+
+	refDir := t.TempDir()
+	mr, err := Open(fastOpts(refDir))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := mr.Submit(sp); err != nil {
+		t.Fatal(err)
+	}
+	waitState(t, mr.Queue(), sp.ID, queue.Done)
+	ref := readArtifacts(t, refDir, sp.ID)
+	if err := mr.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	dir := t.TempDir()
+	cpPath := filepath.Join(dir, "jobs", sp.ID, "checkpoint.ffc")
+	if err := os.MkdirAll(filepath.Dir(cpPath), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(cpPath, []byte("not a checkpoint"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	var mu sync.Mutex
+	var logged []string
+	opts := fastOpts(dir)
+	opts.Logf = func(format string, args ...any) {
+		mu.Lock()
+		logged = append(logged, fmt.Sprintf(format, args...))
+		mu.Unlock()
+	}
+	m, err := Open(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := m.Submit(sp); err != nil {
+		t.Fatal(err)
+	}
+	rec := waitState(t, m.Queue(), sp.ID, queue.Done)
+	if err := m.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if rec.Attempt != 1 {
+		t.Fatalf("done after %d attempts, want 1", rec.Attempt)
+	}
+	got := readArtifacts(t, dir, sp.ID)
+	for _, name := range artifactNames {
+		if string(got[name]) != string(ref[name]) {
+			t.Errorf("%s differs from the uninterrupted run (%d vs %d bytes)",
+				name, len(got[name]), len(ref[name]))
+		}
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	if !slices.ContainsFunc(logged, func(l string) bool { return strings.Contains(l, "checkpoint unreadable") }) {
+		t.Errorf("the unreadable checkpoint was not logged; logged %q", logged)
 	}
 }
 
