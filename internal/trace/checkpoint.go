@@ -3,10 +3,13 @@ package trace
 import (
 	"bufio"
 	"bytes"
+	"errors"
 	"fmt"
 	"hash/fnv"
 	"io"
+	"io/fs"
 	"math"
+	"os"
 )
 
 // Checkpoint format: one frame (see frame.go) — magic, format version,
@@ -83,6 +86,37 @@ func WriteCheckpoint(w io.Writer, cp *Checkpoint) error {
 		return err
 	}
 	return WriteFrame(w, checkpointMagic, checkpointVersion, payload.Bytes())
+}
+
+// SaveCheckpoint writes cp to path through ReplaceFile, so a crash at
+// any instant leaves either the previous checkpoint or this one at
+// path, never a torn file.
+func SaveCheckpoint(path string, cp *Checkpoint) error {
+	var buf bytes.Buffer
+	if err := WriteCheckpoint(&buf, cp); err != nil {
+		return err
+	}
+	return ReplaceFile(path, buf.Bytes())
+}
+
+// LoadCheckpoint reads the checkpoint SaveCheckpoint left at path. A
+// missing file yields (nil, nil): there is nothing to resume, and the
+// replay starts fresh. Any other failure, a checkpoint that does not
+// decode included, is an error that names path.
+func LoadCheckpoint(path string) (*Checkpoint, error) {
+	f, err := os.Open(path)
+	if errors.Is(err, fs.ErrNotExist) {
+		return nil, nil
+	}
+	if err != nil {
+		return nil, err
+	}
+	defer f.Close()
+	cp, err := ReadCheckpoint(f)
+	if err != nil {
+		return nil, fmt.Errorf("%s: %w", path, err)
+	}
+	return cp, nil
 }
 
 // ReadCheckpoint deserializes and verifies a checkpoint. A truncated,

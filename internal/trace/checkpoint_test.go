@@ -2,7 +2,11 @@ package trace
 
 import (
 	"bytes"
+	"errors"
+	"os"
+	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 )
 
@@ -86,5 +90,75 @@ func TestHashWorkloadDistinguishesWorkloads(t *testing.T) {
 	b.Ops[2].Size++
 	if HashWorkload(a) == HashWorkload(b) {
 		t.Fatal("different workloads hash identically")
+	}
+}
+
+func TestLoadCheckpointMissingIsFresh(t *testing.T) {
+	cp, err := LoadCheckpoint(filepath.Join(t.TempDir(), "none.ckpt"))
+	if cp != nil || err != nil {
+		t.Fatalf("got (%v, %v), want (nil, nil)", cp, err)
+	}
+}
+
+func TestSaveLoadCheckpointRoundTrip(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "arm.ckpt")
+	want := sampleCheckpoint()
+	if err := SaveCheckpoint(path, want); err != nil {
+		t.Fatal(err)
+	}
+	got, err := LoadCheckpoint(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(want, got) {
+		t.Fatalf("round trip mismatch:\nwant %+v\ngot  %+v", want, got)
+	}
+}
+
+// TestLoadCheckpointTruncatedNamesPath: a checkpoint cut short is an
+// error, a *CorruptError that names the file, never a fresh start.
+func TestLoadCheckpointTruncatedNamesPath(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "arm.ckpt")
+	if err := SaveCheckpoint(path, sampleCheckpoint()); err != nil {
+		t.Fatal(err)
+	}
+	b, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(path, b[:len(b)/2], 0o644); err != nil {
+		t.Fatal(err)
+	}
+	cp, err := LoadCheckpoint(path)
+	var corrupt *CorruptError
+	if cp != nil || !errors.As(err, &corrupt) || !strings.Contains(err.Error(), path) {
+		t.Fatalf("got (%v, %v), want a corrupt-checkpoint error naming %s", cp, err, path)
+	}
+}
+
+// TestSaveCheckpointFailureKeepsPrevious: a save that cannot complete
+// leaves the last good checkpoint loadable.
+func TestSaveCheckpointFailureKeepsPrevious(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "arm.ckpt")
+	want := sampleCheckpoint()
+	if err := SaveCheckpoint(path, want); err != nil {
+		t.Fatal(err)
+	}
+	// A non-empty directory where the temp file goes makes the save
+	// fail before it touches path.
+	if err := os.MkdirAll(filepath.Join(path+".tmp", "child"), 0o777); err != nil {
+		t.Fatal(err)
+	}
+	next := sampleCheckpoint()
+	next.Day++
+	if err := SaveCheckpoint(path, next); err == nil {
+		t.Fatal("save over a blocked temp file succeeded")
+	}
+	got, err := LoadCheckpoint(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(want, got) {
+		t.Fatalf("previous checkpoint changed:\nwant %+v\ngot  %+v", want, got)
 	}
 }
