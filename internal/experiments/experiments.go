@@ -8,6 +8,8 @@ package experiments
 import (
 	"context"
 	"fmt"
+	"os"
+	"path/filepath"
 
 	"ffsage/internal/aging"
 	"ffsage/internal/bench"
@@ -53,20 +55,23 @@ type Config struct {
 }
 
 // Recovery configures fault injection and checkpoint/resume for the
-// aging replays. The arm slugs passed to Sink and Resume are stable:
-// "age-ffs", "age-realloc" and "age-ground-truth".
+// aging replays. Each arm's checkpoint is Dir/<slug>.ckpt, written and
+// read by trace.SaveCheckpoint and trace.LoadCheckpoint. The slugs are
+// stable: "age-ffs", "age-realloc" and "age-ground-truth" for the
+// paper suite, "tournament-<policy slug>" for the tournament.
 type Recovery struct {
 	// Faults is the injection plan; it is Clone()d into each arm so
 	// concurrent arms do not share its one-shot counters.
 	Faults *faults.Plan
-	// CheckpointEvery emits a checkpoint every k completed simulated
-	// days (0 disables). Requires Sink.
+	// CheckpointEvery checkpoints each arm every k completed simulated
+	// days (0 disables).
 	CheckpointEvery int
-	// Sink returns the checkpoint consumer for an arm.
-	Sink func(arm string) func(*trace.Checkpoint) error
-	// Resume, when non-nil, is asked for each arm's starting
-	// checkpoint; returning (nil, nil) starts the arm fresh.
-	Resume func(arm string) (*trace.Checkpoint, error)
+	// Resume starts each arm from its checkpoint in Dir. An arm without
+	// one starts fresh; one that does not decode is an error.
+	Resume bool
+	// Dir holds the checkpoints; ageArms creates it. CheckpointEvery or
+	// Resume without a Dir is an error.
+	Dir string
 }
 
 // Full returns the paper-scale configuration.
@@ -214,7 +219,7 @@ func reconstructed(wc workload.Config, nc workload.NFSTraceConfig) (*buildEntry,
 // policy over a workload, plus the names the run is known by.
 type arm struct {
 	label  string // runner job label and error prefix
-	slug   string // checkpoint arm slug handed to Recovery.Sink/Resume
+	slug   string // names the arm's checkpoint, Recovery.Dir/<slug>.ckpt
 	scope  string // obs scope the aged result is published under
 	params ffs.Params
 	policy ffs.Policy
@@ -234,6 +239,14 @@ type arm struct {
 // functions of each arm's (resume-safe) result, so the snapshot is
 // identical for every -j level and for resumed runs.
 func ageArms(cfg Config, arms []arm) ([]*aging.Result, error) {
+	if rec := cfg.Recovery; rec != nil && (rec.CheckpointEvery > 0 || rec.Resume) {
+		if rec.Dir == "" {
+			return nil, fmt.Errorf("checkpointing or resuming needs a checkpoint directory")
+		}
+		if err := os.MkdirAll(rec.Dir, 0o777); err != nil {
+			return nil, err
+		}
+	}
 	results := make([]*aging.Result, len(arms))
 	g := runner.New(context.Background())
 	for i, a := range arms {
@@ -285,12 +298,13 @@ func (a arm) age(cfg Config) (*aging.Result, error) {
 		// a tracer.
 		opts.Obs = cfg.Obs.Scope("aging." + a.slug)
 	}
-	if rec.CheckpointEvery > 0 && rec.Sink != nil {
+	path := filepath.Join(rec.Dir, a.slug+".ckpt")
+	if rec.CheckpointEvery > 0 {
 		opts.CheckpointEvery = rec.CheckpointEvery
-		opts.Checkpoint = rec.Sink(a.slug)
+		opts.Checkpoint = func(cp *trace.Checkpoint) error { return trace.SaveCheckpoint(path, cp) }
 	}
-	if rec.Resume != nil {
-		cp, err := rec.Resume(a.slug)
+	if rec.Resume {
+		cp, err := trace.LoadCheckpoint(path)
 		if err != nil {
 			return nil, fmt.Errorf("resuming %s: %w", a.slug, err)
 		}

@@ -3,6 +3,7 @@ package experiments
 import (
 	"bytes"
 	"reflect"
+	"strings"
 	"sync"
 	"testing"
 
@@ -258,5 +259,18 @@ func TestStudyArmsIgnoreRecoveryAndObs(t *testing.T) {
 	}
 	if got.String() != empty.String() {
 		t.Errorf("study arms published metrics:\n%s", got.String())
+	}
+}
+
+// TestRecoveryNeedsDir: checkpoints or a resume without a checkpoint
+// directory are rejected, so no run writes checkpoints into the
+// working directory.
+func TestRecoveryNeedsDir(t *testing.T) {
+	for _, rec := range []*Recovery{{CheckpointEvery: 1}, {Resume: true}} {
+		cfg := tinyCfg(31)
+		cfg.Recovery = rec
+		if _, err := NewSuite(cfg); err == nil || !strings.Contains(err.Error(), "checkpoint directory") {
+			t.Errorf("%+v: got %v, want a missing-directory error", *rec, err)
+		}
 	}
 }

@@ -429,7 +429,7 @@ func (m *Manager) execute(ctx context.Context, rec queue.Record, sp *Spec, resum
 	opts := aging.Options{
 		Ctx:             jctx,
 		CheckpointEvery: sp.CheckpointDays,
-		Checkpoint:      func(c *trace.Checkpoint) error { return m.saveCheckpoint(rec.ID, c) },
+		Checkpoint:      func(c *trace.Checkpoint) error { return trace.SaveCheckpoint(m.checkpointPath(rec.ID), c) },
 		Obs:             sc,
 		Progress: func(day int, score, util float64) {
 			prog.Emit(float64(day), "day",
@@ -553,26 +553,11 @@ func (m *Manager) checkpointPath(id string) string {
 	return filepath.Join(m.jobDir(id), "checkpoint.ffc")
 }
 
-// saveCheckpoint atomically replaces the job's checkpoint file. Because
-// the write is tmp+fsync+rename, a kill at any instant leaves either
-// the old or the new checkpoint — never a torn one.
-func (m *Manager) saveCheckpoint(id string, cp *trace.Checkpoint) error {
-	var buf bytes.Buffer
-	if err := trace.WriteCheckpoint(&buf, cp); err != nil {
-		return err
-	}
-	return trace.ReplaceFile(m.checkpointPath(id), buf.Bytes())
-}
-
 // loadCheckpoint returns the job's latest checkpoint, or nil when there
 // is none or it does not decode (a corrupt checkpoint degrades the job
 // to a fresh run — slower, never wrong).
 func (m *Manager) loadCheckpoint(id string) *trace.Checkpoint {
-	data, err := os.ReadFile(m.checkpointPath(id))
-	if err != nil {
-		return nil
-	}
-	cp, err := trace.ReadCheckpoint(bytes.NewReader(data))
+	cp, err := trace.LoadCheckpoint(m.checkpointPath(id))
 	if err != nil {
 		m.opts.Logf("jobs: %s: checkpoint unreadable, restarting from scratch: %v", id, err)
 		return nil

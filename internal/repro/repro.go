@@ -8,12 +8,10 @@
 package repro
 
 import (
-	"bytes"
 	"fmt"
 	"io"
 	"math"
 	"os"
-	"path/filepath"
 	"slices"
 	"sort"
 	"strings"
@@ -28,7 +26,6 @@ import (
 	"ffsage/internal/policy"
 	"ffsage/internal/runner"
 	"ffsage/internal/stats"
-	"ffsage/internal/trace"
 )
 
 // Options carries the command line; cmd/repro binds one flag to each
@@ -602,57 +599,19 @@ func fig4Table(d *experiments.Fig4Data) []string {
 }
 
 // recoveryConfig translates the -faults/-checkpoint flags into the
-// experiment suite's Recovery wiring: one checkpoint file per aging
-// arm in CkptDir, written by trace.ReplaceFile so a crash
-// mid-checkpoint leaves the previous one intact.
+// experiment suite's Recovery: one checkpoint file per aging arm in
+// CkptDir.
 func recoveryConfig(o Options) (*experiments.Recovery, error) {
 	if o.Faults == "" && o.CkptEvery == 0 && !o.Resume {
 		return nil, nil
 	}
-	rec := &experiments.Recovery{CheckpointEvery: o.CkptEvery}
+	rec := &experiments.Recovery{CheckpointEvery: o.CkptEvery, Resume: o.Resume, Dir: o.CkptDir}
 	if o.Faults != "" {
 		plan, err := faults.Parse(o.Faults)
 		if err != nil {
 			return nil, err
 		}
 		rec.Faults = plan
-	}
-	if o.CkptEvery > 0 || o.Resume {
-		if o.CkptDir == "" {
-			return nil, fmt.Errorf("-checkpoint-every/-resume need -checkpoint-dir")
-		}
-		if err := os.MkdirAll(o.CkptDir, 0o777); err != nil {
-			return nil, err
-		}
-	}
-	ckptPath := func(arm string) string { return filepath.Join(o.CkptDir, arm+".ckpt") }
-	if o.CkptEvery > 0 {
-		rec.Sink = func(arm string) func(*trace.Checkpoint) error {
-			return func(cp *trace.Checkpoint) error {
-				var buf bytes.Buffer
-				if err := trace.WriteCheckpoint(&buf, cp); err != nil {
-					return err
-				}
-				return trace.ReplaceFile(ckptPath(arm), buf.Bytes())
-			}
-		}
-	}
-	if o.Resume {
-		rec.Resume = func(arm string) (*trace.Checkpoint, error) {
-			f, err := os.Open(ckptPath(arm))
-			if os.IsNotExist(err) {
-				return nil, nil // no checkpoint yet: start fresh
-			}
-			if err != nil {
-				return nil, err
-			}
-			defer f.Close()
-			cp, err := trace.ReadCheckpoint(f)
-			if err != nil {
-				return nil, fmt.Errorf("%s: %w", ckptPath(arm), err)
-			}
-			return cp, nil
-		}
 	}
 	return rec, nil
 }
