@@ -6,32 +6,23 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"strings"
 )
 
-// Suite instantiates the full analyzer suite from the given configs:
-// the per-package syntactic checkers first, then the whole-program
-// reachability checkers.
-func Suite(dr DetrandConfig, cc CheckedCorruptionConfig, np NopanicConfig, dm DirmapConfig,
-	fa FsyncackConfig, aw AtomicwriteConfig, sp SnapshotpureConfig, cl CtxloopConfig) []*Analyzer {
-	return []*Analyzer{
-		Detrand(dr),
-		Maporder(),
-		CheckedCorruption(cc),
-		Nopanic(np),
-		Dirmap(dm),
-		Fsyncack(fa),
-		Atomicwrite(aw),
-		Snapshotpure(sp),
-		Ctxloop(cl),
-	}
-}
-
-// DefaultSuite is the suite with the repository's sanctioned
-// configuration — what CI enforces.
+// DefaultSuite is the analyzer suite with the repository's sanctioned
+// configuration — what CI enforces: the per-package syntactic checkers
+// first, then the whole-program reachability checkers.
 func DefaultSuite() []*Analyzer {
-	return Suite(DefaultDetrandConfig(), DefaultCheckedCorruptionConfig(), DefaultNopanicConfig(), DefaultDirmapConfig(),
-		DefaultFsyncackConfig(), DefaultAtomicwriteConfig(), DefaultSnapshotpureConfig(), DefaultCtxloopConfig())
+	return []*Analyzer{
+		Detrand(DefaultDetrandConfig()),
+		Maporder(),
+		CheckedCorruption(DefaultCheckedCorruptionConfig()),
+		Nopanic(DefaultNopanicConfig()),
+		Dirmap(DefaultDirmapConfig()),
+		Fsyncack(DefaultFsyncackConfig()),
+		Atomicwrite(DefaultAtomicwriteConfig()),
+		Snapshotpure(DefaultSnapshotpureConfig()),
+		Ctxloop(DefaultCtxloopConfig()),
+	}
 }
 
 // Main implements cmd/ffsvet: `ffsvet [flags] [patterns]` loads the
@@ -40,32 +31,7 @@ func DefaultSuite() []*Analyzer {
 // graph. Returns the process exit code.
 func Main(args []string) int {
 	fs := flag.NewFlagSet("ffsvet", flag.ContinueOnError)
-	dr := DefaultDetrandConfig()
-	cc := DefaultCheckedCorruptionConfig()
-	np := DefaultNopanicConfig()
-	dm := DefaultDirmapConfig()
-	fa := DefaultFsyncackConfig()
-	aw := DefaultAtomicwriteConfig()
-	sp := DefaultSnapshotpureConfig()
-	cl := DefaultCtxloopConfig()
 	jsonOut := fs.Bool("json", false, "emit findings as a JSON array on stdout")
-	csv := func(p *[]string, name, usage string) {
-		def := strings.Join(*p, ",")
-		fs.Func(name, usage+" (comma-separated; default "+def+")", func(v string) error {
-			*p = splitCSV(v)
-			return nil
-		})
-	}
-	csv(&dr.Packages, "detrand.pkgs", "packages where global rand and wall-clock reads are forbidden")
-	csv(&dr.TimeOK, "detrand.timeok", "subset of detrand.pkgs that may read the wall clock")
-	csv(&cc.Packages, "checkedcorruption.pkgs", "packages whose returned errors must be handled")
-	csv(&np.AllowFiles, "nopanic.allow", "file suffixes sanctioned to panic")
-	csv(&dm.Packages, "dirmap.pkgs", "packages where map[string]*File directory tables are forbidden")
-	csv(&fa.Packages, "fsyncack.pkgs", "packages whose durable writes must reach an fsync")
-	csv(&aw.Packages, "atomicwrite.pkgs", "packages whose state files must be written via tmp+rename")
-	csv(&sp.Roots, "snapshotpure.roots", "call-graph roots of the snapshot/checkpoint encode paths")
-	csv(&sp.Sinks, "snapshotpure.sinks", "extra process-local sinks forbidden under snapshot roots")
-	csv(&cl.Packages, "ctxloop.pkgs", "packages whose unbounded loops must poll context cancellation")
 	fs.Usage = func() {
 		fmt.Fprintf(fs.Output(), "usage: ffsvet [flags] [package patterns]\n\nAnalyzers:\n")
 		for _, a := range DefaultSuite() {
@@ -78,8 +44,6 @@ func Main(args []string) int {
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
-	analyzers := Suite(dr, cc, np, dm, fa, aw, sp, cl)
-
 	patterns := fs.Args()
 	if len(patterns) == 0 {
 		patterns = []string{"./..."}
@@ -91,7 +55,7 @@ func Main(args []string) int {
 	}
 	// One call graph spans every loaded package, so reachability
 	// crosses package boundaries.
-	diags := RunProgram(NewProgram(pkgs), analyzers)
+	diags := RunProgram(NewProgram(pkgs), DefaultSuite())
 	if *jsonOut {
 		if err := WriteJSON(os.Stdout, diags); err != nil {
 			fmt.Fprintf(os.Stderr, "ffsvet: %v\n", err)
@@ -134,14 +98,4 @@ func WriteJSON(w io.Writer, diags []Diagnostic) error {
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
 	return enc.Encode(out)
-}
-
-func splitCSV(s string) []string {
-	var out []string
-	for _, part := range strings.Split(s, ",") {
-		if part = strings.TrimSpace(part); part != "" {
-			out = append(out, part)
-		}
-	}
-	return out
 }
