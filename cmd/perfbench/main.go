@@ -11,9 +11,10 @@
 //	perfbench -update                  # refresh the committed baseline
 //	perfbench -check                   # compare a fresh run to the baseline;
 //	                                   # exit 1 on a confirmed regression
+//	                                   # or a blown allocation budget
 //
-// Exit codes: 0 clean, 1 confirmed regression (-check), 2 usage or
-// runtime error.
+// Exit codes: 0 clean, 1 confirmed regression or blown allocation
+// budget (-check), 2 usage or runtime error.
 package main
 
 import (
@@ -28,31 +29,40 @@ import (
 	"ffsage/internal/perfbench"
 )
 
-func main() {
-	os.Exit(run())
+// cli is the command line: one field per flag.
+type cli struct {
+	runPat, jsonOut, memProf, baseline string
+	reps                               int
+	seed                               int64
+	tol                                float64
+	full, check, update, list, quiet   bool
 }
 
-func run() int {
-	var (
-		runPat    = flag.String("run", "", "only run benchmarks matching this regexp")
-		reps      = flag.Int("reps", 7, "timed repetitions per benchmark")
-		warmup    = flag.Int("warmup", 1, "unmeasured warmup runs per benchmark")
-		seed      = flag.Int64("seed", 1996, "fixture and bootstrap seed")
-		full      = flag.Bool("full", false, "run the full suite, not just the quick subset")
-		conf      = flag.Float64("conf", 0.95, "bootstrap confidence level")
-		resamples = flag.Int("resamples", 200, "bootstrap resample count")
-		jsonOut   = flag.String("json", "", "write the JSON report to this path")
-		memProf   = flag.String("memprofile", "", "write an allocation (pprof allocs) profile to this path after the run")
-		baseline  = flag.String("baseline", "BENCH_10.json", "baseline report path for -check / -update")
-		check     = flag.Bool("check", false, "compare against -baseline; exit 1 on confirmed regression or blown allocation budget")
-		update    = flag.Bool("update", false, "write this run's report to -baseline")
-		tol       = flag.Float64("tol", 25, "percent median movement tolerated before a difference counts")
-		list      = flag.Bool("list", false, "list registered benchmarks and exit")
-		quiet     = flag.Bool("q", false, "suppress progress lines")
-	)
-	flag.Parse()
+// defineFlags binds every flag to its field of c.
+func defineFlags(fs *flag.FlagSet, c *cli) {
+	fs.StringVar(&c.runPat, "run", "", "only run benchmarks matching this regexp")
+	fs.IntVar(&c.reps, "reps", 7, "timed repetitions per benchmark")
+	fs.Int64Var(&c.seed, "seed", 1996, "fixture and bootstrap seed")
+	fs.BoolVar(&c.full, "full", false, "run the full suite, not just the quick subset")
+	fs.StringVar(&c.jsonOut, "json", "", "write the JSON report to this path")
+	fs.StringVar(&c.memProf, "memprofile", "", "write an allocation (pprof allocs) profile to this path after the run")
+	fs.StringVar(&c.baseline, "baseline", "BENCH_10.json", "baseline report path for -check / -update")
+	fs.BoolVar(&c.check, "check", false, "compare against -baseline; exit 1 on confirmed regression or blown allocation budget")
+	fs.BoolVar(&c.update, "update", false, "write this run's report to -baseline")
+	fs.Float64Var(&c.tol, "tol", 25, "percent median movement tolerated before a difference counts")
+	fs.BoolVar(&c.list, "list", false, "list registered benchmarks and exit")
+	fs.BoolVar(&c.quiet, "q", false, "suppress progress lines")
+}
 
-	if *list {
+func main() {
+	var c cli
+	defineFlags(flag.CommandLine, &c)
+	flag.Parse()
+	os.Exit(run(&c))
+}
+
+func run(c *cli) int {
+	if c.list {
 		for _, bm := range perfbench.All() {
 			suite := "full"
 			if bm.Quick {
@@ -63,30 +73,23 @@ func run() int {
 		return 0
 	}
 
-	opts := perfbench.Options{
-		Reps:       *reps,
-		Warmup:     *warmup,
-		Seed:       *seed,
-		Confidence: *conf,
-		Resamples:  *resamples,
-		Full:       *full,
-	}
-	if *runPat != "" {
-		re, err := regexp.Compile(*runPat)
+	opts := perfbench.Options{Reps: c.reps, Seed: c.seed, Full: c.full}
+	if c.runPat != "" {
+		re, err := regexp.Compile(c.runPat)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "perfbench: bad -run pattern: %v\n", err)
 			return 2
 		}
 		opts.Run = re
 	}
-	if !*quiet {
+	if !c.quiet {
 		opts.Progress = func(name string) { fmt.Fprintf(os.Stderr, "perfbench: running %s\n", name) }
 	}
 
-	if !*quiet {
+	if !c.quiet {
 		fmt.Fprintln(os.Stderr, "perfbench: building fixture (micro workload + two aged images)")
 	}
-	fx, err := perfbench.NewFixture(*seed)
+	fx, err := perfbench.NewFixture(c.seed)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "perfbench: %v\n", err)
 		return 2
@@ -101,47 +104,46 @@ func run() int {
 		return 2
 	}
 
-	if *jsonOut != "" {
-		if err := perfbench.WriteReportFile(*jsonOut, rep); err != nil {
-			fmt.Fprintf(os.Stderr, "perfbench: writing %s: %v\n", *jsonOut, err)
+	if c.jsonOut != "" {
+		if err := perfbench.WriteReportFile(c.jsonOut, rep); err != nil {
+			fmt.Fprintf(os.Stderr, "perfbench: writing %s: %v\n", c.jsonOut, err)
 			return 2
 		}
 	}
-	if *memProf != "" {
-		if err := writeAllocProfile(*memProf); err != nil {
-			fmt.Fprintf(os.Stderr, "perfbench: writing %s: %v\n", *memProf, err)
+	if c.memProf != "" {
+		if err := writeAllocProfile(c.memProf); err != nil {
+			fmt.Fprintf(os.Stderr, "perfbench: writing %s: %v\n", c.memProf, err)
 			return 2
 		}
 	}
-	if *update {
-		if err := perfbench.WriteReportFile(*baseline, rep); err != nil {
-			fmt.Fprintf(os.Stderr, "perfbench: updating baseline %s: %v\n", *baseline, err)
+	if c.update {
+		if err := perfbench.WriteReportFile(c.baseline, rep); err != nil {
+			fmt.Fprintf(os.Stderr, "perfbench: updating baseline %s: %v\n", c.baseline, err)
 			return 2
 		}
-		fmt.Printf("baseline %s updated (%d benchmarks)\n", *baseline, len(rep.Benchmarks))
+		fmt.Printf("baseline %s updated (%d benchmarks)\n", c.baseline, len(rep.Benchmarks))
 	}
-	if *check {
-		base, err := perfbench.ReadReportFile(*baseline)
+	if c.check {
+		base, err := perfbench.ReadReportFile(c.baseline)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "perfbench: reading baseline: %v\n", err)
 			return 2
 		}
-		deltas := perfbench.Compare(base, rep, *tol)
-		fmt.Printf("\ncheck against %s (tolerance %.0f%%, CI overlap respected):\n", *baseline, *tol)
+		deltas := perfbench.Compare(base, rep, c.tol)
+		fmt.Printf("\ncheck against %s (tolerance %.0f%%, CI overlap respected):\n", c.baseline, c.tol)
 		if err := perfbench.WriteDeltaTable(os.Stdout, deltas); err != nil {
 			fmt.Fprintf(os.Stderr, "perfbench: %v\n", err)
 			return 2
 		}
-		bad := len(perfbench.Regressions(deltas))
-		if bad > 0 {
+		if bad := len(perfbench.Regressions(deltas)); bad > 0 {
 			fmt.Printf("\nREGRESSION: %d benchmark(s) confirmed slower or missing\n", bad)
 		}
 		budget := perfbench.BudgetViolations(rep)
 		for _, v := range budget {
 			fmt.Printf("ALLOC BUDGET: %s\n", v)
 		}
-		if bad > 0 || len(budget) > 0 {
-			return 1
+		if code := perfbench.ExitCode(deltas, budget); code != 0 {
+			return code
 		}
 		fmt.Println("\nno confirmed regressions; allocation budgets hold")
 	}

@@ -130,10 +130,11 @@ func BudgetViolations(rep *Report) []string {
 	return bad
 }
 
-// ExitCode maps a comparison to the process exit status cmd/perfbench
-// uses: 0 clean, 1 regression.
-func ExitCode(deltas []Delta) int {
-	if len(Regressions(deltas)) > 0 {
+// ExitCode maps a comparison and the run's allocation-budget
+// violations (BudgetViolations) to the exit status of perfbench -check:
+// 0 clean, 1 a confirmed regression or a blown budget.
+func ExitCode(deltas []Delta, budget []string) int {
+	if len(Regressions(deltas)) > 0 || len(budget) > 0 {
 		return 1
 	}
 	return 0

@@ -48,7 +48,7 @@ func TestCompareNoChange(t *testing.T) {
 	if d.Verdict != VerdictSame {
 		t.Fatalf("identical runs: verdict %q, want %q (pct %.1f)", d.Verdict, VerdictSame, d.Pct)
 	}
-	if ExitCode([]Delta{d}) != 0 {
+	if ExitCode([]Delta{d}, nil) != 0 {
 		t.Errorf("no-change comparison must exit 0")
 	}
 }
@@ -61,7 +61,7 @@ func TestCompareRealRegression(t *testing.T) {
 	if d.Pct < 90 || d.Pct > 110 {
 		t.Errorf("delta %.1f%%, want ~100%%", d.Pct)
 	}
-	if ExitCode([]Delta{d}) != 1 {
+	if ExitCode([]Delta{d}, nil) != 1 {
 		t.Errorf("confirmed regression must exit 1")
 	}
 }
@@ -71,7 +71,7 @@ func TestCompareRealImprovement(t *testing.T) {
 	if d.Verdict != VerdictFaster {
 		t.Fatalf("2x speedup with tight CIs: verdict %q, want %q", d.Verdict, VerdictFaster)
 	}
-	if ExitCode([]Delta{d}) != 0 {
+	if ExitCode([]Delta{d}, nil) != 0 {
 		t.Errorf("improvement must exit 0")
 	}
 }
@@ -84,7 +84,7 @@ func TestCompareNoisyOverlapIsNotARegression(t *testing.T) {
 	if d.Verdict != VerdictNoise {
 		t.Fatalf("noisy overlap: verdict %q, want %q (pct %.1f)", d.Verdict, VerdictNoise, d.Pct)
 	}
-	if ExitCode([]Delta{d}) != 0 {
+	if ExitCode([]Delta{d}, nil) != 0 {
 		t.Errorf("noisy-but-overlapping comparison must exit 0")
 	}
 }
@@ -110,18 +110,36 @@ func TestCompareMissingAndNew(t *testing.T) {
 		t.Fatalf("got verdicts %v, want [new missing]", verdicts)
 	}
 	// A vanished benchmark fails the check; a new one alone does not.
-	if ExitCode(deltas) != 1 {
+	if ExitCode(deltas, nil) != 1 {
 		t.Errorf("missing benchmark must fail the check")
 	}
-	if ExitCode(deltas[:1]) != 0 {
+	if ExitCode(deltas[:1], nil) != 0 {
 		t.Errorf("a new benchmark alone must pass")
 	}
 	// Across different suites (quick vs full), absent benchmarks are
 	// expected, not regressions.
 	full := synthReport(t, "new", tight(1000))
 	full.Suite = "full"
-	if code := ExitCode(Compare(base, full, 10)); code != 0 {
+	if code := ExitCode(Compare(base, full, 10), nil); code != 0 {
 		t.Errorf("cross-suite comparison flagged missing benchmarks: exit %d", code)
+	}
+}
+
+// TestExitCodeBudget: a blown allocation budget fails the check even
+// when no median moved.
+func TestExitCodeBudget(t *testing.T) {
+	rep := synthReport(t, "replay.steady", tight(1000))
+	same := Compare(rep, rep, 10)
+	if code := ExitCode(same, BudgetViolations(rep)); code != 0 {
+		t.Fatalf("0 allocs/op within budget: exit %d, want 0", code)
+	}
+	rep.Benchmarks[0].AllocsPerOp = 1
+	budget := BudgetViolations(rep)
+	if len(budget) != 1 || !strings.Contains(budget[0], "replay.steady") {
+		t.Fatalf("budget violations %q, want one naming replay.steady", budget)
+	}
+	if code := ExitCode(same, budget); code != 1 {
+		t.Fatalf("blown budget: exit %d, want 1", code)
 	}
 }
 

@@ -14,18 +14,11 @@ import (
 // Options tune a suite run. The zero value is not useful; start from
 // DefaultOptions.
 type Options struct {
-	// Reps is the number of timed repetitions per benchmark; Warmup
-	// runs precede them unmeasured (cache warming, JIT-free Go still
-	// wants page faults and branch predictors settled).
-	Reps   int
-	Warmup int
+	// Reps is the number of timed repetitions per benchmark.
+	Reps int
 	// Seed feeds the fixture and every summary's bootstrap generator,
 	// so a report built from the same samples is byte-identical.
 	Seed int64
-	// Confidence is the bootstrap interval's coverage (default 0.95);
-	// Resamples the bootstrap's resample count (default 200).
-	Confidence float64
-	Resamples  int
 	// Full includes the benchmarks outside the quick suite.
 	Full bool
 	// Run, when non-nil, keeps only benchmarks whose name matches.
@@ -34,29 +27,28 @@ type Options struct {
 	Progress func(name string)
 }
 
+// Every run summarizes alike: a report records its confidence and
+// resample count, and a baseline compares only with runs that used the
+// same ones.
+const (
+	// confidence is the bootstrap interval's coverage; resamples the
+	// bootstrap's resample count.
+	confidence = 0.95
+	resamples  = 200
+	// warmup unmeasured calls precede each benchmark's timed reps
+	// (JIT-free Go still wants page faults and branch predictors
+	// settled).
+	warmup = 1
+)
+
 // DefaultOptions returns the settings CI's bench-smoke job uses.
 func DefaultOptions(seed int64) Options {
-	return Options{
-		Reps:       7,
-		Warmup:     1,
-		Seed:       seed,
-		Confidence: 0.95,
-		Resamples:  200,
-	}
+	return Options{Reps: 7, Seed: seed}
 }
 
 func (o Options) withDefaults() Options {
 	if o.Reps <= 0 {
 		o.Reps = 7
-	}
-	if o.Warmup < 0 {
-		o.Warmup = 0
-	}
-	if o.Confidence <= 0 || o.Confidence >= 1 {
-		o.Confidence = 0.95
-	}
-	if o.Resamples <= 0 {
-		o.Resamples = 200
 	}
 	return o
 }
@@ -113,8 +105,8 @@ func RunSuite(fx *Fixture, opts Options) (*Report, error) {
 		Suite:      suite,
 		Seed:       opts.Seed,
 		Reps:       opts.Reps,
-		Confidence: opts.Confidence,
-		Resamples:  opts.Resamples,
+		Confidence: confidence,
+		Resamples:  resamples,
 		Benchmarks: results,
 	}, nil
 }
@@ -138,7 +130,7 @@ const minRepNs = 1e6
 // benchmark left behind, and medians swing several-fold between
 // otherwise identical runs.
 func measure(inst *Instance, opts Options) (samples []float64, allocsPerOp, bytesPerOp float64, err error) {
-	for i := 0; i < opts.Warmup; i++ {
+	for range warmup {
 		if err := inst.Op(); err != nil {
 			return nil, 0, 0, err
 		}
@@ -229,10 +221,9 @@ func measureAllocs(inst *Instance, runs int) (allocsPerOp, bytesPerOp float64, e
 // summary does not depend on suite order or filtering, and fixed
 // samples always produce identical output.
 func Summarize(name string, inst *Instance, samplesNs []float64, opts Options) Result {
-	opts = opts.withDefaults()
 	rng := rand.New(rand.NewSource(opts.Seed ^ nameSeed(name)))
 	med := stats.Median(samplesNs)
-	lo, hi := stats.BootstrapCI(samplesNs, opts.Confidence, opts.Resamples, rng)
+	lo, hi := stats.BootstrapCI(samplesNs, confidence, resamples, rng)
 	units := inst.Units
 	if units <= 0 {
 		units = 1

@@ -105,7 +105,7 @@ func TestQuickSuiteRuns(t *testing.T) {
 		t.Skip("ages the micro fixture")
 	}
 	fx := testFixture(t)
-	rep, err := RunSuite(fx, Options{Reps: 2, Warmup: 0, Seed: 1996})
+	rep, err := RunSuite(fx, Options{Reps: 2, Seed: 1996})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -149,7 +149,7 @@ func TestFullSuiteSetupsWork(t *testing.T) {
 		t.Skip("ages the micro fixture")
 	}
 	fx := testFixture(t)
-	rep, err := RunSuite(fx, Options{Reps: 1, Warmup: 0, Seed: 1996, Full: true,
+	rep, err := RunSuite(fx, Options{Reps: 1, Seed: 1996, Full: true,
 		Run: regexp.MustCompile(`^(workload\.build|bench\.)`)})
 	if err != nil {
 		t.Fatal(err)
@@ -177,7 +177,7 @@ func TestCheckCatchesInjectedSlowdown(t *testing.T) {
 	// seven still failed ~3% of runs beside a loaded go test. A rep's
 	// sample is now the median of a millisecond's batch of calls, which
 	// one preemption does not move; twenty-one reps stay as margin.
-	opts := Options{Reps: 21, Warmup: 0, Seed: 1996, Run: regexp.MustCompile(`^layout\.`)}
+	opts := Options{Reps: 21, Seed: 1996, Run: regexp.MustCompile(`^layout\.`)}
 	base, err := RunSuite(fx, opts)
 	if err != nil {
 		t.Fatal(err)
@@ -196,11 +196,11 @@ func TestCheckCatchesInjectedSlowdown(t *testing.T) {
 		}
 	}
 	deltas := Compare(base, &cand, 25)
-	if code := ExitCode(deltas); code != 1 {
+	if code := ExitCode(deltas, nil); code != 1 {
 		t.Fatalf("injected 10x slowdown: exit code %d, want 1 (deltas %+v)", code, deltas)
 	}
 	// And the unmodified run against itself stays clean.
-	if code := ExitCode(Compare(base, base, 25)); code != 0 {
+	if code := ExitCode(Compare(base, base, 25), nil); code != 0 {
 		t.Fatalf("self-comparison: exit code %d, want 0", code)
 	}
 }
