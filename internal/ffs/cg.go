@@ -110,23 +110,14 @@ func newRunIndex(n, nblk int) []*bitset.Set {
 
 func blkRoundUp(x, fpb int) int { return (x + fpb - 1) / fpb * fpb }
 
-// NFrags returns the number of fragments in the group.
-func (c *CylGroup) NFrags() int { return c.nfrags }
-
 // NBFree returns the number of fully free blocks.
 func (c *CylGroup) NBFree() int { return c.nbfree }
-
-// NFFree returns the number of free fragments outside free blocks.
-func (c *CylGroup) NFFree() int { return c.nffree }
 
 // FreeFrags returns the total free fragment count.
 func (c *CylGroup) FreeFrags() int { return c.nffree + c.nbfree*c.fs.fpb }
 
 // NIFree returns the number of free inodes.
 func (c *CylGroup) NIFree() int { return c.nifree }
-
-// NDir returns the number of directories allocated in the group.
-func (c *CylGroup) NDir() int { return c.ndir }
 
 // DataStart returns the group-relative fragment index of the first
 // fragment past the metadata area.

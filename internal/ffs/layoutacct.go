@@ -63,9 +63,3 @@ func (fs *FileSystem) LayoutScore() float64 {
 	}
 	return float64(fs.layoutOpt) / float64(fs.layoutTotal)
 }
-
-// LayoutCounts exposes the raw incremental totals (optimal, scoreable)
-// for tests and the consistency checker.
-func (fs *FileSystem) LayoutCounts() (opt, total int64) {
-	return fs.layoutOpt, fs.layoutTotal
-}

@@ -209,20 +209,3 @@ func publishOps(stats []Stat) {
 		h.Observe(s, s)
 	}
 }
-
-// Run is the common fan-out: invoke fn(i) for i in [0, n) on the pool
-// and return the first error (by submission order). label names job i
-// for telemetry; nil labels jobs "job".
-func Run(ctx context.Context, n int, label func(i int) string, fn func(ctx context.Context, i int) error) error {
-	g := New(ctx)
-	for i := 0; i < n; i++ {
-		name := "job"
-		if label != nil {
-			name = label(i)
-		}
-		i := i
-		g.Go(name, func(ctx context.Context) error { return fn(ctx, i) })
-	}
-	_, err := g.Wait()
-	return err
-}

@@ -227,22 +227,6 @@ func TestTimeLogsStageNotJob(t *testing.T) {
 	}
 }
 
-func TestRunHelper(t *testing.T) {
-	out := make([]int, 16)
-	err := Run(context.Background(), len(out), nil, func(_ context.Context, i int) error {
-		out[i] = i + 1
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, v := range out {
-		if v != i+1 {
-			t.Fatalf("out[%d] = %d", i, v)
-		}
-	}
-}
-
 // spin burns CPU for roughly d without sleeping, so the speedup
 // benchmark measures genuine parallel execution.
 func spin(d time.Duration) {
