@@ -103,7 +103,15 @@ func TestRepoIsClean(t *testing.T) {
 	}
 	// One Program spanning every package, as cmd/ffsvet runs it, so the
 	// whole-program analyzers see cross-package reachability.
-	for _, d := range RunProgram(NewProgram(pkgs), DefaultSuite()) {
+	prog := NewProgram(pkgs)
+	for _, d := range RunProgram(prog, DefaultSuite()) {
 		t.Errorf("%s", d)
+	}
+	// A root that names no function checks nothing, silently: a rename
+	// or deletion must carry its root along.
+	for _, root := range DefaultSnapshotpureConfig().Roots {
+		if prog.Graph.Nodes[root] == nil {
+			t.Errorf("snapshotpure root %s names no function in the module", root)
+		}
 	}
 }

@@ -20,9 +20,9 @@ type SnapshotpureConfig struct {
 
 // DefaultSnapshotpureConfig roots the check at every function whose
 // output must be byte-identical between an uninterrupted run and a
-// crash+resume: the checkpoint codec, the aged-image codec, the
-// resume-safe metrics/events publisher, and the job manager's
-// checkpoint and artifact writers. (*FileSystem).PoolStats joins the
+// crash+resume: the checkpoint codec and file store, the aged-image
+// codec, the resume-safe metrics/events publisher, and the job
+// manager's checkpoint loader and artifact writer. (*FileSystem).PoolStats joins the
 // sink set because arena counters describe this process's execution —
 // a resumed run starts with an empty pool — which is exactly the kind
 // of state the contract excludes; only tests read them. obs.Ops is a sink
@@ -35,8 +35,9 @@ func DefaultSnapshotpureConfig() SnapshotpureConfig {
 		Roots: []string{
 			"ffsage/internal/trace.WriteCheckpoint",
 			"ffsage/internal/trace.ReadCheckpoint",
+			"ffsage/internal/trace.SaveCheckpoint",
+			"ffsage/internal/trace.LoadCheckpoint",
 			"ffsage/internal/aging.PublishResult",
-			"(*ffsage/internal/jobs.Manager).saveCheckpoint",
 			"(*ffsage/internal/jobs.Manager).loadCheckpoint",
 			"(*ffsage/internal/jobs.Manager).writeArtifacts",
 			"(*ffsage/internal/ffs.FileSystem).SaveImage",

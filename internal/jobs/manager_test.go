@@ -324,8 +324,8 @@ func TestGarbageCheckpointRunsFresh(t *testing.T) {
 	}
 	mu.Lock()
 	defer mu.Unlock()
-	if !slices.ContainsFunc(logged, func(l string) bool { return strings.Contains(l, "checkpoint unreadable") }) {
-		t.Errorf("the unreadable checkpoint was not logged; logged %q", logged)
+	if !slices.ContainsFunc(logged, func(l string) bool { return strings.Contains(l, cpPath) }) {
+		t.Errorf("no log line names the unreadable checkpoint %s; logged %q", cpPath, logged)
 	}
 }
 
