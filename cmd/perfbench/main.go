@@ -84,9 +84,6 @@ func run(c *cli) int {
 	}
 	if !c.quiet {
 		opts.Progress = func(name string) { fmt.Fprintf(os.Stderr, "perfbench: running %s\n", name) }
-	}
-
-	if !c.quiet {
 		fmt.Fprintln(os.Stderr, "perfbench: building fixture (micro workload + two aged images)")
 	}
 	fx, err := perfbench.NewFixture(c.seed)

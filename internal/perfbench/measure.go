@@ -27,9 +27,9 @@ type Options struct {
 	Progress func(name string)
 }
 
-// Every run summarizes alike: a report records its confidence and
-// resample count, and a baseline compares only with runs that used the
-// same ones.
+// The bootstrap settings and the warmup are fixed, so a fresh run's
+// interval always compares like with like against the baseline's; the
+// report still records the confidence and resample count.
 const (
 	// confidence is the bootstrap interval's coverage; resamples the
 	// bootstrap's resample count.
