@@ -266,11 +266,14 @@ func BenchmarkAblationMaxContig(b *testing.B) {
 func BenchmarkParallelSweepSpeedup(b *testing.B) {
 	s := sharedSuite(b)
 	day := s.Days()
-	run := func(workers int) time.Duration {
+	workers := runner.Workers()
+	defer runner.SetWorkers(0)
+	run := func(n int) time.Duration {
+		runner.SetWorkers(n)
 		start := time.Now()
 		for i := 0; i < b.N; i++ {
-			if _, err := bench.SequentialSweepN(s.AgedRealloc.Fs, s.Cfg.DiskParams,
-				s.Cfg.BenchSizes, s.Cfg.BenchTotal, day, workers); err != nil {
+			if _, err := bench.SequentialSweep(s.AgedRealloc.Fs, s.Cfg.DiskParams,
+				s.Cfg.BenchSizes, s.Cfg.BenchTotal, day); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -278,7 +281,7 @@ func BenchmarkParallelSweepSpeedup(b *testing.B) {
 	}
 	b.ResetTimer()
 	serial := run(1)
-	parallel := run(runner.Workers())
+	parallel := run(workers)
 	b.ReportMetric(serial.Seconds()/parallel.Seconds(), "x-speedup")
-	b.ReportMetric(float64(runner.Workers()), "workers")
+	b.ReportMetric(float64(workers), "workers")
 }

@@ -101,17 +101,11 @@ func SequentialIO(image *ffs.FileSystem, p disk.Params, fileSize, totalBytes int
 // points that expose the 96→104 KB indirect-block cliff and the 64 KB
 // transfer-limit effect. Size points are independent (each runs on its
 // own clone and its own disk), so they execute concurrently on the
-// runner's configured worker count.
+// runner's configured worker count; results are indexed by size
+// regardless of completion order.
 func SequentialSweep(image *ffs.FileSystem, p disk.Params, sizes []int64, totalBytes int64, day int) ([]SeqResult, error) {
-	return SequentialSweepN(image, p, sizes, totalBytes, day, runner.Workers())
-}
-
-// SequentialSweepN is SequentialSweep with an explicit worker bound
-// (the speedup benchmarks compare workers=1 against the default).
-// Results are indexed by size regardless of completion order.
-func SequentialSweepN(image *ffs.FileSystem, p disk.Params, sizes []int64, totalBytes int64, day, workers int) ([]SeqResult, error) {
 	out := make([]SeqResult, len(sizes))
-	g := runner.NewWithWorkers(context.Background(), workers)
+	g := runner.New(context.Background())
 	for i, size := range sizes {
 		g.Go(fmt.Sprintf("seq %dK", size>>10), func(context.Context) error {
 			r, err := SequentialIO(image, p, size, totalBytes, day)

@@ -69,7 +69,7 @@ type Recovery struct {
 	// Resume starts each arm from its checkpoint in Dir. An arm without
 	// one starts fresh; one that does not decode is an error.
 	Resume bool
-	// Dir holds the checkpoints; ageArms creates it. CheckpointEvery or
+	// Dir holds the checkpoints; prepare creates it. CheckpointEvery or
 	// Resume without a Dir is an error.
 	Dir string
 }
@@ -178,6 +178,9 @@ type Suite struct {
 // so a second Suite (or an ablation arm with identical inputs) reuses
 // them and only pays for an ffs.Clone.
 func NewSuite(cfg Config) (*Suite, error) {
+	if err := cfg.Recovery.prepare(); err != nil {
+		return nil, err
+	}
 	e, recon := reconstructed(cfg.WorkloadCfg, cfg.NFSCfg)
 	truth := wlRef{e.truth, workloadKey(cfg.WorkloadCfg, cfg.NFSCfg) + "|ground-truth"}
 	suiteArm := func(name string, pol ffs.Policy, wl wlRef) arm {
@@ -197,6 +200,19 @@ func NewSuite(cfg Config) (*Suite, error) {
 		return nil, err
 	}
 	return &Suite{Cfg: cfg, Build: b, AgedFFS: res[0], AgedRealloc: res[1], RealFFS: res[2]}, nil
+}
+
+// prepare checks a Recovery and creates its checkpoint directory. The
+// drivers call it before they start a workload build, so a config
+// they reject leaves no build running for nobody.
+func (rec *Recovery) prepare() error {
+	if rec == nil || (rec.CheckpointEvery == 0 && !rec.Resume) {
+		return nil
+	}
+	if rec.Dir == "" {
+		return fmt.Errorf("checkpointing or resuming needs a checkpoint directory")
+	}
+	return os.MkdirAll(rec.Dir, 0o777)
 }
 
 // wlRef pairs a workload stream with its cache key.
@@ -237,16 +253,9 @@ type arm struct {
 // fault plan. With cfg.Obs set, each arm's summary is published after
 // the barrier, sequentially in arm order: the metrics are pure
 // functions of each arm's (resume-safe) result, so the snapshot is
-// identical for every -j level and for resumed runs.
+// identical for every -j level and for resumed runs. cfg.Recovery has
+// passed prepare.
 func ageArms(cfg Config, arms []arm) ([]*aging.Result, error) {
-	if rec := cfg.Recovery; rec != nil && (rec.CheckpointEvery > 0 || rec.Resume) {
-		if rec.Dir == "" {
-			return nil, fmt.Errorf("checkpointing or resuming needs a checkpoint directory")
-		}
-		if err := os.MkdirAll(rec.Dir, 0o777); err != nil {
-			return nil, err
-		}
-	}
 	results := make([]*aging.Result, len(arms))
 	g := runner.New(context.Background())
 	for i, a := range arms {

@@ -7,6 +7,7 @@ import (
 	"sync"
 	"testing"
 
+	"ffsage/internal/core"
 	"ffsage/internal/faults"
 	"ffsage/internal/obs"
 	"ffsage/internal/workload"
@@ -263,14 +264,34 @@ func TestStudyArmsIgnoreRecoveryAndObs(t *testing.T) {
 }
 
 // TestRecoveryNeedsDir: checkpoints or a resume without a checkpoint
-// directory are rejected, so no run writes checkpoints into the
-// working directory.
+// directory are rejected, by the Suite and the tournament alike, so no
+// run writes checkpoints into the working directory — and rejected
+// before a workload build starts, so no build runs for nobody.
 func TestRecoveryNeedsDir(t *testing.T) {
-	for _, rec := range []*Recovery{{CheckpointEvery: 1}, {Resume: true}} {
-		cfg := tinyCfg(31)
-		cfg.Recovery = rec
-		if _, err := NewSuite(cfg); err == nil || !strings.Contains(err.Error(), "checkpoint directory") {
-			t.Errorf("%+v: got %v, want a missing-directory error", *rec, err)
+	drivers := []struct {
+		name string
+		run  func(Config) error
+	}{
+		{"NewSuite", func(cfg Config) error {
+			_, err := NewSuite(cfg)
+			return err
+		}},
+		{"Tournament", func(cfg Config) error {
+			_, err := Tournament(cfg, core.Original{})
+			return err
+		}},
+	}
+	for _, d := range drivers {
+		for _, rec := range []*Recovery{{CheckpointEvery: 1}, {Resume: true}} {
+			ResetCaches()
+			cfg := tinyCfg(31)
+			cfg.Recovery = rec
+			if err := d.run(cfg); err == nil || !strings.Contains(err.Error(), "checkpoint directory") {
+				t.Errorf("%s %+v: got %v, want a missing-directory error", d.name, *rec, err)
+			}
+			if _, miss, _, _ := CacheCounts(); miss != 0 {
+				t.Errorf("%s %+v: the rejected config started %d workload build(s)", d.name, *rec, miss)
+			}
 		}
 	}
 }

@@ -67,6 +67,9 @@ func Tournament(cfg Config, policies ...ffs.Policy) ([]TournamentEntry, error) {
 		}
 		seen[p.Name()] = true
 	}
+	if err := cfg.Recovery.prepare(); err != nil {
+		return nil, err
+	}
 	e, ref := reconstructed(cfg.WorkloadCfg, cfg.NFSCfg)
 	days := cfg.WorkloadCfg.Days
 	entries := make([]TournamentEntry, len(policies))

@@ -19,7 +19,7 @@ import (
 // maxSpecBody bounds a POST /jobs body; specs are a handful of scalars.
 const maxSpecBody = 64 << 10
 
-// followPollInterval paces follow-mode event streaming.
+// followPollInterval paces follow-mode event flushes.
 const followPollInterval = 50 * time.Millisecond
 
 // Handler returns the daemon's HTTP API:
@@ -30,7 +30,8 @@ const followPollInterval = 50 * time.Millisecond
 //	GET  /jobs              list all jobs and the queue depth
 //	GET  /jobs/{id}         one job's state, attempt count, and cause
 //	GET  /jobs/{id}/events  JSONL event stream; ?follow=1 streams per-day
-//	                        progress live until the job resolves
+//	                        progress live until the job resolves (a job
+//	                        already resolved serves its events.jsonl)
 //	GET  /jobs/{id}/result  the result.json of a Done job; 404 with the
 //	                        current state otherwise, 410 for dead jobs
 //	GET  /jobs/{id}/spans   the span-stream JSONL of a Done job; same
@@ -376,18 +377,16 @@ var liveStreams = [...]string{"job.progress", "job.run"}
 
 func (m *Manager) handleEvents(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
-	rec, ok := m.q.Get(id)
-	if !ok {
+	if _, ok := m.q.Get(id); !ok {
 		writeError(w, http.StatusNotFound, "no such job")
 		return
 	}
-	follow := r.URL.Query().Get("follow") == "1"
 	w.Header().Set("Content-Type", "application/x-ndjson")
 
-	// Following an unresolved job streams it live; a resolved one
-	// falls through to its persisted artifact.
-	if follow && (rec.State == queue.Pending || rec.State == queue.Running) {
-		m.followEvents(w, r, id)
+	// A follow streams the job live until it resolves. A job that
+	// resolved before the follower could bind a live registry gets the
+	// same answer as a plain request: its persisted artifact.
+	if r.URL.Query().Get("follow") == "1" && m.followEvents(w, r, id) {
 		return
 	}
 	if reg := m.liveRegistry(id); reg != nil {
@@ -406,16 +405,23 @@ func (m *Manager) handleEvents(w http.ResponseWriter, r *http.Request) {
 	w.Write(data)
 }
 
-// followEvents streams a job's events incrementally: every new event
-// on the live streams is written (and flushed) as it appears, until
-// the job resolves, the client goes away, or the daemon shuts down.
-// The job may not have started yet — a worker registers its live
-// registry only once the replay is set up — so the loop waits through
-// pending/starting phases and rebinds if a retry brings a fresh
-// registry (whose sequence numbers restart).
-func (m *Manager) followEvents(w http.ResponseWriter, r *http.Request, id string) {
+// followEvents streams a job's live events incrementally: every new
+// record on the live streams is written (and flushed) as it appears,
+// until the job resolves, the client goes away, or the daemon shuts
+// down. It subscribes before it reads the job's state, so it holds the
+// registry of every live phase that had not ended by then, however
+// short; the ticker only paces the flushes. A retry's fresh registry
+// (whose sequence numbers restart) replaces the old one once the old
+// one's records are written. followEvents reports false, having
+// written nothing, when the job resolved before any live phase it
+// could bind.
+func (m *Manager) followEvents(w http.ResponseWriter, r *http.Request, id string) bool {
+	reg, next, leave := m.follow(id)
+	defer leave()
+	if m.opts.onFollow != nil {
+		m.opts.onFollow(id)
+	}
 	flusher, _ := w.(http.Flusher)
-	var reg *obs.Registry
 	lastSeq := map[string]int64{}
 	emitNew := func() {
 		if reg == nil {
@@ -429,24 +435,33 @@ func (m *Manager) followEvents(w http.ResponseWriter, r *http.Request, id string
 			flusher.Flush()
 		}
 	}
+	bindNext := func() {
+		select {
+		case nr := <-next:
+			emitNew()
+			reg = nr
+			clear(lastSeq)
+		default:
+		}
+	}
 	t := time.NewTicker(followPollInterval)
 	defer t.Stop()
 	for {
-		if cur := m.liveRegistry(id); cur != nil && cur != reg {
-			reg = cur
-			clear(lastSeq)
-		}
+		bindNext()
 		emitNew()
 		rec, ok := m.q.Get(id)
 		if !ok || (rec.State != queue.Running && rec.State != queue.Pending) {
-			emitNew() // trailing events emitted after the state change
-			return
+			// setLive runs before the job resolves, so a registry it
+			// installed since the last bind is waiting on next.
+			bindNext()
+			emitNew()
+			return reg != nil
 		}
 		select {
 		case <-r.Context().Done():
-			return
+			return true
 		case <-m.ctx.Done():
-			return
+			return true
 		case <-t.C:
 		}
 	}

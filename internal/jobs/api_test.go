@@ -501,3 +501,40 @@ func TestAPIEventsFollowStreamsLive(t *testing.T) {
 		t.Fatalf("job finished %v after the stream closed", rec.State)
 	}
 }
+
+// TestAPIEventsFollowKeepsRegistryPastDropLive holds a follower between
+// its subscription and its first poll until the job has resolved and
+// dropped its live registry — the schedule in which a poll-only
+// follower binds nothing — and requires the job's progress records to
+// arrive anyway.
+func TestAPIEventsFollowKeepsRegistryPastDropLive(t *testing.T) {
+	opts := fastOpts(t.TempDir())
+	var m *Manager
+	opts.onFollow = func(id string) {
+		// Runs on the handler's goroutine, so it must not fail the
+		// test itself; the record count below does.
+		for deadline := time.Now().Add(time.Minute); time.Now().Before(deadline); time.Sleep(time.Millisecond) {
+			if rec, _ := m.Queue().Get(id); rec.State == queue.Done && m.liveRegistry(id) == nil {
+				return
+			}
+		}
+	}
+	m, srv := newTestServer(t, opts)
+
+	resp := postJSON(t, srv.URL+"/jobs", `{"id":"short","days":20,"seed":7}`)
+	readBody(t, resp)
+	if resp.StatusCode != http.StatusCreated {
+		t.Fatalf("submit: %d", resp.StatusCode)
+	}
+	resp, err := http.Get(srv.URL + "/jobs/short/events?follow=1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	body := readBody(t, resp)
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("follow: %d %s", resp.StatusCode, body)
+	}
+	if n := strings.Count(body, `"stream":"job.progress"`); n != 20 {
+		t.Fatalf("follow stream carried %d of 20 progress records:\n%.400s", n, body)
+	}
+}

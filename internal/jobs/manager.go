@@ -10,6 +10,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -18,7 +19,6 @@ import (
 	"ffsage/internal/faults"
 	"ffsage/internal/obs"
 	"ffsage/internal/queue"
-	"ffsage/internal/runner"
 	"ffsage/internal/trace"
 )
 
@@ -78,12 +78,18 @@ type Options struct {
 	// registry is deliberately unreachable from checkpoint and artifact
 	// paths — ffsvet's snapshotpure analyzer enforces the split.
 	Ops *obs.Registry
+
+	// Test hooks. onLive runs at the end of setLive with the number of
+	// jobs whose registry is live; onFollow runs in followEvents once
+	// the follower has subscribed, before its first poll.
+	onLive   func(live int)
+	onFollow func(id string)
 }
 
 // Manager owns the daemon's job lifecycle: it recovers and resumes
-// in-flight jobs at startup, dispatches pending jobs to a bounded
-// runner pool, and applies the retry/dead-letter policy. Construct
-// with Open, stop with Close.
+// in-flight jobs at startup, runs pending jobs on at most
+// Options.Workers goroutines, and applies the retry/dead-letter
+// policy. Construct with Open, stop with Close.
 type Manager struct {
 	opts Options
 	q    queue.Queue
@@ -92,15 +98,20 @@ type Manager struct {
 
 	ctx    context.Context
 	cancel context.CancelFunc
-	pool   *runner.Group
-	slots  chan struct{}
-	wake   chan struct{}
+	// slots bounds the running jobs: a job holds one from the moment
+	// it is claimed until its run returns. workers counts those runs.
+	slots   chan struct{}
+	workers sync.WaitGroup
+	wake    chan struct{}
 
 	resumeDone   chan struct{}
 	dispatchDone chan struct{}
 
-	liveMu sync.Mutex
-	live   map[string]*obs.Registry
+	// liveMu guards the running jobs' live registries and the follow
+	// streams waiting on each job's next one.
+	liveMu    sync.Mutex
+	live      map[string]*obs.Registry
+	followers map[string][]chan *obs.Registry
 
 	// submitMu serializes Submit's ID assignment with its enqueue, so
 	// concurrent ID-less submissions never pick the same fresh ID.
@@ -154,12 +165,12 @@ func Open(opts Options) (*Manager, error) {
 		ops:          opts.Ops,
 		ctx:          ctx,
 		cancel:       cancel,
-		pool:         runner.NewWithWorkers(ctx, opts.Workers),
 		slots:        make(chan struct{}, opts.Workers),
 		wake:         make(chan struct{}, 1),
 		resumeDone:   make(chan struct{}),
 		dispatchDone: make(chan struct{}),
 		live:         map[string]*obs.Registry{},
+		followers:    map[string][]chan *obs.Registry{},
 	}
 
 	// Recovery: the Running records are exactly the jobs the previous
@@ -240,9 +251,7 @@ func (m *Manager) Close() error {
 		<-m.resumeDone
 		// Workers observe the cancelled context at the next operation
 		// boundary, checkpoint, and return without resolving their job.
-		if _, err := m.pool.Wait(); err != nil && !errors.Is(err, context.Canceled) {
-			m.opts.Logf("jobs: draining pool: %v", err)
-		}
+		m.workers.Wait()
 		m.closeErr = m.q.Close()
 	})
 	return m.closeErr
@@ -266,15 +275,19 @@ func (m *Manager) acquireSlot() bool {
 	}
 }
 
-// spawn hands one claimed record to the pool. The worker owns the slot
-// and always returns nil: job failures are queue-state transitions, not
-// pool errors, so one bad job never cancels its siblings.
+// spawn runs one claimed record on a goroutine that owns the caller's
+// slot. Job failures are queue-state transitions, so one bad job never
+// stops its siblings. A job spawned as Close cancels does not start its
+// replay: its record stays Running, and the next Open resumes it.
 func (m *Manager) spawn(rec queue.Record, resumed bool) {
-	m.pool.Go("job:"+rec.ID, func(ctx context.Context) error {
+	m.workers.Add(1)
+	go func() {
+		defer m.workers.Done()
 		defer func() { <-m.slots }()
-		m.run(ctx, rec, resumed)
-		return nil
-	})
+		if m.ctx.Err() == nil {
+			m.run(m.ctx, rec, resumed)
+		}
+	}()
 }
 
 // dispatch is the Manager's main loop: claim pending jobs whenever a
@@ -565,14 +578,29 @@ func (m *Manager) loadCheckpoint(id string) *trace.Checkpoint {
 	return cp
 }
 
-// setLive registers a running job's live registry for the event API.
+// setLive registers a running job's live registry for the event API
+// and hands it to every follow stream subscribed to the job.
 func (m *Manager) setLive(id string, reg *obs.Registry) {
 	m.liveMu.Lock()
 	m.live[id] = reg
+	for _, c := range m.followers[id] {
+		// Only setLive sends, under liveMu, so after dropping a
+		// registry the follower never bound the send cannot block.
+		select {
+		case <-c:
+		default:
+		}
+		c <- reg
+	}
+	n := len(m.live)
 	m.liveMu.Unlock()
+	if m.opts.onLive != nil {
+		m.opts.onLive(n)
+	}
 }
 
-// dropLive forgets a job's live registry once its delivery ends.
+// dropLive forgets a job's live registry once its delivery ends. A
+// follower that already holds the registry keeps it.
 func (m *Manager) dropLive(id string) {
 	m.liveMu.Lock()
 	delete(m.live, id)
@@ -584,4 +612,27 @@ func (m *Manager) liveRegistry(id string) *obs.Registry {
 	m.liveMu.Lock()
 	defer m.liveMu.Unlock()
 	return m.live[id]
+}
+
+// follow subscribes a follow stream to job id. It returns the job's
+// live registry (nil when none is live) and a channel on which setLive
+// delivers every registry the job installs later, under the same lock,
+// so a follower cannot miss a live phase however short it is. leave
+// ends the subscription.
+func (m *Manager) follow(id string) (reg *obs.Registry, next <-chan *obs.Registry, leave func()) {
+	c := make(chan *obs.Registry, 1)
+	m.liveMu.Lock()
+	defer m.liveMu.Unlock()
+	m.followers[id] = append(m.followers[id], c)
+	leave = func() {
+		m.liveMu.Lock()
+		defer m.liveMu.Unlock()
+		cs := slices.DeleteFunc(m.followers[id], func(x chan *obs.Registry) bool { return x == c })
+		if len(cs) == 0 {
+			delete(m.followers, id)
+		} else {
+			m.followers[id] = cs
+		}
+	}
+	return m.live[id], c, leave
 }

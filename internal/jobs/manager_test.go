@@ -9,6 +9,7 @@ import (
 	"slices"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -194,6 +195,84 @@ func TestSubmitShedsLoadAtBound(t *testing.T) {
 	}
 	if _, err := m.Submit(testSpec("shed", 4)); !errors.Is(err, ErrBusy) {
 		t.Fatalf("submit over the bound: %v", err)
+	}
+}
+
+// TestWorkersBoundsLiveJobs checks that the worker slots are the
+// Manager's one bound on running jobs: with Workers 1, no two jobs are
+// ever live at once, and every job still runs.
+func TestWorkersBoundsLiveJobs(t *testing.T) {
+	opts := fastOpts(t.TempDir())
+	opts.Queue = queue.NewMemory()
+	var mu sync.Mutex
+	peak, calls := 0, 0
+	opts.onLive = func(live int) {
+		mu.Lock()
+		defer mu.Unlock()
+		peak = max(peak, live)
+		calls++
+	}
+	m, err := Open(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer m.Close()
+
+	ids := []string{"a", "b", "c", "d"}
+	for _, id := range ids {
+		if _, err := m.Submit(testSpec(id, 6)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, id := range ids {
+		waitState(t, m.Queue(), id, queue.Done)
+	}
+	m.Close() // waits for every worker, so peak and calls are final
+	mu.Lock()
+	defer mu.Unlock()
+	if calls != len(ids) {
+		t.Errorf("%d jobs went live, want %d", calls, len(ids))
+	}
+	if peak != 1 {
+		t.Errorf("%d jobs were live at once with Workers 1", peak)
+	}
+}
+
+// TestSpawnAfterCancelSkipsReplay: a job claimed just as Close cancels
+// the Manager must not start its replay; its record stays Running for
+// the next Open to resume.
+func TestSpawnAfterCancelSkipsReplay(t *testing.T) {
+	opts := fastOpts(t.TempDir())
+	opts.Queue = queue.NewMemory()
+	var went atomic.Int64
+	opts.onLive = func(int) { went.Add(1) }
+	m, err := Open(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer m.Close()
+
+	m.cancel()
+	<-m.dispatchDone
+	b, err := json.Marshal(testSpec("late", 4))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := m.q.Enqueue("late", b); err != nil {
+		t.Fatal(err)
+	}
+	rec, ok, err := m.q.Dequeue()
+	if !ok || err != nil {
+		t.Fatalf("dequeue: %v %v", ok, err)
+	}
+	m.slots <- struct{}{}
+	m.spawn(rec, false)
+	m.Close()
+	if went.Load() != 0 {
+		t.Error("a job spawned after cancellation went live")
+	}
+	if got, _ := m.q.Get("late"); got.State != queue.Running {
+		t.Errorf("job left %v, want Running for the restart", got.State)
 	}
 }
 

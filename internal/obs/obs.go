@@ -1,13 +1,13 @@
 // Package obs is the simulator's observability core: a deterministic
 // metrics registry (counters, gauges, fixed-bucket weighted histograms)
 // and bounded trace streams of events and hierarchical spans ([Tracer],
-// in tracer.go) keyed on simulated time. Everything here is zero-dependency and deliberately
-// free of wall-clock reads in the metric path, so two runs of the same
-// simulation — on any worker count, interrupted and resumed or not —
-// produce byte-identical snapshots. The one wall-clock-adjacent corner,
-// the job-telemetry log the runner feeds ([Registry.AppendJobs]), is
-// kept out of the snapshot entirely: it backs the stdout-only timing
-// footer and never reaches a metrics or events file.
+// in tracer.go) keyed on simulated time. Everything here is
+// zero-dependency and free of wall-clock reads, so two runs of the
+// same simulation — on any worker count, interrupted and resumed or
+// not — produce byte-identical snapshots. Wall-clock readings live
+// elsewhere: the runner keeps the per-job timings behind the
+// stdout-only timing footer, and the daemon writes its serving
+// telemetry into the separate [Ops] registry (ops.go).
 //
 // Determinism contract:
 //
@@ -31,7 +31,6 @@ import (
 	"strconv"
 	"sync"
 	"sync/atomic"
-	"time"
 )
 
 // Counter is a monotonically increasing int64 metric.
@@ -145,11 +144,6 @@ type Registry struct {
 	gauges   map[string]*Gauge
 	hists    map[string]*Histogram
 	tracers  map[string]*Tracer
-
-	jobsMu sync.Mutex
-	jobsOn bool
-	jobs   []JobStat
-	stages []JobStat
 }
 
 // NewRegistry returns an empty registry.
@@ -161,11 +155,6 @@ func NewRegistry() *Registry {
 		tracers:  map[string]*Tracer{},
 	}
 }
-
-// Default is the process-wide registry. It holds the runner's job and
-// stage telemetry; each repro.Run publishes its metrics, events and
-// spans into a registry of its own.
-var Default = NewRegistry()
 
 // Counter returns (creating if needed) the named counter.
 func (r *Registry) Counter(name string) *Counter {
@@ -268,8 +257,7 @@ type snapshotLine struct {
 
 // WriteMetrics writes the deterministic text snapshot: one block per
 // metric, sorted by name then kind; histogram buckets appear in bucket
-// order inside their block. Job telemetry (wall-clock domain) is
-// excluded by design.
+// order inside their block.
 func (r *Registry) WriteMetrics(w io.Writer) error {
 	r.mu.Lock()
 	entries := make([]snapshotLine, 0, len(r.counters)+len(r.gauges)+len(r.hists))
@@ -313,64 +301,4 @@ func (r *Registry) WriteMetrics(w io.Writer) error {
 		}
 	}
 	return bw.Flush()
-}
-
-// JobStat is one finished runner job's wall-clock telemetry. It lives
-// here so the runner's capture state and the metrics registry share one
-// snapshot path, but it is never part of WriteMetrics: wall-clock
-// readings differ run to run and belong to the stdout footer only.
-type JobStat struct {
-	Label string
-	Wall  time.Duration
-	// AllocBytes is the process-wide heap allocation delta observed
-	// while the job ran. With concurrent jobs it includes their
-	// allocations too, so read it as an upper bound.
-	AllocBytes uint64
-	Err        error
-}
-
-// CaptureJobs enables (or disables) the job-telemetry log and the stage
-// log, and clears both. While disabled — the default — AppendJobs and
-// AppendStage discard their input, so long-running test processes do
-// not accumulate history.
-func (r *Registry) CaptureJobs(on bool) {
-	r.jobsMu.Lock()
-	defer r.jobsMu.Unlock()
-	r.jobsOn = on
-	r.jobs, r.stages = nil, nil
-}
-
-// AppendStage logs one stage: timed work that ran outside any
-// runner group, such as a workload build. Stages sit beside the jobs in
-// the timing footer but are never counted among them.
-func (r *Registry) AppendStage(st JobStat) {
-	r.jobsMu.Lock()
-	defer r.jobsMu.Unlock()
-	if r.jobsOn {
-		r.stages = append(r.stages, st)
-	}
-}
-
-// Stages returns a copy of the captured stage log.
-func (r *Registry) Stages() []JobStat {
-	r.jobsMu.Lock()
-	defer r.jobsMu.Unlock()
-	return append([]JobStat(nil), r.stages...)
-}
-
-// AppendJobs appends finished-job stats in the order given (the
-// runner's submission order), preserving that order in Jobs.
-func (r *Registry) AppendJobs(stats []JobStat) {
-	r.jobsMu.Lock()
-	defer r.jobsMu.Unlock()
-	if r.jobsOn {
-		r.jobs = append(r.jobs, stats...)
-	}
-}
-
-// Jobs returns a copy of the captured job telemetry.
-func (r *Registry) Jobs() []JobStat {
-	r.jobsMu.Lock()
-	defer r.jobsMu.Unlock()
-	return append([]JobStat(nil), r.jobs...)
 }

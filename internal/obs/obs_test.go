@@ -3,10 +3,8 @@ package obs
 import (
 	"bytes"
 	"encoding/json"
-	"errors"
 	"strings"
 	"testing"
-	"time"
 )
 
 func TestCounterGaugeBasics(t *testing.T) {
@@ -189,35 +187,6 @@ func TestEventsAreValidJSON(t *testing.T) {
 		if m["s"] != "a\"b\\c\nd\tߜ" {
 			t.Errorf("string attr round-trip: %q", m["s"])
 		}
-	}
-}
-
-func TestJobCapture(t *testing.T) {
-	r := NewRegistry()
-	r.AppendJobs([]JobStat{{Label: "ignored"}})
-	if len(r.Jobs()) != 0 {
-		t.Error("jobs captured while disabled")
-	}
-	r.CaptureJobs(true)
-	r.AppendJobs([]JobStat{
-		{Label: "a", Wall: time.Second},
-		{Label: "b", Err: errors.New("boom")},
-	})
-	jobs := r.Jobs()
-	if len(jobs) != 2 || jobs[0].Label != "a" || jobs[1].Err == nil {
-		t.Errorf("jobs = %+v", jobs)
-	}
-	// Job telemetry must never reach the metrics snapshot.
-	var buf bytes.Buffer
-	if err := r.WriteMetrics(&buf); err != nil {
-		t.Fatal(err)
-	}
-	if strings.Contains(buf.String(), "a") && strings.Contains(buf.String(), "boom") {
-		t.Errorf("job telemetry leaked into metrics: %q", buf.String())
-	}
-	r.CaptureJobs(false)
-	if len(r.Jobs()) != 0 {
-		t.Error("CaptureJobs(false) did not clear")
 	}
 }
 

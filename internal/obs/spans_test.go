@@ -351,14 +351,19 @@ agesrv_queue_depth 2
 	}
 }
 
-// TestOpsIsSeparateFromDefault pins the registry split: writing
-// operational telemetry must not leak into the deterministic registry.
-func TestOpsIsSeparateFromDefault(t *testing.T) {
-	if Ops() == Default {
-		t.Fatal("Ops() and Default are the same registry")
+// TestOpsIsOneSeparateRegistry pins the registry split: Ops() is one
+// process-wide registry, and operational telemetry written there must
+// not leak into a deterministic registry.
+func TestOpsIsOneSeparateRegistry(t *testing.T) {
+	if Ops() != Ops() {
+		t.Fatal("Ops() returned two different registries")
+	}
+	r := NewRegistry()
+	if Ops() == r {
+		t.Fatal("NewRegistry returned the operational registry")
 	}
 	Ops().Counter("split_check_total").Inc()
-	if _, found := Default.CounterValue("split_check_total"); found {
-		t.Error("operational counter visible in Default")
+	if _, found := r.CounterValue("split_check_total"); found {
+		t.Error("operational counter visible in a fresh registry")
 	}
 }

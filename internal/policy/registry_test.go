@@ -4,9 +4,6 @@ import (
 	"sort"
 	"strings"
 	"testing"
-
-	"ffsage/internal/core"
-	"ffsage/internal/ffs"
 )
 
 func TestNamesSortedAndComplete(t *testing.T) {
@@ -28,29 +25,28 @@ func TestNamesSortedAndComplete(t *testing.T) {
 			t.Errorf("registry missing %q: %v", want, names)
 		}
 	}
-	// Slugs must stay unique: they name checkpoint arms and obs scopes.
+}
+
+// TestTableNamesAndSlugsUnique keeps the registry's identities one to
+// one: every entry has its own non-empty name, and every name its own
+// slug, since slugs name checkpoint arms and obs scopes.
+func TestTableNamesAndSlugsUnique(t *testing.T) {
+	names := map[string]bool{}
 	slugs := map[string]string{}
-	for _, n := range names {
+	for _, p := range registered {
+		n := p.Name()
+		if n == "" {
+			t.Errorf("%T%+v has an empty name", p, p)
+		}
+		if names[n] {
+			t.Errorf("two registry entries are named %q", n)
+		}
+		names[n] = true
 		s := Slug(n)
 		if prev, dup := slugs[s]; dup {
 			t.Errorf("slug collision: %q and %q both slug to %q", prev, n, s)
 		}
 		slugs[s] = n
-	}
-}
-
-func TestRegisterRejections(t *testing.T) {
-	if err := Register("", func() ffs.Policy { return core.Original{} }); err == nil {
-		t.Error("empty name accepted")
-	}
-	if err := Register("x", nil); err == nil {
-		t.Error("nil factory accepted")
-	}
-	if err := Register("ffs", func() ffs.Policy { return core.Original{} }); err == nil {
-		t.Error("duplicate name accepted")
-	}
-	if err := Register("not-its-name", func() ffs.Policy { return core.Original{} }); err == nil {
-		t.Error("name/factory mismatch accepted")
 	}
 }
 

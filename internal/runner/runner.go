@@ -10,7 +10,9 @@
 // Each job records wall-clock telemetry (and an approximate allocation
 // figure); when capture is enabled (repro does so at startup) finished
 // groups append their stats to a process-wide log that the timing
-// footer prints.
+// footer prints. This package is the one home of that log: wall-clock
+// readings differ run to run, so they never reach internal/obs, whose
+// registries hold only simulated-time state.
 package runner
 
 import (
@@ -19,8 +21,6 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
-
-	"ffsage/internal/obs"
 )
 
 // workers is the process-wide worker bound; 0 means GOMAXPROCS.
@@ -43,22 +43,54 @@ func Workers() int {
 	return runtime.GOMAXPROCS(0)
 }
 
-// Stat is one finished job's telemetry. It is the obs registry's job
-// record: the process-wide log lives in obs.Default, so commands that
-// snapshot metrics and commands that print the timing footer read from
-// one place. Wall-clock stats stay out of metrics snapshots by
-// construction (obs.Registry.WriteMetrics excludes jobs).
-type Stat = obs.JobStat
+// Stat is one finished job's or stage's wall-clock telemetry.
+type Stat struct {
+	Label string
+	Wall  time.Duration
+	// AllocBytes is the process-wide heap allocation delta observed
+	// while the job ran. With concurrent jobs it includes their
+	// allocations too, so read it as an upper bound.
+	AllocBytes uint64
+	Err        error
+}
 
-// CaptureTelemetry enables (or disables) the process-wide telemetry
-// log and clears it. While disabled — the default — Wait discards
-// job stats after returning them, so long-running test processes do
+// telemetry is the process-wide job and stage log.
+var telemetry struct {
+	sync.Mutex
+	on           bool
+	jobs, stages []Stat
+}
+
+// CaptureTelemetry enables (or disables) the process-wide job and
+// stage log and clears it. While disabled — the default — finished
+// groups and stages are not logged, so long-running test processes do
 // not accumulate history.
-func CaptureTelemetry(on bool) { obs.Default.CaptureJobs(on) }
+func CaptureTelemetry(on bool) {
+	telemetry.Lock()
+	defer telemetry.Unlock()
+	telemetry.on = on
+	telemetry.jobs, telemetry.stages = nil, nil
+}
+
+// record appends stats to one of the logs while capture is on.
+func record(log *[]Stat, stats ...Stat) {
+	telemetry.Lock()
+	defer telemetry.Unlock()
+	if telemetry.on {
+		*log = append(*log, stats...)
+	}
+}
+
+// snapshot returns a copy of one of the logs.
+func snapshot(log *[]Stat) []Stat {
+	telemetry.Lock()
+	defer telemetry.Unlock()
+	return append([]Stat(nil), *log...)
+}
 
 // Telemetry returns a copy of the captured job stats, in the order the
 // groups finished and, within a group, in submission order.
-func Telemetry() []Stat { return obs.Default.Jobs() }
+func Telemetry() []Stat { return snapshot(&telemetry.jobs) }
 
 // Group runs jobs on a bounded worker pool. Submit with Go, then call
 // Wait exactly once. The zero value is unusable; construct with New.
@@ -80,19 +112,12 @@ type Group struct {
 // New returns a Group bounded by the process-wide worker count whose
 // jobs observe ctx (nil means Background). The first job error cancels
 // the group's context, so queued jobs that honour it are skipped.
-func New(ctx context.Context) *Group { return NewWithWorkers(ctx, Workers()) }
-
-// NewWithWorkers returns a Group with an explicit worker bound
-// (n <= 0 means the process-wide count).
-func NewWithWorkers(ctx context.Context, n int) *Group {
+func New(ctx context.Context) *Group {
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	if n <= 0 {
-		n = Workers()
-	}
 	gctx, cancel := context.WithCancel(ctx)
-	return &Group{ctx: gctx, cancel: cancel, sem: make(chan struct{}, n)}
+	return &Group{ctx: gctx, cancel: cancel, sem: make(chan struct{}, Workers())}
 }
 
 // Go submits one job. fn runs on some worker once a slot frees up; if
@@ -144,17 +169,16 @@ func measure(label string, fn func() error) Stat {
 // Time runs fn on the calling goroutine as a stage — work outside any
 // Group, such as a workload build — and, while telemetry capture is
 // on, logs its stats for the timing footer.
-// Stages are not jobs: Telemetry and the runner_jobs metrics never see
-// them.
+// Stages are not jobs: Telemetry never sees them.
 func Time(label string, fn func() error) error {
 	st := measure(label, fn)
-	obs.Default.AppendStage(st)
+	record(&telemetry.stages, st)
 	return st.Err
 }
 
 // Stages returns a copy of the captured stage log, in the order the
 // stages finished.
-func Stages() []Stat { return obs.Default.Stages() }
+func Stages() []Stat { return snapshot(&telemetry.stages) }
 
 // Wait blocks until every submitted job finished (or was skipped),
 // then returns the per-job stats in submission order and the error of
@@ -182,30 +206,6 @@ func (g *Group) Wait() ([]Stat, error) {
 	if firstErr == nil {
 		firstErr = firstCancel
 	}
-	obs.Default.AppendJobs(g.stats)
-	publishOps(g.stats)
+	record(&telemetry.jobs, g.stats...)
 	return g.stats, firstErr
-}
-
-// runnerSecondsBounds buckets job wall time from milliseconds to
-// minutes — wide enough for both sweep points and whole aging runs.
-var runnerSecondsBounds = []float64{0.001, 0.01, 0.1, 1, 10, 60, 600}
-
-// publishOps records finished jobs' wall-clock telemetry in the
-// process-wide operational registry (obs.Ops()), where the daemon's
-// /metrics endpoint reads it. This is the one place runner touches
-// wall-time metrics; the deterministic registry never sees them.
-func publishOps(stats []Stat) {
-	ops := obs.Ops()
-	done := ops.Counter("runner_jobs_total")
-	failed := ops.Counter("runner_jobs_failed_total")
-	h := ops.Histogram("runner_job_seconds", runnerSecondsBounds)
-	for _, st := range stats {
-		done.Inc()
-		if st.Err != nil {
-			failed.Inc()
-		}
-		s := st.Wall.Seconds()
-		h.Observe(s, s)
-	}
 }

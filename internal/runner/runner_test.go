@@ -10,10 +10,17 @@ import (
 	"time"
 )
 
+// withWorkers sets the process-wide worker bound for one test.
+func withWorkers(tb testing.TB, n int) {
+	SetWorkers(n)
+	tb.Cleanup(func() { SetWorkers(0) })
+}
+
 func TestResultsInSubmissionOrder(t *testing.T) {
 	const n = 50
 	out := make([]int, n)
-	g := NewWithWorkers(context.Background(), 8)
+	withWorkers(t, 8)
+	g := New(context.Background())
 	for i := 0; i < n; i++ {
 		i := i
 		g.Go(fmt.Sprintf("job%d", i), func(context.Context) error {
@@ -43,7 +50,8 @@ func TestResultsInSubmissionOrder(t *testing.T) {
 func TestWorkerBoundRespected(t *testing.T) {
 	const bound = 3
 	var running, peak atomic.Int64
-	g := NewWithWorkers(context.Background(), bound)
+	withWorkers(t, bound)
+	g := New(context.Background())
 	for i := 0; i < 20; i++ {
 		g.Go("j", func(context.Context) error {
 			cur := running.Add(1)
@@ -70,7 +78,8 @@ func TestLowestSubmittedErrorWins(t *testing.T) {
 	errA := errors.New("a")
 	errB := errors.New("b")
 	started := make(chan struct{})
-	g := NewWithWorkers(context.Background(), 4)
+	withWorkers(t, 4)
+	g := New(context.Background())
 	g.Go("ok", func(context.Context) error { return nil })
 	g.Go("slow-fail", func(context.Context) error {
 		close(started)
@@ -89,11 +98,15 @@ func TestLowestSubmittedErrorWins(t *testing.T) {
 func TestCancellationSkipsQueuedJobs(t *testing.T) {
 	boom := errors.New("boom")
 	var ran atomic.Int64
-	g := NewWithWorkers(context.Background(), 1)
+	withWorkers(t, 1)
+	g := New(context.Background())
+	started := make(chan struct{})
 	g.Go("fail", func(context.Context) error {
+		close(started)
 		time.Sleep(time.Millisecond)
 		return boom
 	})
+	<-started // the failing job holds the only slot; the rest queue
 	for i := 0; i < 10; i++ {
 		g.Go("later", func(context.Context) error {
 			ran.Add(1)
@@ -126,7 +139,8 @@ func TestExternalCancelDrainsPoolPromptly(t *testing.T) {
 	const workersN = 2
 	var started, finished atomic.Int64
 	release := make(chan struct{}) // never closed: jobs end only via ctx
-	g := NewWithWorkers(ctx, workersN)
+	withWorkers(t, workersN)
+	g := New(ctx)
 	for i := 0; i < 10; i++ {
 		g.Go("blocker", func(jctx context.Context) error {
 			started.Add(1)
@@ -190,20 +204,51 @@ func TestSetWorkers(t *testing.T) {
 	}
 }
 
+// TestTelemetryCapture checks the job log: with capture off a group's
+// stats are discarded, with it on they are kept in submission order
+// with their errors, and switching capture off clears them.
 func TestTelemetryCapture(t *testing.T) {
+	withWorkers(t, 2)
+	run := func() {
+		t.Helper()
+		started := make(chan struct{})
+		g := New(context.Background())
+		g.Go("alpha", func(context.Context) error {
+			close(started)
+			time.Sleep(2 * time.Millisecond) // finish after beta
+			return nil
+		})
+		g.Go("beta", func(context.Context) error {
+			<-started
+			return errBoom
+		})
+		if _, err := g.Wait(); err != errBoom {
+			t.Fatalf("Wait returned %v, want %v", err, errBoom)
+		}
+	}
+
+	CaptureTelemetry(false)
+	run()
+	if tel := Telemetry(); len(tel) != 0 {
+		t.Fatalf("captured %d stats while capture was off", len(tel))
+	}
+
 	CaptureTelemetry(true)
 	defer CaptureTelemetry(false)
-	g := NewWithWorkers(context.Background(), 2)
-	g.Go("alpha", func(context.Context) error { return nil })
-	g.Go("beta", func(context.Context) error { return nil })
-	if _, err := g.Wait(); err != nil {
-		t.Fatal(err)
-	}
+	run()
 	tel := Telemetry()
-	if len(tel) != 2 || tel[0].Label != "alpha" || tel[1].Label != "beta" {
+	if len(tel) != 2 || tel[0].Label != "alpha" || tel[0].Err != nil ||
+		tel[1].Label != "beta" || tel[1].Err != errBoom {
 		t.Fatalf("telemetry = %+v", tel)
 	}
+
+	CaptureTelemetry(false)
+	if tel := Telemetry(); len(tel) != 0 {
+		t.Fatalf("switching capture off kept %d stats", len(tel))
+	}
 }
+
+var errBoom = errors.New("boom")
 
 // TestTimeLogsStageNotJob checks that a serial stage reaches the stage
 // log with its error, and stays out of the job telemetry.
@@ -249,7 +294,8 @@ func BenchmarkGroupSpeedup(b *testing.B) {
 	const work = 3 * time.Millisecond
 	run := func(workersN int) time.Duration {
 		start := time.Now()
-		g := NewWithWorkers(context.Background(), workersN)
+		SetWorkers(workersN)
+		g := New(context.Background())
 		for i := 0; i < jobs; i++ {
 			g.Go("spin", func(context.Context) error { spin(work); return nil })
 		}
@@ -258,6 +304,7 @@ func BenchmarkGroupSpeedup(b *testing.B) {
 		}
 		return time.Since(start)
 	}
+	defer SetWorkers(0)
 	var speedup float64
 	for i := 0; i < b.N; i++ {
 		serial := run(1)
