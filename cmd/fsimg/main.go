@@ -477,13 +477,13 @@ func printAttribution(w io.Writer, st disk.Stats) {
 // size (the paper's Figure 3 view) and the free-space run histogram.
 func layoutReport(w io.Writer, fsys *ffs.FileSystem, imagePath string, hotFrom int) error {
 	files := layout.AllFiles(fsys)
+	score, buckets := layout.AggregateBySize(files, fsys.FragsPerBlock(), stats.PowerOfTwoBuckets(16<<10, 16<<20))
 	fmt.Fprintf(w, "%s: %d files, %.1f MB, utilization %.1f%%\n",
 		imagePath, len(files), float64(layout.TotalBytes(files))/(1<<20), 100*fsys.Utilization())
 	fmt.Fprintf(w, "aggregate layout score: %.3f (%.1f%% of blocks non-optimal)\n",
-		layout.FsAggregate(fsys), 100*(1-layout.Aggregate(files, fsys.FragsPerBlock())))
+		layout.FsAggregate(fsys), 100*(1-score))
 
 	fmt.Fprintln(w, "\nlayout score by file size:")
-	buckets := layout.BySize(files, fsys.FragsPerBlock(), stats.PowerOfTwoBuckets(16<<10, 16<<20))
 	for _, b := range buckets {
 		if b.Files == 0 {
 			continue

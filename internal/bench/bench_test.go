@@ -1,11 +1,15 @@
 package bench
 
 import (
+	"fmt"
+	"reflect"
+	"slices"
 	"testing"
 
 	"ffsage/internal/core"
 	"ffsage/internal/disk"
 	"ffsage/internal/ffs"
+	"ffsage/internal/runner"
 )
 
 func smallImage(t *testing.T, policy ffs.Policy) *ffs.FileSystem {
@@ -99,6 +103,50 @@ func TestSequentialSweep(t *testing.T) {
 	}
 	if len(rs) != 2 || rs[0].FileSize != 16<<10 || rs[1].FileSize != 64<<10 {
 		t.Errorf("sweep = %+v", rs)
+	}
+}
+
+// TestSequentialSweepWorkersAgree runs the same sweep, forwards and
+// backwards, on one and on two workers. Each size point copies the
+// image into whichever scratch image an earlier point left, so under
+// -race this checks both that concurrent points never share one and
+// that a scratch image's history never leaks into a result.
+func TestSequentialSweepWorkersAgree(t *testing.T) {
+	img := smallImage(t, core.Realloc{})
+	for i := 0; i < 120; i++ {
+		if _, err := img.CreateFile(img.Root(), fmt.Sprintf("aged%03d", i), int64(i%7+1)*12<<10, 0); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, f := range img.Files() {
+		if !f.IsDir && f.Ino%3 == 0 {
+			if err := img.Delete(f); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	sizes := []int64{16 << 10, 96 << 10, 104 << 10, 1 << 20}
+	sweep := func(workers int, sizes []int64) []SeqResult {
+		runner.SetWorkers(workers)
+		rs, err := SequentialSweep(img, disk.PaperParams(), sizes, 2<<20, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return rs
+	}
+	defer runner.SetWorkers(0)
+	want := sweep(1, sizes)
+	backwards := slices.Clone(sizes)
+	slices.Reverse(backwards)
+	for _, workers := range []int{2, 1, 2} {
+		if got := sweep(workers, sizes); !reflect.DeepEqual(got, want) {
+			t.Fatalf("%d workers: sweep differs from 1 worker", workers)
+		}
+		got := sweep(workers, backwards)
+		slices.Reverse(got)
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("%d workers, sizes reversed: sweep differs from 1 worker", workers)
+		}
 	}
 }
 

@@ -67,9 +67,7 @@ func newHotSet(fsys *ffs.FileSystem, fromDay int) (*hotSet, error) {
 	nAll, allBytes := fsys.FileTotals()
 	res.FracFiles = float64(len(files)) / float64(nAll)
 	res.FracBytes = float64(res.TotalBytes) / float64(allBytes)
-	res.LayoutScore = layout.Aggregate(files, fsys.FragsPerBlock())
-	buckets := stats.PowerOfTwoBuckets(16<<10, 16<<20)
-	res.BySize = layout.BySize(files, fsys.FragsPerBlock(), buckets)
+	res.LayoutScore, res.BySize = layout.AggregateBySize(files, fsys.FragsPerBlock(), stats.PowerOfTwoBuckets(16<<10, 16<<20))
 	return h, nil
 }
 

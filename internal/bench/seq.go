@@ -3,6 +3,7 @@ package bench
 import (
 	"context"
 	"fmt"
+	"sync"
 
 	"ffsage/internal/disk"
 	"ffsage/internal/ffs"
@@ -33,15 +34,24 @@ const maxFilesPerDir = 25
 // created using as many four megabyte writes as necessary."
 const ioUnit int64 = 4 << 20
 
+// scratchImages holds file systems that earlier sequential runs have
+// finished with, for the next run to copy its aged image into. A run
+// owns the scratch image it takes until it puts it back, so concurrent
+// size points never share one.
+var scratchImages sync.Pool // of *ffs.FileSystem
+
 // SequentialIO runs the paper's sequential benchmark for one file size
-// on a clone of the aged image: create totalBytes/fileSize files
+// on a copy of the aged image: create totalBytes/fileSize files
 // (write phase), then read them back in creation order. The image is
-// not modified.
+// not modified. The copy goes into a scratch image that earlier runs
+// left behind (ffs.CloneInto), and nothing in the result points into it.
 func SequentialIO(image *ffs.FileSystem, p disk.Params, fileSize, totalBytes int64, day int) (SeqResult, error) {
 	if fileSize <= 0 || totalBytes < fileSize {
 		return SeqResult{}, fmt.Errorf("bench: bad sizes file=%d total=%d", fileSize, totalBytes)
 	}
-	fsys := image.Clone()
+	scratch, _ := scratchImages.Get().(*ffs.FileSystem)
+	fsys := image.CloneInto(scratch)
+	defer scratchImages.Put(fsys)
 	// The paper's benchmarks ran as root: the minfree reserve is
 	// available, so a 32 MB corpus fits on a ~90%-utilized aged image.
 	fsys.IgnoreReserve = true
@@ -100,7 +110,7 @@ func SequentialIO(image *ffs.FileSystem, p disk.Params, fileSize, totalBytes int
 // lists the sweep the paper's figures cover, including the off-power
 // points that expose the 96→104 KB indirect-block cliff and the 64 KB
 // transfer-limit effect. Size points are independent (each runs on its
-// own clone and its own disk), so they execute concurrently on the
+// own copy and its own disk), so they execute concurrently on the
 // runner's configured worker count; results are indexed by size
 // regardless of completion order.
 func SequentialSweep(image *ffs.FileSystem, p disk.Params, sizes []int64, totalBytes int64, day int) ([]SeqResult, error) {

@@ -386,10 +386,17 @@ func (s *Set) FindRunNearest(lo, hi, length, pref int) int {
 }
 
 // Clone returns a deep copy of the set.
-func (s *Set) Clone() *Set {
-	c := &Set{n: s.n, words: make([]uint64, len(s.words))}
-	copy(c.words, s.words)
-	return c
+func (s *Set) Clone() *Set { return s.CloneInto(nil) }
+
+// CloneInto copies s into dst and returns dst when dst is a distinct
+// set of the same length, and a fresh copy otherwise (dst nil, s
+// itself, or another length). dst's old contents are overwritten.
+func (s *Set) CloneInto(dst *Set) *Set {
+	if dst == nil || dst == s || dst.n != s.n {
+		dst = &Set{n: s.n, words: make([]uint64, len(s.words))}
+	}
+	copy(dst.words, s.words)
+	return dst
 }
 
 // Equal reports whether two sets have identical length and contents.

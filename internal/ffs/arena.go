@@ -17,6 +17,12 @@ package ffs
 // replay against. Pooling never changes allocation decisions, only
 // where the Go objects come from; those tests pin that down byte for
 // byte.
+//
+// CloneInto(dst) is the one place Files move between file systems: it
+// takes over every File of dst, which nobody may use or keep past the
+// call. The slab Files become the copy's files; those dst's user made
+// outside the slab are reset and parked in the copy's pool, which
+// starts with its counters at zero.
 
 // filePool is a LIFO free list of recycled File structures.
 type filePool struct {
@@ -81,12 +87,18 @@ func (fs *FileSystem) recycleFile(f *File) {
 	if !fs.pooling {
 		return
 	}
+	f.reset()
+	fs.pool.free = append(fs.pool.free, f)
+	fs.pool.recycles++
+}
+
+// reset clears every field of f but keeps the capacity of its block
+// map, indirect list and entry table, and its name index, emptied.
+func (f *File) reset() {
 	blocks := f.Blocks[:0]
 	inds := f.Indirects[:0]
 	ents := f.entries
 	clear(ents) // drop child pointers so the GC can collect them
 	clear(f.entryIdx)
 	*f = File{Blocks: blocks, Indirects: inds, entries: ents[:0], entryIdx: f.entryIdx}
-	fs.pool.free = append(fs.pool.free, f)
-	fs.pool.recycles++
 }

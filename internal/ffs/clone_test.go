@@ -3,6 +3,7 @@ package ffs
 import (
 	"bytes"
 	"fmt"
+	"reflect"
 	"sync"
 	"testing"
 	"unsafe"
@@ -251,4 +252,148 @@ func TestCloneSlabAliasing(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+}
+
+// dirty runs a mixed history on fs: creates in existing and new
+// directories (building their name indexes), an append across lbn 12,
+// truncates, deletes and a rename.
+func dirty(t *testing.T, fs *FileSystem, tag string) {
+	t.Helper()
+	bs := int64(fs.P.BlockSize)
+	var plain, dirs []*File
+	for _, f := range fs.Files() {
+		if f.IsDir {
+			dirs = append(dirs, f)
+		} else {
+			plain = append(plain, f)
+		}
+	}
+	for i, d := range dirs {
+		if _, err := fs.CreateFile(d, fmt.Sprintf("%s-new%d", tag, i), int64(i%3+1)*bs, 3); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < 3; i++ {
+		d, err := fs.Mkdir(fs.Root(), fmt.Sprintf("%s-dir%d", tag, i), 3)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for j := 0; j < 5; j++ {
+			if _, err := fs.CreateFile(d, fmt.Sprintf("g%d", j), int64(j+1)*bs/2, 3); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if len(plain) < 8 {
+		t.Fatalf("%s: only %d plain files to dirty", tag, len(plain))
+	}
+	if err := fs.Append(plain[0], (NDirect+2)*bs, 3); err != nil {
+		t.Fatal(err)
+	}
+	for _, f := range plain[1:3] {
+		if err := fs.Truncate(f, f.Size/3, 3); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, f := range plain[3:6] {
+		if err := fs.Delete(f); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := fs.Rename(plain[6], dirs[len(dirs)-1], tag+"-moved", 3); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestCloneIntoMatchesClone copies an image into file systems that a
+// history has dirtied — a clone of the same image, clones of images of
+// other shapes, and an image that is no clone at all — and requires the
+// result to equal a fresh Clone field for field once the pools are set
+// aside, to be Check-clean, to find existing names in its reused
+// directories, and to behave as the fresh Clone does under more
+// history.
+func TestCloneIntoMatchesClone(t *testing.T) {
+	src := newSmallFs(t)
+	files := populate(t, src, 60)
+	if err := src.Append(files[8], (NDirect+1)*int64(src.P.BlockSize), 1); err != nil {
+		t.Fatal(err)
+	}
+	// Leave holes in the inode tables, which the copy must keep nil.
+	for i := 20; i < 40; i += 2 {
+		if err := src.Delete(files[i]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	image := func(size int64, ncg, nfiles int) *FileSystem {
+		p := smallParams()
+		p.SizeBytes, p.NumCg = size, ncg
+		fs, err := NewFileSystem(p, nopPolicy{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		populate(t, fs, nfiles)
+		return fs
+	}
+	bigger, smaller := image(32<<20, 6, 150), image(8<<20, 2, 12)
+	for _, tc := range []struct {
+		name string
+		dst  *FileSystem
+	}{
+		{"same image", src.Clone()},
+		{"bigger image", bigger.Clone()},
+		{"smaller image", smaller.Clone()},
+		{"no clone", image(16<<20, 4, 30)},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dirty(t, tc.dst, "x")
+			got := src.CloneInto(tc.dst)
+			if got != tc.dst {
+				t.Fatal("CloneInto did not return dst")
+			}
+			if st := got.PoolStats(); st.Pooled == 0 || st.News != 0 || st.Reuses != 0 || st.Recycles != 0 {
+				t.Fatalf("pool after CloneInto: %+v, want parked Files and zero counters", st)
+			}
+			want := src.Clone()
+			pooled := got.pool.free
+			got.pool.free = nil
+			if !reflect.DeepEqual(got, want) {
+				t.Fatal("CloneInto differs from a fresh Clone")
+			}
+			got.pool.free = pooled
+			for _, d := range got.Files() {
+				for _, e := range d.entries {
+					if f, ok := got.Lookup(d, e.name); !ok || f != e.file {
+						t.Fatalf("lookup of %q in %s: %v, %v", e.name, d.Path(), f, ok)
+					}
+				}
+			}
+			for _, fs := range []*FileSystem{got, want} {
+				if err := fs.Check(); err != nil {
+					t.Fatal(err)
+				}
+				dirty(t, fs, "y")
+				if err := fs.Check(); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := sameFiles(got, want); err != nil {
+				t.Fatal(err)
+			}
+			if st := got.PoolStats(); st.Reuses == 0 {
+				t.Fatalf("creates after CloneInto never reused a parked File: %+v", st)
+			}
+		})
+	}
+}
+
+// TestCloneIntoRefusesItself pins that copying an image onto itself, a
+// caller bug that would read the source while overwriting it, panics.
+func TestCloneIntoRefusesItself(t *testing.T) {
+	fs := newSmallFs(t)
+	defer func() {
+		if recover() == nil {
+			t.Fatal("CloneInto onto its own source did not panic")
+		}
+	}()
+	fs.CloneInto(fs)
 }

@@ -27,31 +27,40 @@ func (f *File) AppendReadSequence(dst []Extent, fpb int) []Extent {
 }
 
 // appendExtents is the one walk behind both append forms; withMeta
-// visits the indirect blocks. A merge only ever extends an extent this
-// call appended, never one of the caller's prefix dst.
+// visits the indirect blocks. It scans one physically contiguous run of
+// blocks at a time and appends it as one extent, so it never merges
+// into the caller's prefix of dst.
 func (f *File) appendExtents(dst []Extent, fpb int, withMeta bool) []Extent {
-	base := len(dst)
 	// Index into f.Indirects, which Append builds sorted by the data
 	// block each precedes (a double parent before its first child).
 	next := len(f.Indirects)
 	if withMeta {
 		next = 0
 	}
-	last := len(f.Blocks) - 1
-	for i, addr := range f.Blocks {
+	n := len(f.Blocks)
+	step := Daddr(fpb)
+	for i := 0; i < n; {
 		for next < len(f.Indirects) && f.Indirects[next].BeforeLbn == i {
 			dst = append(dst, Extent{Addr: f.Indirects[next].Addr, Frags: fpb, Meta: true})
 			next++
 		}
-		n := fpb
-		if i == last {
-			n = f.TailFrags
+		// A run stops at a gap or at the next indirect block visited.
+		stop := n
+		if next < len(f.Indirects) {
+			if b := f.Indirects[next].BeforeLbn; b > i && b < stop {
+				stop = b
+			}
 		}
-		if k := len(dst) - 1; k >= base && !dst[k].Meta && dst[k].Addr+Daddr(dst[k].Frags) == addr {
-			dst[k].Frags += n
-			continue
+		j := i + 1
+		for j < stop && f.Blocks[j] == f.Blocks[j-1]+step {
+			j++
 		}
-		dst = append(dst, Extent{Addr: addr, Frags: n})
+		frags := (j - i) * fpb
+		if j == n {
+			frags += f.TailFrags - fpb
+		}
+		dst = append(dst, Extent{Addr: f.Blocks[i], Frags: frags})
+		i = j
 	}
 	return dst
 }

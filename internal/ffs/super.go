@@ -75,6 +75,10 @@ type FileSystem struct {
 	// steady-state replay loop allocates nothing; see arena.go.
 	pool    filePool
 	pooling bool
+
+	// slab holds the arrays a copy's Files were carved from, for
+	// CloneInto to reuse; see clone.go.
+	slab cloneSlab
 }
 
 // derived caches values computed from Params at newfs time. The

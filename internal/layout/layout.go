@@ -32,16 +32,8 @@ func FileScore(f *ffs.File, fpb int) (score float64, blocks int, ok bool) {
 // two blocks contribute nothing. It returns 1.0 when no file is
 // scoreable (an empty file system is perfectly laid out).
 func Aggregate(files []*ffs.File, fpb int) float64 {
-	optimal, total := 0, 0
-	for _, f := range files {
-		o, t := ffs.FileLayoutCounts(f, fpb)
-		optimal += o
-		total += t
-	}
-	if total == 0 {
-		return 1.0
-	}
-	return float64(optimal) / float64(total)
+	score, _ := AggregateBySize(files, fpb, nil)
+	return score
 }
 
 // AllFiles returns the file system's plain files (directories
@@ -94,16 +86,26 @@ func FsAggregate(fsys *ffs.FileSystem) float64 {
 // every bucket, and files with undefined scores, are skipped. The
 // returned buckets have Files, Blocks and Score populated.
 func BySize(files []*ffs.File, fpb int, buckets []stats.SizeBucket) []stats.SizeBucket {
+	_, out := AggregateBySize(files, fpb, buckets)
+	return out
+}
+
+// AggregateBySize returns Aggregate(files, fpb) and BySize(files, fpb,
+// buckets) from one walk over the files' block maps.
+func AggregateBySize(files []*ffs.File, fpb int, buckets []stats.SizeBucket) (float64, []stats.SizeBucket) {
 	out := make([]stats.SizeBucket, len(buckets))
 	copy(out, buckets)
 	optimal := make([]int, len(buckets))
+	allOpt, allTotal := 0, 0
 	for _, f := range files {
-		idx := stats.BucketIndex(out, f.Size)
-		if idx < 0 {
-			continue
-		}
 		o, t := ffs.FileLayoutCounts(f, fpb)
 		if t == 0 {
+			continue
+		}
+		allOpt += o
+		allTotal += t
+		idx := stats.BucketIndex(out, f.Size)
+		if idx < 0 {
 			continue
 		}
 		out[idx].Files++
@@ -115,7 +117,10 @@ func BySize(files []*ffs.File, fpb int, buckets []stats.SizeBucket) []stats.Size
 			out[i].Score = float64(optimal[i]) / float64(out[i].Blocks)
 		}
 	}
-	return out
+	if allTotal == 0 {
+		return 1.0, out
+	}
+	return float64(allOpt) / float64(allTotal), out
 }
 
 // HotFiles returns the plain files modified on or after fromDay — the

@@ -94,6 +94,32 @@ func TestBySize(t *testing.T) {
 	}
 }
 
+// TestAggregateBySizeOneWalk pins the one walk behind Aggregate and
+// BySize: a file outside every bucket counts toward the aggregate only.
+func TestAggregateBySizeOneWalk(t *testing.T) {
+	buckets := stats.PowerOfTwoBuckets(16<<10, 32<<10)
+	files := []*ffs.File{
+		fileWithBlocks(16<<10, 10, 11),
+		fileWithBlocks(16<<10, 20, 30),
+		fileWithBlocks(32<<10, 40, 41, 42, 50),
+		fileWithBlocks(1<<20, 60, 61, 62, 70, 71, 72, 73),
+		fileWithBlocks(8192, 99),
+	}
+	score, by := AggregateBySize(files, fpb, buckets)
+	if score != 8.0/11.0 {
+		t.Errorf("score %v, want 8/11", score)
+	}
+	if by[0].Files != 2 || by[0].Blocks != 2 || by[0].Score != 0.5 {
+		t.Errorf("16KB bucket = %+v", by[0])
+	}
+	if by[1].Files != 1 || by[1].Blocks != 3 || by[1].Score != 2.0/3.0 {
+		t.Errorf("32KB bucket = %+v", by[1])
+	}
+	if score, _ := AggregateBySize(nil, fpb, buckets); score != 1.0 {
+		t.Errorf("empty score %v, want 1", score)
+	}
+}
+
 func TestOnRealFileSystem(t *testing.T) {
 	p := ffs.PaperParams()
 	p.SizeBytes = 16 << 20

@@ -36,6 +36,7 @@ func All() []Benchmark {
 		{Name: "layout.incremental", Quick: true, Setup: setupLayoutIncremental},
 		{Name: "disk.requests", Quick: true, Setup: setupDiskRequests, CheckAllocs: true, MaxAllocsPerOp: 0.01},
 		{Name: "ffs.clone", Quick: true, Setup: setupClone},
+		{Name: "ffs.cloneinto", Quick: true, Setup: setupCloneInto, CheckAllocs: true, MaxAllocsPerOp: 0},
 		{Name: "checkpoint.encode", Quick: true, Setup: setupCheckpointEncode},
 		{Name: "checkpoint.decode", Quick: true, Setup: setupCheckpointDecode},
 		{Name: "obs.writespans", Quick: true, Setup: setupWriteSpans},
@@ -493,6 +494,39 @@ func setupClone(fx *Fixture) (*Instance, error) {
 			return fmt.Errorf("ffs.clone: nil clone")
 		}
 		return nil
+	}
+	return &Instance{Op: op, Units: 1}, nil
+}
+
+// setupCloneInto measures ffs.CloneInto of the aged realloc image into
+// a scratch image that setup has dirtied the way a sweep point does:
+// the copy every sequential benchmark run makes. The copy reuses the
+// scratch image's memory, so its budget is no allocation at all.
+func setupCloneInto(fx *Fixture) (*Instance, error) {
+	fsys := fx.AgedRealloc.Fs
+	scratch := fsys.Clone()
+	scratch.IgnoreReserve = true
+	dir, err := scratch.Mkdir(scratch.Root(), "pb", 0)
+	if err != nil {
+		return nil, err
+	}
+	for i := 0; i < 16; i++ {
+		if _, err := scratch.CreateFile(dir, fmt.Sprintf("f%02d", i), int64(i+1)*int64(fx.Cfg.FsParams.BlockSize), 0); err != nil {
+			return nil, err
+		}
+	}
+	for _, f := range layout.AllFiles(scratch)[:16] {
+		if err := scratch.Delete(f); err != nil {
+			return nil, err
+		}
+	}
+	op := func() error {
+		scratch = fsys.CloneInto(scratch)
+		return nil
+	}
+	// Prime once: parks the Files the dirtying made outside the slab.
+	if err := op(); err != nil {
+		return nil, err
 	}
 	return &Instance{Op: op, Units: 1}, nil
 }
