@@ -520,13 +520,11 @@ func setupCloneInto(fx *Fixture) (*Instance, error) {
 			return nil, err
 		}
 	}
+	// Prime once: parks the Files the dirtying made outside the slab.
+	scratch = fsys.CloneInto(scratch)
 	op := func() error {
 		scratch = fsys.CloneInto(scratch)
 		return nil
-	}
-	// Prime once: parks the Files the dirtying made outside the slab.
-	if err := op(); err != nil {
-		return nil, err
 	}
 	return &Instance{Op: op, Units: 1}, nil
 }
